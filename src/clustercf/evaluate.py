@@ -28,7 +28,7 @@ from .core import (
     distance_sq,
     score_matrix,
 )
-from .explain import MEMBERSHIP_TIE_TOL, explain
+from .explain import explain, membership_verdict
 from .fit import Dataset
 from .model_io import DataError, canonical_json
 
@@ -122,13 +122,6 @@ def compute_aggregates(records) -> dict:
         "distance": distance,
         "elapsed": {"mean": float(elapsed.mean()), "median": float(np.percentile(elapsed, 50))},
     }
-
-
-def _membership(model: ClusterModel, z_internal: np.ndarray, target: int):
-    scores = score_matrix(model, z_internal[None, :])[0]
-    strict = int(np.argmax(scores)) == target
-    tolerant = strict or (float(np.max(scores)) - float(scores[target])) <= MEMBERSHIP_TIE_TOL
-    return strict, tolerant
 
 
 def run_eval(model: ClusterModel, data: Dataset, config: EvalConfig) -> EvalReport:
@@ -240,7 +233,7 @@ def ingest_baseline(path, name: str, model: ClusterModel, factuals: dict, target
             raise DataError(f"baseline {path}: non-finite cell at row {r}")
         z_internal = np.asarray(model.to_internal(vec), dtype=np.float64)
         y_internal = np.asarray(model.to_internal(np.asarray(factuals[factual_id])), dtype=np.float64)
-        strict, tolerant = _membership(model, z_internal, target)
+        strict, tolerant = membership_verdict(model, z_internal, target)
         records.append(
             BaselineRecord(
                 factual_id=factual_id,

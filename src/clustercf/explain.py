@@ -13,8 +13,6 @@ import numpy as np
 from .core import (
     KMEANS,
     LOG_2PI,
-    STATUS_DEGENERATE_IDENTITY,
-    STATUS_NO_FEASIBLE_SOLUTION,
     STATUS_OK,
     CfRequest,
     CfResult,
@@ -26,12 +24,7 @@ from .core import (
     log_density,
     score_matrix,
 )
-from .gaussian_cf import (
-    RESIDUAL_TOL_FACTOR,
-    build_pair_problem,
-    constraint_residual,
-    solve_gaussian_cf,
-)
+from .gaussian_cf import build_pair_problem, solve_gaussian_cf
 from .kmeans_cf import build_constraint, solve_kmeans_cf
 
 DEFAULT_EPSILON = 1e-5
@@ -100,27 +93,7 @@ def explain(model: ClusterModel, request: CfRequest) -> CfResult:
             mask,
             request.epsilon,
         )
-        if mask.n_free == 0:
-            # Nothing may change: the factual either already satisfies the
-            # constraint or no counterfactual exists under this mask.
-            residual = constraint_residual(problem, y)
-            tol = RESIDUAL_TOL_FACTOR * (1.0 + abs(problem.c_alpha))
-            if abs(residual) <= tol:
-                result = CfResult(
-                    status=STATUS_DEGENERATE_IDENTITY,
-                    counterfactual=y.copy(),
-                    distance_sq=0.0,
-                    residual=residual,
-                )
-            else:
-                result = CfResult(
-                    status=STATUS_NO_FEASIBLE_SOLUTION,
-                    counterfactual=None,
-                    distance_sq=None,
-                    residual=residual,
-                )
-        else:
-            result = solve_gaussian_cf(problem)
+        result = solve_gaussian_cf(problem)
     elapsed = (time.perf_counter_ns() - t0) * 1e-9
 
     strict = tolerant = None

@@ -288,7 +288,10 @@ def _log_prob_matrix(x, means, covs, priors):
     for ki, (m, cov, p) in enumerate(zip(means, covs, priors)):
         diff = x - m
         if cov.kind == FULL:
-            chol = np.linalg.cholesky(cov.data)
+            try:
+                chol = np.linalg.cholesky(cov.data)
+            except np.linalg.LinAlgError:
+                raise FitError(f"covariance of component {ki} is not positive definite") from None
             a = np.linalg.solve(chol, diff.T)
             quad = np.sum(a * a, axis=0)
             log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
@@ -348,11 +351,11 @@ def fit_gmm_info(data: Dataset, config: FitConfig):
     means, covs, priors, ll, iters, history = best
     priors = np.asarray(priors)
     priors = priors / priors.sum()
-    components = tuple(
-        GaussianComponent(mean=means[i], covariance=covs[i], prior=float(priors[i]))
-        for i in range(len(covs))
-    )
     try:
+        components = tuple(
+            GaussianComponent(mean=means[i], covariance=covs[i], prior=float(priors[i]))
+            for i in range(len(covs))
+        )
         model = ClusterModel(kind=GAUSSIAN, components=components, standardization=std)
     except ValidationError as exc:
         raise FitError(f"EM produced an invalid model: {exc}") from exc

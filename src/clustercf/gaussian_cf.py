@@ -15,28 +15,30 @@ stationary candidates
     z_F(lam) = (I - lam * D)^-1 (y_F - lam * b),     z_G = y_G,
 
 where D is the difference of the free-block precisions and b collects
-mean and fixed-block terms. In the eigenbasis of D both the map and the
-constraint become component-wise,
+mean and fixed-block terms. In the eigenbasis of D (eigenvalues e_i) the
+step from the factual and the constraint become component-wise,
 
-    t_i(lam) = (u_i - lam * w_i) / (1 - lam * e_i),
-    g(lam)   = sum_i e_i t_i^2 - 2 w_i t_i + C0,
+    s_i(lam) = lam * a_i / (1 - lam * e_i),      a = half the gradient of g at y,
+    g(lam)   = g(y) + lam * sum_i a_i^2 (2 - lam * e_i) / (1 - lam * e_i)^2,
 
-so one g evaluation costs O(|F|). The solver samples g densely over the
-real line (split at the poles lam = 1/e_i), brackets every sign change,
-refines each bracket by bisection and returns the root whose
-counterfactual lies closest to the factual.
+so one g evaluation costs O(|F|). The global minimizer's multiplier lies
+in the one interval around 0 where every 1 - lam * e_i > 0 (More &
+Sorensen 1983; More 1993). There g'(lam) = 2 sum_i a_i^2 / (1 - lam e_i)^3
+> 0, so g is monotone and the solver runs a safeguarded Newton iteration
+from lam = 0 toward the side where g changes sign. When g keeps its sign
+up to a pole whose coefficients a_i vanish (or are too small to resolve),
+the minimizer sits on that pole (the trust-region "hard case"); when it
+keeps its sign to an open end with no linear term left, no
+counterfactual exists.
 
-Diagonal and spherical covariances feed the same scan with e, u, w taken
-directly per coordinate (no eigendecomposition). When the two precisions
-agree on the free block (D vanishes) the constraint is affine in z_F and
-is solved by direct projection instead of a scan.
+Diagonal and spherical covariances use the same coordinates with e and a
+taken directly per coordinate (no eigendecomposition).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,23 +62,23 @@ INDETERMINATE = "indeterminate"
 
 # Acceptance tolerance for a root, in the constraint's natural scale.
 RESIDUAL_TOL_FACTOR = 1e-8
-# Bisection refinement target (stricter than acceptance).
+# Newton refinement target (stricter than acceptance).
 REFINE_TOL_FACTOR = 1e-10
 REFINE_MAX_ITER = 200
-# lam values closer than this (relative) to a pole are rejected.
+# lam values closer than this (relative) to a pole are rejected, and
+# eigenvalues this close (relative) to the bounding one share its pole.
 POLE_EXCLUSION = 1e-12
-# Below this magnitude an eigenvalue of D contributes no pole; if all
-# eigenvalues are below it the constraint is treated as affine.
+# Below this magnitude an eigenvalue of D is zero: it contributes no pole,
+# and if all eigenvalues are below it the constraint is affine. A gradient
+# on the null space of D below it counts as no linear term.
 EIG_ZERO = 1e-12
 # Eigenvalue / sign threshold for the uniqueness classification.
 SIGN_ZERO = 1e-10
-# Scan domain is [-cap, cap] with cap = CAP_FACTOR * (1 + max |pole|).
-CAP_FACTOR = 1e6
-GRID_UNIFORM = 256
-GRID_GEOMETRIC = 128
-# Root dedup and distance-tie tolerances.
-ROOT_MERGE_TOL = 1e-9
-DISTANCE_TIE_TOL = 1e-12
+
+PATH_FACTUAL = "factual"
+PATH_INTERVAL = "interval"
+PATH_HARD_CASE = "hard_case"
+PATH_OPEN_END = "open_end"
 
 
 class PoleError(ValidationError):
@@ -86,16 +88,6 @@ class PoleError(ValidationError):
         super().__init__("lam", f"{lam!r} is within the exclusion radius of pole {pole!r}")
         self.lam = lam
         self.pole = pole
-
-
-@dataclass(frozen=True, eq=False)
-class LambdaRoot:
-    """One refined root of g(lam) with its counterfactual candidate."""
-
-    lam: float
-    z: np.ndarray
-    residual: float
-    distance_sq: float
 
 
 class GaussianPairProblem:
@@ -137,68 +129,44 @@ class GaussianPairProblem:
         )
 
         free = mask.free
-        fixed = mask.fixed
         d = y.size
         self._componentwise = source.covariance.kind != FULL and target.covariance.kind != FULL
 
+        # Half the gradient of g at y over the free block: the linear term
+        # of the step problem, taken directly so that no cancellation
+        # between D y_F and b enters it.
         if self._componentwise:
-            var_s = source.covariance.variances(d)
-            var_t = target.covariance.variances(d)
-            self._inv_s_free = 1.0 / var_s[free]
-            self._inv_t_free = 1.0 / var_t[free]
-            self._num = (
-                target.mean[free] * self._inv_t_free - source.mean[free] * self._inv_s_free
-            )
-            self._den = self._inv_t_free - self._inv_s_free
+            inv_s = 1.0 / source.covariance.variances(d)[free]
+            inv_t = 1.0 / target.covariance.variances(d)[free]
+            self._den = inv_t - inv_s
+            self._half_grad = (y[free] - target.mean[free]) * inv_t - (
+                y[free] - source.mean[free]
+            ) * inv_s
             self._basis = None
-            scan_e = self._den
-            scan_u = y[free].copy()
-            scan_w = self._num
+            evals = self._den
+            a = self._half_grad
         else:
             p_s = source.precision_matrix()
             p_t = target.precision_matrix()
             dmat = p_t[np.ix_(free, free)] - p_s[np.ix_(free, free)]
             self._D = (dmat + dmat.T) / 2.0
-            b = (
-                p_t[np.ix_(free, free)] @ target.mean[free]
-                - p_s[np.ix_(free, free)] @ source.mean[free]
-            )
-            if fixed.size:
-                b = b - (
-                    p_t[np.ix_(free, fixed)] @ (y[fixed] - target.mean[fixed])
-                    - p_s[np.ix_(free, fixed)] @ (y[fixed] - source.mean[fixed])
-                )
-            self._num = b
+            self._half_grad = (p_t @ (y - target.mean) - p_s @ (y - source.mean))[free]
             if free.size:
                 evals, evecs = np.linalg.eigh(self._D)
             else:
                 evals, evecs = np.empty(0), np.empty((0, 0))
             self._basis = evecs
-            scan_e = evals
-            scan_u = evecs.T @ y[free]
-            scan_w = evecs.T @ b
+            a = evecs.T @ self._half_grad
 
-        # Constraint in scan coordinates: g = sum(e t^2 - 2 w t) + c0 with
-        # t(lam) = (u - lam w) / (1 - lam e); c0 anchors it at g(y).
-        self._scan_e = scan_e
-        self._scan_u = scan_u
-        self._scan_w = scan_w
-        self._scan_w2 = 2.0 * scan_w
-        g_y = (
-            mahalanobis_sq(target, y) - mahalanobis_sq(source, y) + self.c_alpha
-        )
-        self._scan_c0 = g_y - float(np.sum(scan_e * scan_u * scan_u - 2.0 * scan_w * scan_u))
-        # Plain-float view of the coefficients for the scalar bisection path.
-        self._scan_rows = list(
-            zip(scan_u.tolist(), scan_w.tolist(), scan_e.tolist(), (2.0 * scan_w).tolist())
-        )
-
-        self.affine = free.size == 0 or float(np.max(np.abs(scan_e), initial=0.0)) <= EIG_ZERO
-        self.poles = self._build_poles(scan_e)
+        self._e = np.where(np.abs(evals) > EIG_ZERO, evals, 0.0)
+        self._a = a
+        self._g_y = mahalanobis_sq(target, y) - mahalanobis_sq(source, y) + self.c_alpha
+        self.affine = not np.any(self._e)
+        self.poles = self._build_poles(self._e)
 
     @staticmethod
     def _build_poles(coeffs: np.ndarray) -> tuple:
-        live = coeffs[np.abs(coeffs) > EIG_ZERO]
+        live = coeffs[coeffs != 0.0]
         if live.size == 0:
             return ()
         cand = np.sort(1.0 / live)
@@ -220,46 +188,14 @@ class GaussianPairProblem:
 
     def lin_vector(self) -> np.ndarray:
         """The linear term b of the stationarity map over free coordinates."""
-        return np.asarray(self._num, dtype=np.float64).copy()
+        return self.D_free() @ self.y[self.mask.free] - self._half_grad
 
-    # Batched internals used by the scan; lams is a 1-D array.
-
-    def _t_batch(self, lams: np.ndarray) -> np.ndarray:
-        num = self._scan_u[:, None] - lams[None, :] * self._scan_w[:, None]
-        den = 1.0 - lams[None, :] * self._scan_e[:, None]
-        return num / den
-
-    def _z_free_batch(self, lams: np.ndarray) -> np.ndarray:
-        t = self._t_batch(np.asarray(lams, dtype=np.float64))
-        if self._basis is None:
-            return t
-        return self._basis @ t
-
-    def _g_batch(self, lams: np.ndarray) -> np.ndarray:
-        # Two reused work buffers instead of one temporary per operation;
-        # the scan evaluates thousands of lams and allocation dominates
-        # otherwise.
-        row = lams[None, :]
-        t = np.multiply(row, self._scan_w[:, None])
-        np.subtract(self._scan_u[:, None], t, out=t)
-        den = np.multiply(row, self._scan_e[:, None])
-        np.subtract(1.0, den, out=den)
-        np.divide(t, den, out=t)
-        np.multiply(self._scan_e[:, None], t, out=den)
-        np.subtract(den, self._scan_w2[:, None], out=den)
-        np.multiply(den, t, out=den)
-        return np.sum(den, axis=0) + self._scan_c0
-
-    def _g_scalar(self, lam: float) -> float:
-        total = self._scan_c0
-        for u, w, e, w2 in self._scan_rows:
-            t = (u - lam * w) / (1.0 - lam * e)
-            total += t * (e * t - w2)
-        return total
-
-    def _embed(self, z_free: np.ndarray) -> np.ndarray:
+    def _point(self, step: np.ndarray) -> np.ndarray:
+        """The factual moved by `step` (eigen-coordinates) on the free block."""
+        if self._basis is not None:
+            step = self._basis @ step
         z = self.y.copy()
-        z[self.mask.free] = z_free
+        z[self.mask.free] = self.y[self.mask.free] + step
         return z
 
 
@@ -290,234 +226,227 @@ def z_of_lambda(problem: GaussianPairProblem, lam: float) -> np.ndarray:
     for p in problem.poles:
         if abs(lam - p) <= POLE_EXCLUSION * (1.0 + abs(p)):
             raise PoleError(lam, p)
-    zf = problem._z_free_batch(np.asarray([lam]))[:, 0]
-    return problem._embed(zf)
+    return problem._point(lam * problem._a / (1.0 - lam * problem._e))
 
 
 def uniqueness_class(problem: GaussianPairProblem) -> str:
     """`unique` when the free-block precision difference is definite (or,
     component-wise, when all nonzero coefficients share one sign);
     `indeterminate` otherwise (one, multiple or no solutions possible)."""
+    evals = problem._e
     if problem._componentwise:
-        vals = problem._inv_s_free - problem._inv_t_free
-        live = vals[np.abs(vals) > SIGN_ZERO]
+        live = evals[np.abs(evals) > SIGN_ZERO]
         if live.size == 0 or np.all(live > 0.0) or np.all(live < 0.0):
             return UNIQUE
         return INDETERMINATE
-    evals = problem._scan_e
     if evals.size and (np.all(evals > SIGN_ZERO) or np.all(evals < -SIGN_ZERO)):
         return UNIQUE
     return INDETERMINATE
 
 
 # ---------------------------------------------------------------------------
-# Root scan
+# Solve on the certified interval
+#
+# The solve runs in a variable x >= 0 with lam = lam0 + kappa * x and
+# 1 - lam * e_i = alpha_i + beta_i * x. Toward a pole 1/e_k, x is the
+# relative gap to it (lam = (1 - x) / e_k), so the coordinates on the pole
+# keep their gap exactly however close the root lies; toward an open end,
+# x = |lam|.
 
 
-# Relative positions of the per-interval grid: a uniform sweep plus
-# geometric clustering toward both ends (1e-12 of the width up to the
-# midpoint), where g changes fastest. Precomputed sorted, so building one
-# interval's grid is a single affine map.
-_GEO_FRACTIONS = np.logspace(-12.0, math.log10(0.5), GRID_GEOMETRIC)
-_GRID_FRACTIONS = np.unique(
-    np.concatenate([np.linspace(0.0, 1.0, GRID_UNIFORM), _GEO_FRACTIONS, 1.0 - _GEO_FRACTIONS])
-)
+class _Secular:
+    """g and dg/dx along one side of the interval, and its root."""
+
+    def __init__(self, a, g_y, lam0, kappa, alpha, beta):
+        self.a = a
+        self.a2 = a * a
+        self.g_y = g_y
+        self.lam0 = lam0
+        self.kappa = kappa
+        self.alpha = alpha
+        self.beta = beta
+
+    def lam(self, x: float) -> float:
+        return self.lam0 + self.kappa * x
+
+    def __call__(self, x: float):
+        gap = self.alpha + self.beta * x
+        q = self.a2 / (gap * gap)
+        g = self.g_y + self.lam(x) * float(q @ (1.0 + gap))
+        return g, 2.0 * self.kappa * float(q @ (1.0 / gap))
+
+    def step(self, x: float) -> np.ndarray:
+        return self.lam(x) * self.a / (self.alpha + self.beta * x)
+
+    def root(self, lo: float, hi: float, x: float, lo_positive: bool, tol: float):
+        """Root on [lo, hi] (0 <= lo < hi; g(lo) > 0 iff lo_positive, g(hi)
+        of the other sign or zero), iterated from x and kept inside the
+        bracket by bisection, geometric while the bracket spans more than
+        a factor of 4. Toward an open end the iteration is Newton's; toward
+        a pole (at x = 0) it takes the step that is exact for
+        c1 + c2 / x^2, the shape of g near the pole, where Newton's step
+        only grows by half per iteration. Stops at |g| <= tol or when the
+        bracket reaches floating-point resolution; returns (x, iterations).
+        """
+        at_pole = self.lam0 != 0.0
+        gx, dgx = self(x)
+        for it in range(1, REFINE_MAX_ITER + 1):
+            if abs(gx) <= tol:
+                return x, it - 1
+            if at_pole:
+                # g = c1 + c2 / x^2 through (x, g, g') has its root at
+                # x^2 * x g' / (2 g + x g').
+                den = 2.0 * gx + dgx * x
+                xn = x * math.sqrt(dgx * x / den) if dgx * x * den > 0.0 else math.nan
+            else:
+                xn = x - gx / dgx if dgx != 0.0 else math.nan
+            if not lo <= xn <= hi or xn == x:
+                xn = math.sqrt(lo * hi) if lo > 0.0 and hi > 4.0 * lo else 0.5 * (lo + hi)
+                if not lo < xn < hi:
+                    return x, it - 1
+            x = xn
+            gx, dgx = self(x)
+            if (gx > 0.0) == lo_positive:
+                lo = x
+            else:
+                hi = x
+        return x, REFINE_MAX_ITER
 
 
-def _interval_grid(lo: float, hi: float) -> np.ndarray:
-    pts = lo + (hi - lo) * _GRID_FRACTIONS
-    if lo < 0.0 < hi:
-        pts = np.insert(pts, int(np.searchsorted(pts, 0.0)), 0.0)
-    return pts
+def _hard_case(sec: _Secular, block: np.ndarray, e_k: float) -> np.ndarray:
+    """Step at lam = 1/e_k: every other coordinate at its limit, the pole
+    block moved along its own gradient (or its first coordinate when that
+    vanishes) by the tau that solves g = 0."""
+    lam = sec.lam0
+    rest = ~block
+    step = np.zeros_like(sec.a)
+    step[rest] = lam * sec.a[rest] / sec.alpha[rest]
+    alpha = sec.alpha[rest]
+    g_lim = sec.g_y + lam * float((sec.a2[rest] / (alpha * alpha)) @ (1.0 + alpha))
+    a_block = sec.a[block]
+    n_a = float(np.linalg.norm(a_block))
+    # e_k tau^2 + 2 n_a tau + g_lim = 0, where e_k and g_lim differ in
+    # sign: take the root of smaller magnitude.
+    root = math.sqrt(max(n_a * n_a - e_k * g_lim, 0.0))
+    tau = -g_lim / (n_a + root) if n_a + root > 0.0 else 0.0
+    if n_a > 0.0:
+        step[block] = tau * (a_block / n_a)
+    else:
+        step[np.flatnonzero(block)[0]] = abs(tau)
+    return step
 
 
-def _bisect(problem, lo, hi, glo, refine_tol):
-    """Scalar bisection on one bracket; stops at the |g| target or when the
-    bracket collapses to floating-point resolution."""
-    for _ in range(REFINE_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        gm = problem._g_scalar(mid)
-        if abs(gm) <= refine_tol:
-            return mid, gm
-        if (gm > 0.0) == (glo > 0.0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    mid = 0.5 * (lo + hi)
-    return mid, problem._g_scalar(mid)
+def _interval(e: np.ndarray) -> list:
+    """The multiplier interval where I - lam * D_FF is positive definite;
+    an open end is None."""
+    lo = 1.0 / float(e.min()) if e.size and e.min() < 0.0 else None
+    hi = 1.0 / float(e.max()) if e.size and e.max() > 0.0 else None
+    return [lo, hi]
 
 
-def _scan_roots(problem: GaussianPairProblem, refine_tol: float):
-    """All bracketed roots of g over the pole-split domain, plus scan stats."""
-    poles = problem.poles
-    cap = CAP_FACTOR * (1.0 + max(abs(p) for p in poles))
-    edges = [-cap] + list(poles) + [cap]
-
-    grids = []
-    for i in range(len(edges) - 1):
-        lo, hi = edges[i], edges[i + 1]
-        if i > 0:
-            lo = lo + POLE_EXCLUSION * (1.0 + abs(lo))
-        if i < len(edges) - 2:
-            hi = hi - POLE_EXCLUSION * (1.0 + abs(hi))
-        if lo < hi:
-            grids.append(_interval_grid(lo, hi))
-
-    roots = []
-    n_brackets = 0
-    g_first = None
-    g_last = None
-    # One evaluation call per interval keeps the work buffers cache-sized.
-    for pts in grids:
-        g = problem._g_batch(pts)
-        finite = np.isfinite(g)
-        pts, g = pts[finite], g[finite]
-        if pts.size:
-            if g_first is None:
-                g_first = float(g[0])
-            g_last = float(g[-1])
-            for j in np.flatnonzero(g == 0.0):
-                roots.append((float(pts[j]), 0.0))
-            sign = np.sign(g)
-            for j in np.flatnonzero(sign[:-1] * sign[1:] < 0.0):
-                n_brackets += 1
-                roots.append(
-                    _bisect(problem, float(pts[j]), float(pts[j + 1]), float(g[j]), refine_tol)
-                )
-
-    diagnostics = {
-        "brackets": n_brackets,
-        "domain": [-cap, cap],
-        "g_at_domain_ends": [g_first, g_last],
-    }
-    return roots, diagnostics
-
-
-def _dedupe(roots):
-    roots = sorted(roots)
-    kept = []
-    for lam, g in roots:
-        if kept and abs(lam - kept[-1][0]) <= ROOT_MERGE_TOL * (1.0 + abs(lam)):
-            if abs(g) < abs(kept[-1][1]):
-                kept[-1] = (lam, g)
-            continue
-        kept.append((lam, g))
-    return kept
-
-
-def _solve_affine(problem: GaussianPairProblem, t0: int, g_ok_tol: float) -> CfResult:
-    """Equal free-block precisions: the constraint is affine in z_F and the
-    minimizer is a plain hyperplane projection, no multiplier scan."""
-    y_free = problem.y[problem.mask.free]
-    grad = -2.0 * problem._num
-    g_y = constraint_residual(problem, problem.y)
-    norm_sq = float(grad @ grad)
-    if math.sqrt(norm_sq) <= 1e-12:
-        status = STATUS_DEGENERATE_IDENTITY if abs(g_y) <= g_ok_tol else STATUS_NO_FEASIBLE_SOLUTION
-        return CfResult(
-            status=status,
-            counterfactual=problem.y.copy() if status == STATUS_DEGENERATE_IDENTITY else None,
-            distance_sq=0.0 if status == STATUS_DEGENERATE_IDENTITY else None,
-            residual=g_y,
-            elapsed=(time.perf_counter_ns() - t0) * 1e-9,
-        )
-    z_free = y_free.copy()
-    g_val = g_y
-    # One projection is exact for a truly affine constraint; the extra
-    # passes absorb curvature below the EIG_ZERO detection threshold.
-    for _ in range(3):
-        z_free = z_free - (g_val / norm_sq) * grad
-        g_val = constraint_residual(problem, problem._embed(z_free))
-        if abs(g_val) <= REFINE_TOL_FACTOR * (1.0 + abs(problem.c_alpha)):
-            break
-    z = problem._embed(z_free)
-    dz = z_free - y_free
-    # Stationarity with a vanishing quadratic block reads dz = -lam * b,
-    # and grad = -2 b, so lam recovers as 2 (dz . grad) / |grad|^2.
-    lam = 2.0 * float(dz @ grad) / norm_sq
-    if abs(g_val) > g_ok_tol:
-        return CfResult(
-            status=STATUS_NO_ROOT_FOUND,
-            counterfactual=None,
-            distance_sq=None,
-            residual=g_val,
-            elapsed=(time.perf_counter_ns() - t0) * 1e-9,
-            diagnostics={"brackets": 0, "domain": None, "g_at_domain_ends": None},
-        )
+def _result(problem, status, t0, *, z=None, lam=None, residual=None, diagnostics=None):
+    distance = None
+    if z is not None:
+        dz = z[problem.mask.free] - problem.y[problem.mask.free]
+        distance = float(dz @ dz)
     return CfResult(
-        status=STATUS_OK,
+        status=status,
         counterfactual=z,
-        distance_sq=float(dz @ dz),
+        distance_sq=distance,
         lam=lam,
-        residual=g_val,
-        roots_found=1,
+        residual=residual,
+        roots_found=1 if status == STATUS_OK else 0,
         elapsed=(time.perf_counter_ns() - t0) * 1e-9,
+        diagnostics=None if status == STATUS_OK else diagnostics,
     )
 
 
 def solve_gaussian_cf(problem: GaussianPairProblem) -> CfResult:
-    """Scan the multiplier axis, refine all sign changes and return the
-    feasible stationary point nearest to the factual.
+    """Nearest point to the factual on g(z) = 0 over the free features.
 
-    Roots are accepted when |g| <= 1e-8 * (1 + |c_alpha|). Among accepted
-    roots the minimum squared distance wins; distance ties within 1e-12
-    go to the smaller |lam|. With no acceptable root the result carries
-    scan diagnostics under `no_root_found`.
+    The multiplier is solved on the interval where I - lam * D_FF is
+    positive definite, which holds the global minimizer (see the module
+    docstring). Outcomes:
+
+    - `ok`: the minimizer with its multiplier `lam`, confirmed against
+      `constraint_residual` within 1e-8 * (1 + |c_alpha|). The factual
+      itself is returned, at lam = 0, when it already meets that tolerance.
+    - `degenerate_identity`: the free features cannot change g (none are
+      free, or D_FF and the gradient vanish) and the factual satisfies it.
+    - `no_feasible_solution`: g keeps the factual's sign, beyond the
+      tolerance, up to an open end of the interval with no linear term on
+      the null space of D_FF. D_FF is then semidefinite and the limit,
+      `diagnostics["g_limit"]`, is the extremum of g over the free block.
+    - `no_root_found`: the candidate failed the confirmation.
+
+    Results other than `ok` carry `diagnostics`: the solver `path`, the
+    `interval` (None for an open end) and the Newton `iterations`.
     """
     t0 = time.perf_counter_ns()
-    if problem.n_free == 0:
-        raise ValidationError("mask", "at least one actionable feature is required")
     g_ok_tol = RESIDUAL_TOL_FACTOR * (1.0 + abs(problem.c_alpha))
-    if problem.affine:
-        return _solve_affine(problem, t0, g_ok_tol)
+    e, a, g_y = problem._e, problem._a, problem._g_y
+    null = e == 0.0
+    # g's slope in lam on the null space of D_FF is 2 |a_null|^2; a
+    # gradient there (2 |a_null|) below EIG_ZERO counts as none.
+    null_sq = float(a[null] @ a[null])
+    has_linear = 2.0 * math.sqrt(null_sq) > EIG_ZERO
+    diagnostics = {"path": PATH_FACTUAL, "interval": _interval(e), "iterations": 0}
 
-    refine_tol = REFINE_TOL_FACTOR * (1.0 + abs(problem.c_alpha))
-    raw_roots, diagnostics = _scan_roots(problem, refine_tol)
-    accepted = _dedupe([(lam, g) for lam, g in raw_roots if abs(g) <= g_ok_tol])
-    if accepted:
-        # The scan refines a cheap algebraic transcription of g; confirm
-        # candidates against the defining residual before reporting them.
-        lams = np.asarray([lam for lam, _ in accepted])
-        zf = problem._z_free_batch(lams)
-        exact = np.asarray(
-            [constraint_residual(problem, problem._embed(zf[:, i])) for i in range(lams.size)]
-        )
-        keep = np.abs(exact) <= g_ok_tol
-        accepted = [(float(lams[i]), float(exact[i])) for i in np.flatnonzero(keep)]
-        zf = zf[:, keep]
-
-    if not accepted:
-        return CfResult(
-            status=STATUS_NO_ROOT_FOUND,
-            counterfactual=None,
-            distance_sq=None,
-            residual=None,
-            roots_found=0,
-            elapsed=(time.perf_counter_ns() - t0) * 1e-9,
-            diagnostics=diagnostics,
+    if abs(g_y) <= g_ok_tol:
+        status = STATUS_OK if has_linear or not problem.affine else STATUS_DEGENERATE_IDENTITY
+        return _result(
+            problem, status, t0, z=problem.y.copy(), lam=0.0 if status == STATUS_OK else None,
+            residual=g_y, diagnostics=diagnostics,
         )
 
-    lams = np.asarray([lam for lam, _ in accepted])
-    y_free = problem.y[problem.mask.free]
-    dists = np.sum((zf - y_free[:, None]) ** 2, axis=0)
-    best_dist = float(np.min(dists))
-    tied = np.flatnonzero(dists <= best_dist + DISTANCE_TIE_TOL)
-    pick = int(tied[np.argmin(np.abs(lams[tied]))])
+    # g rises with lam on the interval: move to the side of its zero.
+    side = 1.0 if g_y < 0.0 else -1.0
+    y_positive = g_y > 0.0
+    step = None
+    if np.any(e * side > 0.0):
+        e_k = side * float(np.max(e * side))
+        r = e / e_k
+        block = r >= 1.0 - POLE_EXCLUSION
+        sec = _Secular(
+            a, g_y, 1.0 / e_k, -1.0 / e_k, np.where(block, 0.0, 1.0 - r), np.where(block, 1.0, r)
+        )
+        lo, hi, x0, lo_positive = POLE_EXCLUSION, 1.0, 1.0, not y_positive
+        g_edge, _ = sec(lo)
+        if (g_edge > 0.0) == y_positive:
+            diagnostics["path"] = PATH_HARD_CASE
+            lam, step = sec.lam0, _hard_case(sec, block, e_k)
+    else:
+        sec = _Secular(a, g_y, 0.0, side, np.ones_like(e), -side * e)
+        if has_linear:
+            # Every other term moves g the same way, so the null-space
+            # slope alone brings g to zero within |g(y)| / slope.
+            hi = abs(g_y) / (2.0 * null_sq)
+        else:
+            # g tends to g(y) + side * sum(a^2 / |e|), the extremum of g
+            # over the free block, with terms that decay at least as fast
+            # as 1 / (1 + x * min|e|)^2.
+            weight = a[~null] ** 2 / np.abs(e[~null])
+            g_limit = g_y + side * float(np.sum(weight))
+            diagnostics["g_limit"] = g_limit
+            if g_limit == 0.0 or (g_limit > 0.0) == y_positive:
+                diagnostics["path"] = PATH_OPEN_END
+                status = (
+                    STATUS_NO_FEASIBLE_SOLUTION if abs(g_limit) > g_ok_tol else STATUS_NO_ROOT_FOUND
+                )
+                return _result(problem, status, t0, residual=g_y, diagnostics=diagnostics)
+            hi = (math.sqrt(float(np.sum(weight)) / abs(g_limit)) - 1.0) / float(
+                np.min(np.abs(e[~null]))
+            )
+        lo, x0, lo_positive = 0.0, 0.0, y_positive
+    if step is None:
+        diagnostics["path"] = PATH_INTERVAL
+        refine_tol = REFINE_TOL_FACTOR * (1.0 + abs(problem.c_alpha))
+        x, diagnostics["iterations"] = sec.root(lo, hi, x0, lo_positive, refine_tol)
+        lam, step = sec.lam(x), sec.step(x)
 
-    root = LambdaRoot(
-        lam=float(lams[pick]),
-        z=problem._embed(zf[:, pick]),
-        residual=float(accepted[pick][1]),
-        distance_sq=float(dists[pick]),
-    )
-    return CfResult(
-        status=STATUS_OK,
-        counterfactual=root.z,
-        distance_sq=root.distance_sq,
-        lam=root.lam,
-        residual=root.residual,
-        roots_found=len(accepted),
-        elapsed=(time.perf_counter_ns() - t0) * 1e-9,
-    )
+    z = problem._point(step)
+    residual = constraint_residual(problem, z)
+    if abs(residual) > g_ok_tol:
+        diagnostics["lam"] = lam
+        return _result(problem, STATUS_NO_ROOT_FOUND, t0, residual=residual, diagnostics=diagnostics)
+    return _result(problem, STATUS_OK, t0, z=z, lam=lam, residual=residual)

@@ -162,6 +162,23 @@ def line_level_set_min_distance(res, y, free_axis, pts):
     return best, count
 
 
+def global_optimality_certificate(m_s, cov_s, m_t, cov_t, y, z, free):
+    """min eig(I - lam * D_FF) at a stationary point z of the pair problem.
+
+    lam is recovered from stationarity, z_F - y_F = lam * (D_FF z_F - b),
+    whose right side is half the gradient of g at z over the free block.
+    The global minimizer has a non-negative value (More 1993)."""
+    inv_s = np.linalg.inv(np.asarray(cov_s, dtype=float))
+    inv_t = np.linalg.inv(np.asarray(cov_t, dtype=float))
+    z = np.asarray(z, dtype=float)
+    half_grad = (inv_t @ (z - np.asarray(m_t)) - inv_s @ (z - np.asarray(m_s)))[free]
+    step = (z - np.asarray(y, dtype=float))[free]
+    lam = float(step @ half_grad) / float(half_grad @ half_grad)
+    dmat = (inv_t - inv_s)[np.ix_(free, free)]
+    dmat = (dmat + dmat.T) / 2.0
+    return float(np.min(np.linalg.eigvalsh(np.eye(len(free)) - lam * dmat)))
+
+
 # ---------------------------------------------------------------------------
 # Expanded single-parameter equation for full covariances (test-only path)
 

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 
 import jsonschema
@@ -86,6 +87,24 @@ def test_fit_missing_data_file_is_data_error(tmp_path, capsys):
         "-o", str(tmp_path / "m.json"),
     ])
     assert code == 3
+
+
+def test_fit_invalid_em_components_exit_4(tmp_path, blob_csv, monkeypatch, capsys):
+    # The package re-exports the function `fit` under the module's name.
+    fit_module = importlib.import_module("clustercf.fit")
+
+    def collapsed_em(x, k, covariance_kind, max_iter, rel_tol, rng):
+        indefinite = cf.CovarianceSpec.full([[1.0, 2.0], [2.0, 1.0]])
+        means = np.asarray([[0.0, 0.0], [1.0, 1.0]])
+        return means, [indefinite, indefinite], np.asarray([0.5, 0.5]), 1, (-1.0,)
+
+    monkeypatch.setattr(fit_module, "_em", collapsed_em)
+    code = main([
+        "fit", "--algo", "gmm", "--k", "2", "--restarts", "1",
+        str(blob_csv), "-o", str(tmp_path / "model.json"),
+    ])
+    assert code == 4
+    assert "not positive definite" in capsys.readouterr().err
 
 
 def test_explain_worked_example(tmp_path, boundary_model, capsys):

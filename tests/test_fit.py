@@ -57,6 +57,15 @@ def test_fit_errors():
         cf.fit_kmeans(cf.Dataset(rows=same), cf.FitConfig(algorithm=cf.KMEANS, n_clusters=2))
 
 
+def test_log_prob_matrix_rejects_indefinite_covariance_as_fit_error():
+    from clustercf.fit import _log_prob_matrix
+
+    x = np.asarray([[0.0, 0.0], [1.0, 2.0]])
+    indefinite = cf.CovarianceSpec.full([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(cf.FitError):
+        _log_prob_matrix(x, [np.zeros(2)], [indefinite], [1.0])
+
+
 def test_fit_config_validation():
     with pytest.raises(cf.ValidationError):
         cf.FitConfig(algorithm="dbscan")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import clustercf as cf
 from helpers import random_mask, random_pair_components, random_pair_problem
 from oracles import (
     expanded_full_lambda_equation,
+    global_optimality_certificate,
     level_set_min_distance_2d,
     line_level_set_min_distance,
     lstsq_plane_distance_sq,
@@ -17,6 +19,15 @@ from oracles import (
 )
 
 KINDS = (cf.FULL, cf.DIAGONAL, cf.SPHERICAL)
+
+
+def certify(prob, z):
+    """min eig(I - lam * D_FF) at z, from explicit inverses."""
+    return global_optimality_certificate(
+        prob.source.mean, prob.source.covariance.matrix(prob.y.size),
+        prob.target.mean, prob.target.covariance.matrix(prob.y.size),
+        prob.y, z, prob.mask.free,
+    )
 
 
 def unit_pair(eps):
@@ -195,9 +206,11 @@ def test_no_root_detected_and_verified_analytically():
     assert c_h + math.log(0.25) > 0.0
     prob = cf.build_pair_problem(source, target, y, mask, 0.0)
     res = cf.solve_gaussian_cf(prob)
-    assert res.status == cf.STATUS_NO_ROOT_FOUND
-    assert res.diagnostics["brackets"] == 0
-    assert res.diagnostics["g_at_domain_ends"][0] > 0.0
+    assert res.status == cf.STATUS_NO_FEASIBLE_SOLUTION
+    assert res.diagnostics["g_limit"] == pytest.approx(c_h + math.log(0.25), rel=1e-12)
+    # D = 0.75 > 0: the interval's lower end is open, written as null.
+    assert res.diagnostics["interval"] == [None, pytest.approx(1.0 / 0.75)]
+    assert json.loads(json.dumps(res.diagnostics, allow_nan=False))["interval"][0] is None
 
 
 def test_uniqueness_classes():
@@ -406,10 +419,25 @@ def test_mixed_covariance_kinds_promote_to_matrix_path():
 
 
 def test_requires_at_least_one_free_feature():
+    # With every feature frozen g is the constant g(y): the factual either
+    # already satisfies the constraint or nothing can.
     rng = np.random.default_rng(73)
-    prob = random_pair_problem(rng, 3, cf.FULL, mask=cf.Mask.from_bits([0, 0, 0]))
-    with pytest.raises(cf.ValidationError):
-        cf.solve_gaussian_cf(prob)
+    frozen = cf.Mask.from_bits([0, 0, 0])
+    prob = random_pair_problem(rng, 3, cf.FULL, mask=frozen)
+    res = cf.solve_gaussian_cf(prob)
+    assert res.status == cf.STATUS_NO_FEASIBLE_SOLUTION
+    assert res.counterfactual is None and res.distance_sq is None
+    assert res.residual == cf.constraint_residual(prob, prob.y)
+
+    source, target = prob.source, prob.target
+    boundary = cf.solve_gaussian_cf(
+        cf.build_pair_problem(source, target, prob.y, cf.Mask.all_free(3), 0.0)
+    ).counterfactual
+    on = cf.build_pair_problem(source, target, boundary, frozen, 0.0)
+    res = cf.solve_gaussian_cf(on)
+    assert res.status == cf.STATUS_DEGENERATE_IDENTITY
+    assert np.array_equal(res.counterfactual, boundary) and res.distance_sq == 0.0
+    assert abs(res.residual) <= 1e-8 * (1.0 + abs(on.c_alpha))
 
 
 @settings(max_examples=60, deadline=None)
@@ -433,6 +461,8 @@ def test_solution_properties_random(seed, kind_ix, d):
     lhs = z_free - prob.y[mask.free]
     rhs = res.lam * (prob.D_free() @ z_free - prob.lin_vector())
     assert float(np.linalg.norm(lhs - rhs)) <= 1e-7 * (1.0 + float(np.linalg.norm(lhs)))
+    # And the global minimizer: I - lam * D_FF is positive semidefinite.
+    assert certify(prob, z) >= -1e-9
 
 
 def test_multiple_roots_picks_nearest():
@@ -448,8 +478,70 @@ def test_multiple_roots_picks_nearest():
     prob = cf.build_pair_problem(source, target, y, cf.Mask.all_free(2), 0.0)
     res = cf.solve_gaussian_cf(prob)
     assert res.status == cf.STATUS_OK
-    assert res.roots_found >= 2
     radius_sq = prob.c_alpha / 0.75
     radius = math.sqrt(radius_sq)
     assert np.allclose(res.counterfactual, [radius, 0.0], atol=1e-6)
     assert cf.uniqueness_class(prob) == cf.UNIQUE
+
+    # At the shared mean every point of the circle is nearest: the hard
+    # case, with the multiplier on the pole of I - lam * D.
+    centre = cf.build_pair_problem(source, target, [0.0, 0.0], cf.Mask.all_free(2), 0.0)
+    res = cf.solve_gaussian_cf(centre)
+    assert res.status == cf.STATUS_OK
+    assert res.distance_sq == pytest.approx(radius_sq, rel=1e-12)
+    assert abs(cf.constraint_residual(centre, res.counterfactual)) <= 1e-8 * (1 + centre.c_alpha)
+    assert certify(centre, res.counterfactual) >= -1e-9
+    again = cf.solve_gaussian_cf(centre)
+    assert np.array_equal(again.counterfactual, res.counterfactual) and again.lam == res.lam
+
+
+@pytest.mark.parametrize("eps", [1e-5, 0.5])
+def test_near_hard_case_matches_level_set_oracle(eps):
+    # D = diag(-0.75, 3) with the target mean 1e-3 off the source's along
+    # axis 1: at y = 0 the gradient has no part on the pole of axis 0 (the
+    # hard case); at y = (1e-9, 0) the root sits about 1e-9 from that pole.
+    source = cf.GaussianComponent(
+        mean=[0.0, 0.0], covariance=cf.CovarianceSpec.spherical(1.0), prior=0.5
+    )
+    target = cf.GaussianComponent(
+        mean=[0.0, 1e-3], covariance=cf.CovarianceSpec.diagonal([4.0, 0.25]), prior=0.5
+    )
+    res_fn, _ = pair_residual_fn(
+        source.mean, source.covariance.matrix(2), source.prior,
+        target.mean, target.covariance.matrix(2), target.prior, eps,
+    )
+    results = []
+    for y in ([0.0, 0.0], [1e-9, 0.0]):
+        prob = cf.build_pair_problem(source, target, y, cf.Mask.all_free(2), eps)
+        res = cf.solve_gaussian_cf(prob)
+        assert res.status == cf.STATUS_OK
+        assert abs(cf.constraint_residual(prob, res.counterfactual)) <= 1e-8 * (1 + prob.c_alpha)
+        assert certify(prob, res.counterfactual) >= -1e-9
+        results.append(res)
+    grid = np.linspace(-3.0, 3.0, 2000)
+    oracle_d2, n_pts = level_set_min_distance_2d(res_fn, np.zeros(2), grid, grid)
+    assert n_pts > 0
+    assert results[0].distance_sq == pytest.approx(oracle_d2, abs=1e-4)
+    assert results[1].distance_sq == pytest.approx(results[0].distance_sq, abs=1e-6)
+
+
+def test_near_flat_source_returns_global_minimizer():
+    # A source variance of 1.8e-8 puts a pole at lam = -1.7e-8; the nearest
+    # boundary point has its multiplier just inside it.
+    source = cf.GaussianComponent(
+        mean=[0.0, 0.0],
+        covariance=cf.CovarianceSpec.diagonal([1.7625932885228978e-08, 1.744705977917154]),
+        prior=0.5,
+    )
+    target = cf.GaussianComponent(
+        mean=[2.1603268250757703, -0.577533011990755],
+        covariance=cf.CovarianceSpec.diagonal([0.31692275337239634, 0.9205784681890601]),
+        prior=0.5,
+    )
+    y = [1.108241314903022e-05, -1.122221726853932]
+    prob = cf.build_pair_problem(source, target, y, cf.Mask.all_free(2), 1.0)
+    res = cf.solve_gaussian_cf(prob)
+    assert res.status == cf.STATUS_OK
+    assert abs(cf.constraint_residual(prob, res.counterfactual)) <= 1e-8 * (1 + abs(prob.c_alpha))
+    assert certify(prob, res.counterfactual) >= -1e-9
+    assert res.distance_sq == pytest.approx(5.435e-7, rel=1e-3)
