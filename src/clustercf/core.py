@@ -5,6 +5,15 @@ internal feature space: the standardized space when the model carries
 standardization parameters, the raw feature space otherwise. Densities are
 evaluated in log space throughout so that high-dimensional models (64
 features and beyond) do not underflow.
+
+Every Gaussian quadratic form goes through a whitening factor W with
+W S W' = I, computed once per component: the inverse Cholesky factor
+L^-1 of a full covariance S = L L', or the vector 1/sqrt(var) of a
+diagonal or spherical one. A Mahalanobis distance is then |W (x - m)|^2,
+a matrix-vector product instead of a solve. A Gaussian `ClusterModel`
+stacks its components' means, factors and score constants, so
+`score_matrix` scores all clusters with one batched product per block of
+rows.
 """
 
 from __future__ import annotations
@@ -31,6 +40,11 @@ COVARIANCE_KINDS = (FULL, DIAGONAL, SPHERICAL)
 KMEANS = "kmeans"
 GAUSSIAN = "gaussian"
 MODEL_KINDS = (KMEANS, GAUSSIAN)
+
+# Rows per batched product in `score_matrix`. It bounds the transient
+# (M, SCORE_BLOCK_ROWS, d) arrays a call allocates: 2 MB each at M = 8,
+# d = 128.
+SCORE_BLOCK_ROWS = 256
 
 # Two cluster centers closer than this (squared) are considered identical.
 MIN_CENTER_SEPARATION_SQ = 1e-20
@@ -147,13 +161,19 @@ class CovarianceSpec:
 
 @dataclass(frozen=True, eq=False)
 class GaussianComponent:
-    """One Gaussian cluster with cached log-determinant and precision."""
+    """One Gaussian cluster with cached log-determinant, whitening factor
+    and precision.
+
+    `whitening` is W with W S W' = I: the d x d inverse Cholesky factor of
+    a full covariance, the vector 1/sqrt(var) of a diagonal or spherical
+    one.
+    """
 
     mean: np.ndarray
     covariance: CovarianceSpec
     prior: float
     log_det: float = field(init=False)
-    _chol: "np.ndarray | None" = field(init=False, repr=False)
+    whitening: np.ndarray = field(init=False, repr=False)
     _precision: "np.ndarray | None" = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -172,12 +192,12 @@ class GaussianComponent:
             inv_chol = np.linalg.solve(chol, np.eye(d))
             precision = inv_chol.T @ inv_chol
             precision = _readonly((precision + precision.T) / 2.0)
-            object.__setattr__(self, "_chol", _readonly(chol))
+            object.__setattr__(self, "whitening", _readonly(inv_chol))
             object.__setattr__(self, "_precision", precision)
         else:
             variances = self.covariance.variances(d)
             log_det = float(np.sum(np.log(variances)))
-            object.__setattr__(self, "_chol", None)
+            object.__setattr__(self, "whitening", _readonly(1.0 / np.sqrt(variances)))
             object.__setattr__(self, "_precision", None)
         object.__setattr__(self, "log_det", log_det)
 
@@ -193,27 +213,18 @@ class GaussianComponent:
 
 
 def mahalanobis_sq(component: GaussianComponent, x: np.ndarray) -> float:
-    """(x - m)' S^-1 (x - m) for one vector."""
+    """(x - m)' S^-1 (x - m) for one vector, as |W (x - m)|^2 with the
+    component's whitening factor W (a matrix product for full covariances,
+    an element-wise scaling otherwise)."""
     diff = np.asarray(x, dtype=np.float64) - component.mean
-    if component.covariance.kind == FULL:
-        a = np.linalg.solve(component._chol, diff)
-        return float(a @ a)
-    var = component.covariance.variances(component.d)
-    return float(np.sum(diff * diff / var))
-
-
-def _mahalanobis_sq_rows(component: GaussianComponent, rows: np.ndarray) -> np.ndarray:
-    diff = rows - component.mean
-    if component.covariance.kind == FULL:
-        a = np.linalg.solve(component._chol, diff.T)
-        return np.sum(a * a, axis=0)
-    var = component.covariance.variances(component.d)
-    return np.sum(diff * diff / var, axis=1)
+    w = component.whitening
+    white = w @ diff if w.ndim == 2 else w * diff
+    return float(white @ white)
 
 
 def log_density(component: GaussianComponent, x: np.ndarray) -> float:
-    """Gaussian log density at x. Diagonal and spherical covariances use
-    exact component-wise sums, full covariances a Cholesky solve."""
+    """Gaussian log density at x, from the whitened squared distance
+    `mahalanobis_sq` and the cached log-determinant."""
     x = np.asarray(x, dtype=np.float64)
     check_same_dim(component.mean, x)
     quad = mahalanobis_sq(component, x)
@@ -249,12 +260,20 @@ class Standardization:
 
 @dataclass(frozen=True, eq=False)
 class ClusterModel:
-    """A fitted clustering: centroid list (kmeans) or Gaussian components."""
+    """A fitted clustering: centroid list (kmeans) or Gaussian components.
+
+    A Gaussian model stacks its components for `score_matrix`: means
+    (M, d), whitening factors (M, d, d) when any covariance is full and
+    (M, d) otherwise, and score constants log(prior) - (log|S| + d log 2pi)/2.
+    """
 
     kind: str
     centers: "np.ndarray | None" = None
     components: "tuple[GaussianComponent, ...]" = ()
     standardization: "Standardization | None" = None
+    _means: np.ndarray = field(init=False, repr=False)
+    _whitening: "np.ndarray | None" = field(init=False, repr=False, default=None)
+    _score_const: "np.ndarray | None" = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -269,6 +288,7 @@ class ClusterModel:
                 raise ValidationError("centers", "contains NaN or infinite entries")
             object.__setattr__(self, "centers", _readonly(arr))
             object.__setattr__(self, "components", ())
+            object.__setattr__(self, "_means", self.centers)
         else:
             comps = tuple(self.components)
             if not comps:
@@ -282,6 +302,15 @@ class ClusterModel:
                 raise ValidationError("components[*].prior", f"priors sum to {total!r}, expected 1")
             object.__setattr__(self, "components", comps)
             object.__setattr__(self, "centers", None)
+            if any(c.covariance.kind == FULL for c in comps):
+                whitening = [c.whitening if c.whitening.ndim == 2 else np.diag(c.whitening)
+                             for c in comps]
+            else:
+                whitening = [c.whitening for c in comps]
+            const = [math.log(c.prior) - 0.5 * (c.log_det + d * LOG_2PI) for c in comps]
+            object.__setattr__(self, "_means", _readonly(np.stack([c.mean for c in comps])))
+            object.__setattr__(self, "_whitening", _readonly(np.stack(whitening)))
+            object.__setattr__(self, "_score_const", _readonly(np.array(const)))
         means = self.means()
         for i in range(means.shape[0]):
             for j in range(i + 1, means.shape[0]):
@@ -296,9 +325,7 @@ class ClusterModel:
 
     @property
     def d(self) -> int:
-        if self.kind == KMEANS:
-            return self.centers.shape[1]
-        return self.components[0].d
+        return self._means.shape[1]
 
     @property
     def n_clusters(self) -> int:
@@ -307,9 +334,7 @@ class ClusterModel:
         return len(self.components)
 
     def means(self) -> np.ndarray:
-        if self.kind == KMEANS:
-            return self.centers
-        return np.stack([c.mean for c in self.components])
+        return self._means
 
     def to_internal(self, x: np.ndarray) -> np.ndarray:
         if self.standardization is None:
@@ -327,7 +352,8 @@ def score_matrix(model: ClusterModel, rows: np.ndarray) -> np.ndarray:
 
     Gaussian models score log(prior * density); kmeans models score the
     negated squared distance to each center. Both reduce cluster
-    assignment to an argmax.
+    assignment to an argmax. Gaussian rows are whitened against every
+    cluster at once, SCORE_BLOCK_ROWS rows at a time.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim == 1:
@@ -339,10 +365,17 @@ def score_matrix(model: ClusterModel, rows: np.ndarray) -> np.ndarray:
     if model.kind == KMEANS:
         diff = rows[:, None, :] - model.centers[None, :, :]
         return -np.sum(diff * diff, axis=2)
+    means, whitening, const = model._means, model._whitening, model._score_const
     out = np.empty((rows.shape[0], model.n_clusters))
-    for k, comp in enumerate(model.components):
-        quad = _mahalanobis_sq_rows(comp, rows)
-        out[:, k] = math.log(comp.prior) - 0.5 * (quad + comp.log_det + comp.d * LOG_2PI)
+    for start in range(0, rows.shape[0], SCORE_BLOCK_ROWS):
+        block = rows[start : start + SCORE_BLOCK_ROWS]
+        diff = block[None, :, :] - means[:, None, :]
+        if whitening.ndim == 3:
+            white = np.matmul(diff, whitening.transpose(0, 2, 1))
+        else:
+            white = diff * whitening[:, None, :]
+        quad = np.einsum("mnd,mnd->mn", white, white)
+        out[start : start + block.shape[0]] = (const[:, None] - 0.5 * quad).T
     return out
 
 

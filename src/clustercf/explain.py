@@ -163,7 +163,9 @@ def plausibility_check(model: ClusterModel, z, target: int, delta: float) -> boo
 
     This is a post-hoc filter only; it never modifies the counterfactual.
     Centroid models are scored with the unit-variance Gaussian their
-    assignment rule corresponds to.
+    assignment rule corresponds to. The comparison runs in log space, so
+    a density too small for a float (high dimensions, far points) still
+    exceeds delta = 0.
     """
     delta = float(delta)
     if not math.isfinite(delta) or delta < 0.0:
@@ -174,4 +176,4 @@ def plausibility_check(model: ClusterModel, z, target: int, delta: float) -> boo
         log_p = -0.5 * (float(diff @ diff) + model.d * LOG_2PI)
     else:
         log_p = log_density(model.components[target], z)
-    return math.exp(log_p) > delta
+    return delta == 0.0 or log_p > math.log(delta)

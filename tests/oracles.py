@@ -29,6 +29,22 @@ def naive_log_density(mean, cov_matrix, x):
     return -0.5 * (diff @ inv @ diff + log_det + d * math.log(2 * math.pi))
 
 
+def loop_score_matrix(model, rows):
+    """Assignment scores one component at a time: a Cholesky factor of each
+    covariance matrix and a solve against it for every row."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    d = rows.shape[1]
+    out = np.empty((rows.shape[0], len(model.components)))
+    for k, comp in enumerate(model.components):
+        chol = np.linalg.cholesky(comp.covariance.matrix(d))
+        a = np.linalg.solve(chol, (rows - comp.mean).T)
+        log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        out[:, k] = math.log(comp.prior) - 0.5 * (
+            np.sum(a * a, axis=0) + log_det + d * math.log(2 * math.pi)
+        )
+    return out
+
+
 def naive_assignment(means, cov_matrices, priors, x):
     scores = [
         math.log(p) + naive_log_density(m, c, x)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import clustercf as cf
+from clustercf.core import SCORE_BLOCK_ROWS
 from oracles import (
     loop_distance_sq,
+    loop_score_matrix,
     make_blobs,
     naive_assignment,
     naive_log_density,
@@ -146,6 +148,96 @@ def test_kmeans_rule_equals_unit_spherical_equal_prior_gaussian(d):
     assert np.array_equal(km_labels, gm_labels)
 
 
+def _naive_scores(model, rows):
+    return np.array(
+        [
+            [math.log(c.prior) + naive_log_density(c.mean, c.covariance.matrix(model.d), x)
+             for c in model.components]
+            for x in rows
+        ]
+    )
+
+
+def _mixed_kind_model(rng, d):
+    covs = [
+        cf.CovarianceSpec.full(random_spd(rng, d)),
+        cf.CovarianceSpec.diagonal(rng.uniform(0.3, 2.5, size=d)),
+        cf.CovarianceSpec.spherical(float(rng.uniform(0.3, 2.5))),
+        cf.CovarianceSpec.full(random_spd(rng, d, base=0.1)),
+        cf.CovarianceSpec.diagonal(rng.uniform(0.05, 4.0, size=d)),
+    ]
+    priors = rng.dirichlet(np.full(len(covs), 2.0))
+    return cf.ClusterModel(
+        kind=cf.GAUSSIAN,
+        components=tuple(
+            cf.GaussianComponent(mean=rng.normal(scale=2.0, size=d), covariance=c, prior=float(p))
+            for c, p in zip(covs, priors)
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "n_rows",
+    [1, SCORE_BLOCK_ROWS - 1, SCORE_BLOCK_ROWS, SCORE_BLOCK_ROWS + 1, 3 * SCORE_BLOCK_ROWS],
+)
+def test_score_matrix_mixed_kinds_matches_naive_density(n_rows):
+    rng = np.random.default_rng(700 + n_rows)
+    d = 6
+    model = _mixed_kind_model(rng, d)
+    rows = rng.normal(scale=3.0, size=(n_rows, d))
+    scores = cf.score_matrix(model, rows)
+    assert scores.shape == (n_rows, model.n_clusters)
+    ref = _naive_scores(model, rows)
+    assert np.all(np.abs(scores - ref) <= 1e-10 * (1.0 + np.abs(ref)))
+    loop = loop_score_matrix(model, rows)
+    assert np.all(np.abs(scores - loop) <= 1e-10 * (1.0 + np.abs(loop)))
+    assert np.array_equal(np.argmax(scores, axis=1), np.argmax(loop, axis=1))
+
+
+def test_score_matrix_diagonal_only_model_matches_naive_density():
+    rng = np.random.default_rng(711)
+    d = 5
+    covs = [cf.CovarianceSpec.diagonal(rng.uniform(0.2, 3.0, size=d)),
+            cf.CovarianceSpec.spherical(0.8), cf.CovarianceSpec.diagonal(np.full(d, 1.7))]
+    model = cf.ClusterModel(
+        kind=cf.GAUSSIAN,
+        components=tuple(
+            cf.GaussianComponent(mean=rng.normal(size=d), covariance=c, prior=p)
+            for c, p in zip(covs, (0.2, 0.3, 0.5))
+        ),
+    )
+    rows = rng.normal(scale=2.0, size=(40, d))
+    ref = _naive_scores(model, rows)
+    scores = cf.score_matrix(model, rows)
+    assert np.all(np.abs(scores - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+    assert np.array_equal(np.argmax(scores, axis=1), np.argmax(loop_score_matrix(model, rows), axis=1))
+
+
+def test_score_matrix_ill_conditioned_full_covariance():
+    rng = np.random.default_rng(717)
+    d = 8
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    cov = (q * np.logspace(-4.0, 4.0, d)) @ q.T
+    cov = (cov + cov.T) / 2.0
+    assert np.linalg.cond(cov) == pytest.approx(1e8, rel=1e-3)
+    model = cf.ClusterModel(
+        kind=cf.GAUSSIAN,
+        components=(
+            cf.GaussianComponent(mean=rng.normal(size=d), covariance=cf.CovarianceSpec.full(cov),
+                                 prior=0.4),
+            cf.GaussianComponent(mean=rng.normal(size=d), covariance=cf.CovarianceSpec.spherical(1.0),
+                                 prior=0.6),
+        ),
+    )
+    rows = model.components[0].mean + rng.normal(scale=0.05, size=(60, d))
+    scores = cf.score_matrix(model, rows)
+    ref = _naive_scores(model, rows)
+    assert np.all(np.abs(scores - ref) <= 1e-6 * (1.0 + np.abs(ref)))
+    loop = loop_score_matrix(model, rows)
+    assert np.all(np.abs(scores - loop) <= 1e-6 * (1.0 + np.abs(loop)))
+    assert np.array_equal(np.argmax(scores, axis=1), np.argmax(loop, axis=1))
+
+
 def test_density_integrates_to_one_monte_carlo_2d():
     rng = np.random.default_rng(9)
     cov = random_spd(rng, 2)
@@ -235,6 +327,8 @@ def test_component_caches_match_recomputation():
     _, log_det = np.linalg.slogdet(cov)
     assert comp.log_det == pytest.approx(log_det, rel=1e-10)
     assert np.allclose(comp.precision_matrix(), np.linalg.inv(cov), rtol=1e-10, atol=1e-12)
+    w = comp.whitening
+    assert np.allclose(w @ cov @ w.T, np.eye(4), rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

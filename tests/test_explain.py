@@ -5,7 +5,7 @@ import pytest
 
 import clustercf as cf
 from helpers import two_cluster_gaussian_model
-from oracles import make_blobs
+from oracles import make_blobs, random_spd
 
 
 def kmeans_model():
@@ -162,6 +162,25 @@ def test_plausibility_check_basics():
     assert cf.plausibility_check(model, far, 1, mode_density / 2.0) is False
     with pytest.raises(cf.ValidationError):
         cf.plausibility_check(model, target_mean, 1, -1.0)
+
+
+def test_plausibility_check_compares_densities_below_float_range():
+    rng = np.random.default_rng(64)
+    d = 64
+    target = cf.GaussianComponent(
+        mean=rng.normal(size=d), covariance=cf.CovarianceSpec.full(random_spd(rng, d)), prior=0.5
+    )
+    source = cf.GaussianComponent(
+        mean=target.mean + 10.0, covariance=cf.CovarianceSpec.spherical(1.0), prior=0.5
+    )
+    model = cf.ClusterModel(kind=cf.GAUSSIAN, components=(source, target))
+    z = target.mean + 6.0
+    log_p = cf.log_density(target, z)
+    # The density is positive but below the smallest subnormal float.
+    assert log_p < math.log(5e-324)
+    assert cf.plausibility_check(model, z, 1, 0.0) is True
+    assert cf.plausibility_check(model, z, 1, 5e-324) is False
+    assert cf.plausibility_check(model, target.mean, 1, 5e-324) is True
 
 
 def test_plausibility_check_kmeans_uses_unit_gaussian():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clustercf as cf
@@ -148,6 +148,8 @@ def test_distance_monotone_in_epsilon():
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**9), d=st.integers(2, 9), eps_ix=st.integers(0, 2))
+# Optimum and sampled point on the plane at d^2 = 7.05e6, 3 ulps apart.
+@example(seed=2022869, d=5, eps_ix=2)
 def test_solution_properties_random(seed, d, eps_ix):
     rng = np.random.default_rng(seed)
     epsilon = [0.0, 0.25, 1.0][eps_ix]
@@ -179,4 +181,4 @@ def test_solution_properties_random(seed, d, eps_ix):
             y[mask.free] + rng.normal(scale=3.0, size=mask.n_free), con.v_free, c_free
         )
         other_d2 = float(np.sum((other - y[mask.free]) ** 2))
-        assert other_d2 >= res.distance_sq - 1e-9
+        assert other_d2 >= res.distance_sq - 1e-12 * (1.0 + res.distance_sq)
