@@ -30,7 +30,6 @@ from .core import (
     assign_cluster,
     distance_sq,
     log_density,
-    preference,
     score_matrix,
 )
 from .evaluate import (
@@ -63,15 +62,10 @@ from .fit import (
     priors_policy,
 )
 from .gaussian_cf import (
-    INDETERMINATE,
-    UNIQUE,
     GaussianPairProblem,
-    PoleError,
     build_pair_problem,
     constraint_residual,
     solve_gaussian_cf,
-    uniqueness_class,
-    z_of_lambda,
 )
 from .kmeans_cf import KmeansConstraint, build_constraint, solve_kmeans_cf
 from .model_io import (
@@ -102,7 +96,6 @@ __all__ = [
     "GaussianPairProblem",
     "KmeansConstraint",
     "Mask",
-    "PoleError",
     "SourceMismatchWarning",
     "Standardization",
     "ValidationError",
@@ -125,7 +118,6 @@ __all__ = [
     "load_model_with_provenance",
     "log_density",
     "plausibility_check",
-    "preference",
     "priors_policy",
     "read_report_json",
     "run_eval",
@@ -134,8 +126,6 @@ __all__ = [
     "solve_gaussian_cf",
     "solve_kmeans_cf",
     "sweep_epsilon",
-    "uniqueness_class",
     "write_records_csv",
     "write_report_json",
-    "z_of_lambda",
 ]

@@ -185,6 +185,8 @@ def cmd_explain(args) -> int:
             _write_json(args.output, out)
             print(json.dumps(out))
             return EXIT_SOLVE
+        except (ValidationError, DimensionMismatchError) as exc:
+            raise UsageError(str(exc)) from None
         out = _result_dict(result, args.epsilon, mask)
         out["chosen_target"] = result.target
     else:
@@ -283,6 +285,7 @@ def cmd_eval(args) -> int:
             mask=mask,
             external_baselines=tuple(baselines),
         )
+        config.validate_against(model)
     except ValidationError as exc:
         raise UsageError(str(exc)) from None
     report = run_eval(model, data, config)

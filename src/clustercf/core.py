@@ -83,6 +83,14 @@ def as_vector(values, *, name: str = "vector") -> np.ndarray:
     return _readonly(arr)
 
 
+def check_epsilon(value) -> float:
+    """The plausibility factor as a float; it must be finite and >= 0."""
+    eps = float(value)
+    if not math.isfinite(eps) or eps < 0.0:
+        raise ValidationError("epsilon", f"must be finite and >= 0, got {value!r}")
+    return eps
+
+
 def check_same_dim(a: np.ndarray, b: np.ndarray, what: str = "vectors") -> None:
     if a.shape[-1] != b.shape[-1]:
         raise DimensionMismatchError(
@@ -336,6 +344,11 @@ class ClusterModel:
     def means(self) -> np.ndarray:
         return self._means
 
+    def check_cluster(self, k: int, path: str) -> None:
+        """Raise ValidationError at `path` unless k is a cluster id."""
+        if not (0 <= k < self.n_clusters):
+            raise ValidationError(path, f"cluster id {k} out of range [0, {self.n_clusters})")
+
     def to_internal(self, x: np.ndarray) -> np.ndarray:
         if self.standardization is None:
             return np.asarray(x, dtype=np.float64)
@@ -399,11 +412,6 @@ def distance_sq(a: np.ndarray, b: np.ndarray) -> float:
     return float(diff @ diff)
 
 
-def preference(a: np.ndarray, b: np.ndarray) -> float:
-    """exp(-squared distance): 1 at identity, decreasing with distance."""
-    return math.exp(-distance_sq(a, b))
-
-
 # ---------------------------------------------------------------------------
 # Requests and results
 
@@ -461,10 +469,7 @@ class CfRequest:
 
     def __post_init__(self):
         object.__setattr__(self, "factual", as_vector(self.factual, name="factual"))
-        eps = float(self.epsilon)
-        if not math.isfinite(eps) or eps < 0.0:
-            raise ValidationError("epsilon", f"must be finite and >= 0, got {self.epsilon!r}")
-        object.__setattr__(self, "epsilon", eps)
+        object.__setattr__(self, "epsilon", check_epsilon(self.epsilon))
         object.__setattr__(self, "target", int(self.target))
         if self.source is not None:
             object.__setattr__(self, "source", int(self.source))
@@ -481,13 +486,11 @@ class CfRequest:
             raise DimensionMismatchError(
                 f"factual has dimension {self.factual.size}, model expects {model.d}"
             )
-        m = model.n_clusters
-        if not (0 <= self.target < m):
-            raise ValidationError("target", f"cluster id {self.target} out of range [0, {m})")
-        if self.source is not None and not (0 <= self.source < m):
-            raise ValidationError("source", f"cluster id {self.source} out of range [0, {m})")
-        if self.source is not None and self.source == self.target:
-            raise ValidationError("target", "source and target clusters must differ")
+        model.check_cluster(self.target, "target")
+        if self.source is not None:
+            model.check_cluster(self.source, "source")
+            if self.source == self.target:
+                raise ValidationError("target", "source and target clusters must differ")
         self.resolved_mask(model.d)
 
 
@@ -499,7 +502,9 @@ class CfResult:
     internal space); `counterfactual_original` is the same point mapped
     back to original units, with frozen features copied bit-exact from the
     factual. `lam` is the scalar multiplier for Gaussian solves and None
-    for the closed-form centroid case.
+    for the closed-form centroid case. `elapsed` is set by `explain` alone,
+    in seconds, around the constraint build and the solve; a solver called
+    directly leaves it at 0.0.
     """
 
     status: str

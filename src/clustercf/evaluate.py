@@ -25,6 +25,7 @@ from .core import (
     ClusterModel,
     Mask,
     ValidationError,
+    check_epsilon,
     distance_sq,
     score_matrix,
 )
@@ -52,7 +53,12 @@ class EvalConfig:
             raise ValidationError("n_factuals", "must be >= 1")
         if self.source == self.target:
             raise ValidationError("target", "source and target clusters must differ")
+        object.__setattr__(self, "epsilon", check_epsilon(self.epsilon))
         object.__setattr__(self, "external_baselines", tuple(self.external_baselines))
+
+    def validate_against(self, model: ClusterModel) -> None:
+        model.check_cluster(self.source, "source")
+        model.check_cluster(self.target, "target")
 
 
 @dataclass
@@ -126,7 +132,9 @@ def compute_aggregates(records) -> dict:
 
 def run_eval(model: ClusterModel, data: Dataset, config: EvalConfig) -> EvalReport:
     """Sample factuals from the source cluster (without replacement, seeded)
-    and explain each one toward the target cluster."""
+    and explain each one toward the target cluster. The cluster ids are
+    checked against the model before any factual is solved."""
+    config.validate_against(model)
     rows = data.rows
     internal = np.asarray(model.to_internal(rows), dtype=np.float64)
     labels = np.argmax(score_matrix(model, internal), axis=1)

@@ -124,7 +124,8 @@ def explain_best(
     """Try every candidate target and keep the closest counterfactual.
 
     Candidates default to all clusters except the source. Only `ok`
-    results compete; distance ties go to the lower target id. Raises
+    results compete; distance ties go to the lower target id. Every
+    request is validated before the first solve. Raises
     AllTargetsFailedError with the per-target statuses when nothing
     solves.
     """
@@ -141,16 +142,18 @@ def explain_best(
     if not candidate_targets:
         raise ValidationError("candidate_targets", "no candidate target clusters")
 
+    requests = [
+        CfRequest(factual=y_arr, target=target, source=resolved_source, mask=mask, epsilon=epsilon)
+        for target in sorted(candidate_targets)
+    ]
+    for request in requests:
+        request.validate_against(model)
+
     best = None
     statuses = {}
-    for target in sorted(candidate_targets):
-        result = explain(
-            model,
-            CfRequest(
-                factual=y_arr, target=target, source=resolved_source, mask=mask, epsilon=epsilon
-            ),
-        )
-        statuses[target] = result.status
+    for request in requests:
+        result = explain(model, request)
+        statuses[request.target] = result.status
         if result.status == STATUS_OK and (best is None or result.distance_sq < best.distance_sq):
             best = result
     if best is None:

@@ -38,7 +38,6 @@ taken directly per coordinate (no eigendecomposition).
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
@@ -53,27 +52,23 @@ from .core import (
     Mask,
     ValidationError,
     as_vector,
+    check_epsilon,
     check_same_dim,
     mahalanobis_sq,
 )
-
-UNIQUE = "unique"
-INDETERMINATE = "indeterminate"
 
 # Acceptance tolerance for a root, in the constraint's natural scale.
 RESIDUAL_TOL_FACTOR = 1e-8
 # Newton refinement target (stricter than acceptance).
 REFINE_TOL_FACTOR = 1e-10
 REFINE_MAX_ITER = 200
-# lam values closer than this (relative) to a pole are rejected, and
+# A root within this relative gap of a pole is taken as the hard case, and
 # eigenvalues this close (relative) to the bounding one share its pole.
 POLE_EXCLUSION = 1e-12
 # Below this magnitude an eigenvalue of D is zero: it contributes no pole,
 # and if all eigenvalues are below it the constraint is affine. A gradient
 # on the null space of D below it counts as no linear term.
 EIG_ZERO = 1e-12
-# Eigenvalue / sign threshold for the uniqueness classification.
-SIGN_ZERO = 1e-10
 
 PATH_FACTUAL = "factual"
 PATH_INTERVAL = "interval"
@@ -81,22 +76,12 @@ PATH_HARD_CASE = "hard_case"
 PATH_OPEN_END = "open_end"
 
 
-class PoleError(ValidationError):
-    """lam is too close to a singularity of the stationarity map."""
-
-    def __init__(self, lam: float, pole: float):
-        super().__init__("lam", f"{lam!r} is within the exclusion radius of pole {pole!r}")
-        self.lam = lam
-        self.pole = pole
-
-
 class GaussianPairProblem:
     """Precomputed source/target pair data for one factual, mask and eps.
 
     Instances are immutable after construction and safe to share across
     threads. The public surface is `source`, `target`, `y`, `mask`,
-    `epsilon`, `c_alpha`, `poles`, `affine`, plus the `D_free()` and
-    `lin_vector()` views of the free-block quadratic and linear terms.
+    `epsilon`, `c_alpha` and `affine`.
     """
 
     def __init__(
@@ -112,9 +97,7 @@ class GaussianPairProblem:
         check_same_dim(source.mean, y, "factual")
         if mask.d != y.size:
             raise ValidationError("mask", f"length {mask.d} does not match dimension {y.size}")
-        epsilon = float(epsilon)
-        if not math.isfinite(epsilon) or epsilon < 0.0:
-            raise ValidationError("epsilon", "must be finite and >= 0")
+        epsilon = check_epsilon(epsilon)
 
         self.source = source
         self.target = target
@@ -130,65 +113,33 @@ class GaussianPairProblem:
 
         free = mask.free
         d = y.size
-        self._componentwise = source.covariance.kind != FULL and target.covariance.kind != FULL
+        componentwise = source.covariance.kind != FULL and target.covariance.kind != FULL
 
         # Half the gradient of g at y over the free block: the linear term
         # of the step problem, taken directly so that no cancellation
         # between D y_F and b enters it.
-        if self._componentwise:
+        if componentwise:
             inv_s = 1.0 / source.covariance.variances(d)[free]
             inv_t = 1.0 / target.covariance.variances(d)[free]
-            self._den = inv_t - inv_s
-            self._half_grad = (y[free] - target.mean[free]) * inv_t - (
-                y[free] - source.mean[free]
-            ) * inv_s
+            evals = inv_t - inv_s
+            a = (y[free] - target.mean[free]) * inv_t - (y[free] - source.mean[free]) * inv_s
             self._basis = None
-            evals = self._den
-            a = self._half_grad
         else:
             p_s = source.precision_matrix()
             p_t = target.precision_matrix()
             dmat = p_t[np.ix_(free, free)] - p_s[np.ix_(free, free)]
-            self._D = (dmat + dmat.T) / 2.0
-            self._half_grad = (p_t @ (y - target.mean) - p_s @ (y - source.mean))[free]
+            half_grad = (p_t @ (y - target.mean) - p_s @ (y - source.mean))[free]
             if free.size:
-                evals, evecs = np.linalg.eigh(self._D)
+                evals, evecs = np.linalg.eigh((dmat + dmat.T) / 2.0)
             else:
                 evals, evecs = np.empty(0), np.empty((0, 0))
             self._basis = evecs
-            a = evecs.T @ self._half_grad
+            a = evecs.T @ half_grad
 
         self._e = np.where(np.abs(evals) > EIG_ZERO, evals, 0.0)
         self._a = a
         self._g_y = mahalanobis_sq(target, y) - mahalanobis_sq(source, y) + self.c_alpha
         self.affine = not np.any(self._e)
-        self.poles = self._build_poles(self._e)
-
-    @staticmethod
-    def _build_poles(coeffs: np.ndarray) -> tuple:
-        live = coeffs[coeffs != 0.0]
-        if live.size == 0:
-            return ()
-        cand = np.sort(1.0 / live)
-        merged = [float(cand[0])]
-        for p in cand[1:]:
-            if p - merged[-1] > POLE_EXCLUSION * (1.0 + abs(p)):
-                merged.append(float(p))
-        return tuple(merged)
-
-    @property
-    def n_free(self) -> int:
-        return self.mask.n_free
-
-    def D_free(self) -> np.ndarray:
-        """Free-block precision difference as a dense matrix."""
-        if self._componentwise:
-            return np.diag(self._den)
-        return self._D
-
-    def lin_vector(self) -> np.ndarray:
-        """The linear term b of the stationarity map over free coordinates."""
-        return self.D_free() @ self.y[self.mask.free] - self._half_grad
 
     def _point(self, step: np.ndarray) -> np.ndarray:
         """The factual moved by `step` (eigen-coordinates) on the free block."""
@@ -218,30 +169,6 @@ def constraint_residual(problem: GaussianPairProblem, z) -> float:
         - mahalanobis_sq(problem.source, z)
         + problem.c_alpha
     )
-
-
-def z_of_lambda(problem: GaussianPairProblem, lam: float) -> np.ndarray:
-    """Stationary candidate at multiplier lam; lam = 0 returns the factual."""
-    lam = float(lam)
-    for p in problem.poles:
-        if abs(lam - p) <= POLE_EXCLUSION * (1.0 + abs(p)):
-            raise PoleError(lam, p)
-    return problem._point(lam * problem._a / (1.0 - lam * problem._e))
-
-
-def uniqueness_class(problem: GaussianPairProblem) -> str:
-    """`unique` when the free-block precision difference is definite (or,
-    component-wise, when all nonzero coefficients share one sign);
-    `indeterminate` otherwise (one, multiple or no solutions possible)."""
-    evals = problem._e
-    if problem._componentwise:
-        live = evals[np.abs(evals) > SIGN_ZERO]
-        if live.size == 0 or np.all(live > 0.0) or np.all(live < 0.0):
-            return UNIQUE
-        return INDETERMINATE
-    if evals.size and (np.all(evals > SIGN_ZERO) or np.all(evals < -SIGN_ZERO)):
-        return UNIQUE
-    return INDETERMINATE
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +271,7 @@ def _interval(e: np.ndarray) -> list:
     return [lo, hi]
 
 
-def _result(problem, status, t0, *, z=None, lam=None, residual=None, diagnostics=None):
+def _result(problem, status, *, diagnostics, z=None, lam=None, residual=None):
     distance = None
     if z is not None:
         dz = z[problem.mask.free] - problem.y[problem.mask.free]
@@ -356,8 +283,7 @@ def _result(problem, status, t0, *, z=None, lam=None, residual=None, diagnostics
         lam=lam,
         residual=residual,
         roots_found=1 if status == STATUS_OK else 0,
-        elapsed=(time.perf_counter_ns() - t0) * 1e-9,
-        diagnostics=None if status == STATUS_OK else diagnostics,
+        diagnostics=diagnostics,
     )
 
 
@@ -379,10 +305,10 @@ def solve_gaussian_cf(problem: GaussianPairProblem) -> CfResult:
       `diagnostics["g_limit"]`, is the extremum of g over the free block.
     - `no_root_found`: the candidate failed the confirmation.
 
-    Results other than `ok` carry `diagnostics`: the solver `path`, the
-    `interval` (None for an open end) and the Newton `iterations`.
+    Every result carries `diagnostics`: the solver `path` (`factual`,
+    `interval` or `hard_case` for `ok`), the multiplier `interval` (None
+    for an open end) and the Newton `iterations`.
     """
-    t0 = time.perf_counter_ns()
     g_ok_tol = RESIDUAL_TOL_FACTOR * (1.0 + abs(problem.c_alpha))
     e, a, g_y = problem._e, problem._a, problem._g_y
     null = e == 0.0
@@ -395,7 +321,7 @@ def solve_gaussian_cf(problem: GaussianPairProblem) -> CfResult:
     if abs(g_y) <= g_ok_tol:
         status = STATUS_OK if has_linear or not problem.affine else STATUS_DEGENERATE_IDENTITY
         return _result(
-            problem, status, t0, z=problem.y.copy(), lam=0.0 if status == STATUS_OK else None,
+            problem, status, z=problem.y.copy(), lam=0.0 if status == STATUS_OK else None,
             residual=g_y, diagnostics=diagnostics,
         )
 
@@ -433,7 +359,7 @@ def solve_gaussian_cf(problem: GaussianPairProblem) -> CfResult:
                 status = (
                     STATUS_NO_FEASIBLE_SOLUTION if abs(g_limit) > g_ok_tol else STATUS_NO_ROOT_FOUND
                 )
-                return _result(problem, status, t0, residual=g_y, diagnostics=diagnostics)
+                return _result(problem, status, residual=g_y, diagnostics=diagnostics)
             hi = (math.sqrt(float(np.sum(weight)) / abs(g_limit)) - 1.0) / float(
                 np.min(np.abs(e[~null]))
             )
@@ -448,5 +374,5 @@ def solve_gaussian_cf(problem: GaussianPairProblem) -> CfResult:
     residual = constraint_residual(problem, z)
     if abs(residual) > g_ok_tol:
         diagnostics["lam"] = lam
-        return _result(problem, STATUS_NO_ROOT_FOUND, t0, residual=residual, diagnostics=diagnostics)
-    return _result(problem, STATUS_OK, t0, z=z, lam=lam, residual=residual)
+        return _result(problem, STATUS_NO_ROOT_FOUND, residual=residual, diagnostics=diagnostics)
+    return _result(problem, STATUS_OK, z=z, lam=lam, residual=residual, diagnostics=diagnostics)

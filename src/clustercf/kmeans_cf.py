@@ -14,12 +14,12 @@ coordinates; fixed coordinates keep the factual's values bit-exact.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    MIN_CENTER_SEPARATION_SQ,
     STATUS_DEGENERATE_IDENTITY,
     STATUS_NO_FEASIBLE_SOLUTION,
     STATUS_OK,
@@ -27,6 +27,7 @@ from .core import (
     Mask,
     ValidationError,
     as_vector,
+    check_epsilon,
     check_same_dim,
 )
 
@@ -52,12 +53,10 @@ def build_constraint(m_s, m_t, epsilon: float, mask: Mask) -> KmeansConstraint:
     check_same_dim(m_s, m_t, "centers")
     if mask.d != m_s.size:
         raise ValidationError("mask", f"length {mask.d} does not match dimension {m_s.size}")
-    epsilon = float(epsilon)
-    if not np.isfinite(epsilon) or epsilon < 0.0:
-        raise ValidationError("epsilon", "must be finite and >= 0")
+    epsilon = check_epsilon(epsilon)
     v = m_s - m_t
     sep = float(v @ v)
-    if sep <= 1e-20:
+    if sep <= MIN_CENTER_SEPARATION_SQ:
         raise ValidationError("centers", "source and target centers are identical")
     d_eps = epsilon * sep
     c = (float(m_s @ m_s) - float(m_t @ m_t) - d_eps) / 2.0
@@ -73,7 +72,6 @@ def solve_kmeans_cf(y, constraint: KmeansConstraint, mask: Mask) -> CfResult:
     given mask (v_free = 0 with a nonzero offset) and `degenerate_identity`
     when the factual already satisfies the constraint under that mask.
     """
-    t0 = time.perf_counter_ns()
     y = as_vector(y, name="y")
     if mask.d != y.size:
         raise ValidationError("mask", f"length {mask.d} does not match dimension {y.size}")
@@ -95,14 +93,12 @@ def solve_kmeans_cf(y, constraint: KmeansConstraint, mask: Mask) -> CfResult:
                 counterfactual=y.copy(),
                 distance_sq=0.0,
                 residual=residual,
-                elapsed=(time.perf_counter_ns() - t0) * 1e-9,
             )
         return CfResult(
             status=STATUS_NO_FEASIBLE_SOLUTION,
             counterfactual=None,
             distance_sq=None,
             residual=residual,
-            elapsed=(time.perf_counter_ns() - t0) * 1e-9,
         )
 
     offset = (float(y_free @ constraint.v_free) - c_prime) / vf2
@@ -115,5 +111,4 @@ def solve_kmeans_cf(y, constraint: KmeansConstraint, mask: Mask) -> CfResult:
         counterfactual=z,
         distance_sq=float(dz @ dz),
         residual=residual,
-        elapsed=(time.perf_counter_ns() - t0) * 1e-9,
     )

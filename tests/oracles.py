@@ -178,20 +178,74 @@ def line_level_set_min_distance(res, y, free_axis, pts):
     return best, count
 
 
+# ---------------------------------------------------------------------------
+# Stationary points of the pair problem, from explicit inverses
+#
+# Minimizing |z_F - y_F|^2 subject to g(z) = 0 with z_G = y_G gives the
+# stationarity condition z_F - y_F = lam * (D_FF z_F - b), whose right side
+# is lam times half the gradient of g at z over the free block.
+
+
+def half_gradient(m_s, cov_s, m_t, cov_t, z, free):
+    """Half the gradient of g at z over the free block,
+    (S_t^-1 (z - m_t) - S_s^-1 (z - m_s))_F."""
+    z = np.asarray(z, dtype=float)
+    inv_s = np.linalg.inv(np.asarray(cov_s, dtype=float))
+    inv_t = np.linalg.inv(np.asarray(cov_t, dtype=float))
+    return (inv_t @ (z - np.asarray(m_t)) - inv_s @ (z - np.asarray(m_s)))[free]
+
+
+def free_precision_difference(cov_s, cov_t, free):
+    """D_FF: the symmetrized free block of S_t^-1 - S_s^-1."""
+    inv_s = np.linalg.inv(np.asarray(cov_s, dtype=float))
+    inv_t = np.linalg.inv(np.asarray(cov_t, dtype=float))
+    dmat = (inv_t - inv_s)[np.ix_(free, free)]
+    return (dmat + dmat.T) / 2.0
+
+
+def linear_term(m_s, cov_s, m_t, cov_t, y, free, fixed):
+    """b, built from the precision blocks so that half_gradient(z) is
+    D_FF z_F - b whenever z_G = y_G."""
+    inv_s = np.linalg.inv(np.asarray(cov_s, dtype=float))
+    inv_t = np.linalg.inv(np.asarray(cov_t, dtype=float))
+    y = np.asarray(y, dtype=float)
+    m_s = np.asarray(m_s, dtype=float)
+    m_t = np.asarray(m_t, dtype=float)
+    b = inv_t[np.ix_(free, free)] @ m_t[free] - inv_s[np.ix_(free, free)] @ m_s[free]
+    if fixed.size:
+        b = b - (
+            inv_t[np.ix_(free, fixed)] @ (y[fixed] - m_t[fixed])
+            - inv_s[np.ix_(free, fixed)] @ (y[fixed] - m_s[fixed])
+        )
+    return b
+
+
+def stationary_point(m_s, cov_s, m_t, cov_t, y, free, fixed, lam):
+    """z(lam): z_F = (I - lam * D_FF)^-1 (y_F - lam * b), z_G = y_G."""
+    dmat = free_precision_difference(cov_s, cov_t, free)
+    b = linear_term(m_s, cov_s, m_t, cov_t, y, free, fixed)
+    z = np.array(y, dtype=float)
+    z[free] = np.linalg.solve(np.eye(free.size) - lam * dmat, z[free] - lam * b)
+    return z
+
+
+def stationary_poles(cov_s, cov_t, free):
+    """The multipliers where I - lam * D_FF is singular: 1 / eig(D_FF) over
+    the eigenvalues above 1e-12 in magnitude, sorted."""
+    evals = np.linalg.eigvalsh(free_precision_difference(cov_s, cov_t, free))
+    return np.sort(1.0 / evals[np.abs(evals) > 1e-12])
+
+
 def global_optimality_certificate(m_s, cov_s, m_t, cov_t, y, z, free):
     """min eig(I - lam * D_FF) at a stationary point z of the pair problem.
 
     lam is recovered from stationarity, z_F - y_F = lam * (D_FF z_F - b),
     whose right side is half the gradient of g at z over the free block.
     The global minimizer has a non-negative value (More 1993)."""
-    inv_s = np.linalg.inv(np.asarray(cov_s, dtype=float))
-    inv_t = np.linalg.inv(np.asarray(cov_t, dtype=float))
-    z = np.asarray(z, dtype=float)
-    half_grad = (inv_t @ (z - np.asarray(m_t)) - inv_s @ (z - np.asarray(m_s)))[free]
-    step = (z - np.asarray(y, dtype=float))[free]
+    half_grad = half_gradient(m_s, cov_s, m_t, cov_t, z, free)
+    step = (np.asarray(z, dtype=float) - np.asarray(y, dtype=float))[free]
     lam = float(step @ half_grad) / float(half_grad @ half_grad)
-    dmat = (inv_t - inv_s)[np.ix_(free, free)]
-    dmat = (dmat + dmat.T) / 2.0
+    dmat = free_precision_difference(cov_s, cov_t, free)
     return float(np.min(np.linalg.eigvalsh(np.eye(len(free)) - lam * dmat)))
 
 
@@ -214,12 +268,12 @@ def expanded_full_lambda_equation(m_s, cov_s, pi_s, m_t, cov_t, pi_t, y, free, f
     ps_ff = inv_s[np.ix_(free, free)]
     pt_ff = inv_t[np.ix_(free, free)]
     ms_f, mt_f = m_s[free], m_t[free]
-    y_f = y[free]
-    dmat = pt_ff - ps_ff
+    dmat = free_precision_difference(cov_s, cov_t, free)
+    d_vec = linear_term(m_s, cov_s, m_t, cov_t, y, free, fixed)
+    z_f = stationary_point(m_s, cov_s, m_t, cov_t, y, free, fixed, lam)[free]
 
-    d_vec = pt_ff @ mt_f - ps_ff @ ms_f
     c_g = 0.0
-    c_l_parts = None
+    c_l = 0.0
     if fixed.size:
         ps_fg = inv_s[np.ix_(free, fixed)]
         pt_fg = inv_t[np.ix_(free, fixed)]
@@ -227,21 +281,13 @@ def expanded_full_lambda_equation(m_s, cov_s, pi_s, m_t, cov_t, pi_t, y, free, f
         pt_gg = inv_t[np.ix_(fixed, fixed)]
         zg_mt = y[fixed] - m_t[fixed]
         zg_ms = y[fixed] - m_s[fixed]
-        d_vec = d_vec - (pt_fg @ zg_mt - ps_fg @ zg_ms)
         c_g = float(zg_mt @ pt_gg @ zg_mt - zg_ms @ ps_gg @ zg_ms)
-        c_l_parts = (pt_fg, zg_mt, ps_fg, zg_ms)
-
-    bmat = np.eye(free.size) - lam * dmat
-    yld = y_f - lam * d_vec
-    z_f = np.linalg.solve(bmat, yld)
-
-    e_vec = pt_ff @ mt_f - ps_ff @ ms_f
-    c_f = float(mt_f @ pt_ff @ mt_f - ms_f @ ps_ff @ ms_f)
-    c_l = 0.0
-    if c_l_parts is not None:
-        pt_fg, zg_mt, ps_fg, zg_ms = c_l_parts
         c_l = float(2.0 * (z_f - mt_f) @ pt_fg @ zg_mt - 2.0 * (z_f - ms_f) @ ps_fg @ zg_ms)
 
+    bmat = np.eye(free.size) - lam * dmat
+    yld = y[free] - lam * d_vec
+    e_vec = pt_ff @ mt_f - ps_ff @ ms_f
+    c_f = float(mt_f @ pt_ff @ mt_f - ms_f @ ps_ff @ ms_f)
     term1 = float(yld @ np.linalg.solve(bmat, dmat @ np.linalg.solve(bmat, yld)))
     term2 = -2.0 * float(yld @ np.linalg.solve(bmat, e_vec))
     return term1 + term2 + c_f + c_l + c_g + c_alpha

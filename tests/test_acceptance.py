@@ -19,6 +19,8 @@ from oracles import (
     make_blobs,
     pair_residual_fn,
     sampled_plane_min_distance_sq,
+    stationary_point,
+    stationary_poles,
 )
 
 KINDS = (cf.FULL, cf.DIAGONAL, cf.SPHERICAL)
@@ -409,14 +411,18 @@ def test_criterion_9_expanded_equation_cross_check():
         mask = random_mask(rng, d)
         epsilon = float(rng.choice([0.0, 0.3, 1.0]))
         prob = cf.build_pair_problem(source, target, y, mask, epsilon)
+        cov_s, cov_t = source.covariance.matrix(d), target.covariance.matrix(d)
+        poles = stationary_poles(cov_s, cov_t, mask.free)
         for lam in rng.normal(scale=1.2, size=3):
             # Keep a healthy margin from the poles: this check certifies the
             # algebraic form, and evaluating quadratics on candidates that
             # have blown up to 1e6 leaves no room for a 1e-8 agreement in
             # double precision.
-            if any(abs(float(lam) - p) < 0.05 * (1.0 + abs(p)) for p in prob.poles):
+            if any(abs(float(lam) - p) < 0.05 * (1.0 + abs(p)) for p in poles):
                 continue
-            z = cf.z_of_lambda(prob, float(lam))
+            z = stationary_point(
+                source.mean, cov_s, target.mean, cov_t, y, mask.free, mask.fixed, float(lam)
+            )
             expanded = expanded_full_lambda_equation(
                 source.mean, source.covariance.matrix(d), source.prior,
                 target.mean, target.covariance.matrix(d), target.prior,

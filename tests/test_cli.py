@@ -271,5 +271,52 @@ def test_eval_bad_baseline_spec_exits_2(tmp_path, blob_csv, capsys):
     assert code == 2
 
 
+@pytest.fixture
+def three_cluster_files(tmp_path):
+    rng = np.random.default_rng(227)
+    rows, _ = make_blobs(rng, [[0.0, 0.0], [6.0, 5.0], [-5.0, 6.0]], sigma=0.5, n_per=30)
+    data = tmp_path / "three.csv"
+    with open(data, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for row in rows:
+            writer.writerow([repr(float(v)) for v in row])
+    model = tmp_path / "three.json"
+    cf.save_model(cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0], [6.0, 5.0], [-5.0, 6.0]]), model)
+    return model, data
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["explain", "--factual", "0,0", "--target", "9"], "target"),
+        (["explain", "--factual", "0,0", "--target", "best", "--source", "5"], "source"),
+        (["explain", "--factual", "0,0", "--target", "best", "--epsilon", "-1"], "epsilon"),
+        (["sweep", "--factual", "0,0", "--target", "9", "--epsilons", "0,0.5"], "target"),
+        (["eval", "--source", "0", "--target", "9", "DATA"], "target"),
+        (["eval", "--source", "0", "--target", "1", "--epsilon", "-1", "DATA"], "epsilon"),
+        (["eval", "--source", "7", "--target", "1", "DATA"], "source"),
+    ],
+    ids=["explain", "explain-best-source", "explain-best-epsilon", "sweep", "eval-target",
+         "eval-epsilon", "eval-source"],
+)
+def test_bad_request_exits_2_before_any_solve(tmp_path, three_cluster_files, monkeypatch, capsys,
+                                              argv, field):
+    model, data = three_cluster_files
+    explain_module = importlib.import_module("clustercf.explain")
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a factual was solved")
+
+    monkeypatch.setattr(explain_module, "solve_kmeans_cf", no_solve)
+    out = tmp_path / "out"
+    argv = [str(data) if a == "DATA" else a for a in argv]
+    code = main(argv[:1] + ["--model", str(model)] + argv[1:] + ["-o", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}:")
+    assert "empty" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["three.csv", "three.json"]
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2

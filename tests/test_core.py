@@ -36,22 +36,6 @@ def test_distance_sq_dimension_mismatch():
         cf.distance_sq([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
-def test_preference_identity_is_one():
-    assert cf.preference([1.0, 2.0], [1.0, 2.0]) == 1.0
-
-
-def test_preference_unit_step():
-    assert cf.preference([0.0, 0.0], [1.0, 0.0]) == pytest.approx(math.exp(-1.0))
-
-
-def test_preference_monotone_in_distance():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        a, b, c = rng.normal(size=(3, 4))
-        if cf.distance_sq(a, b) < cf.distance_sq(a, c):
-            assert cf.preference(a, b) > cf.preference(a, c)
-
-
 def test_log_density_standard_normal_mode():
     comp = cf.GaussianComponent(
         mean=[0.0, 0.0], covariance=cf.CovarianceSpec.full(np.eye(2)), prior=1.0
@@ -370,3 +354,17 @@ def test_standardization_round_trip():
     std = cf.Standardization(mean=[1.0, -2.0], std=[2.0, 0.5])
     x = np.asarray([3.0, 4.0])
     assert np.allclose(std.to_original(std.to_internal(x)), x)
+
+
+def test_public_api_names_resolve_once():
+    assert len(cf.__all__) == len(set(cf.__all__))
+    for name in cf.__all__:
+        assert getattr(cf, name) is not None, name
+
+
+@pytest.mark.parametrize(
+    "name", ["z_of_lambda", "PoleError", "uniqueness_class", "UNIQUE", "INDETERMINATE", "preference"]
+)
+def test_retired_names_are_not_public(name):
+    assert name not in cf.__all__
+    assert not hasattr(cf, name)

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -189,3 +190,32 @@ def test_plausibility_check_kmeans_uses_unit_gaussian():
     mode = math.exp(-0.5 * 2 * math.log(2 * math.pi))
     assert cf.plausibility_check(model, center, 1, mode * 0.999)
     assert not cf.plausibility_check(model, center, 1, mode * 1.001)
+
+
+def test_explain_times_every_request():
+    kres = cf.explain(kmeans_model(), cf.CfRequest(factual=[0.0, 0.5], target=1))
+    gres = cf.explain(two_cluster_gaussian_model(), cf.CfRequest(factual=[0.1, -0.3], target=1))
+    assert kres.status == gres.status == cf.STATUS_OK
+    assert kres.elapsed > 0.0 and gres.elapsed > 0.0
+
+
+def test_direct_solver_calls_leave_elapsed_at_zero():
+    mask = cf.Mask.all_free(2)
+    constraint = cf.build_constraint([0.0, 0.0], [2.0, 0.0], 1e-5, mask)
+    kres = cf.solve_kmeans_cf([0.0, 0.5], constraint, mask)
+    source, target = two_cluster_gaussian_model().components
+    gres = cf.solve_gaussian_cf(cf.build_pair_problem(source, target, [0.1, -0.3], mask, 1e-5))
+    assert kres.status == gres.status == cf.STATUS_OK
+    assert kres.elapsed == 0.0 and gres.elapsed == 0.0
+
+
+def test_explain_best_validates_every_target_before_solving(monkeypatch):
+    explain_module = importlib.import_module("clustercf.explain")
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a factual was solved")
+
+    monkeypatch.setattr(explain_module, "solve_kmeans_cf", no_solve)
+    model = cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+    with pytest.raises(cf.ValidationError, match="target"):
+        cf.explain_best(model, [0.0, 0.5], source=0, candidate_targets=[1, 2, 9])

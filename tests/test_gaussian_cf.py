@@ -1,6 +1,8 @@
+import importlib.resources as resources
 import json
 import math
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,23 +13,40 @@ from helpers import random_mask, random_pair_components, random_pair_problem
 from oracles import (
     expanded_full_lambda_equation,
     global_optimality_certificate,
+    half_gradient,
     level_set_min_distance_2d,
     line_level_set_min_distance,
     lstsq_plane_distance_sq,
     pair_residual_fn,
     random_spd,
+    stationary_point,
+    stationary_poles,
 )
 
 KINDS = (cf.FULL, cf.DIAGONAL, cf.SPHERICAL)
 
 
+def pair_terms(prob):
+    """(m_s, S_s, m_t, S_t) of a pair problem, covariances as matrices."""
+    d = prob.y.size
+    return (
+        prob.source.mean, prob.source.covariance.matrix(d),
+        prob.target.mean, prob.target.covariance.matrix(d),
+    )
+
+
 def certify(prob, z):
     """min eig(I - lam * D_FF) at z, from explicit inverses."""
-    return global_optimality_certificate(
-        prob.source.mean, prob.source.covariance.matrix(prob.y.size),
-        prob.target.mean, prob.target.covariance.matrix(prob.y.size),
-        prob.y, z, prob.mask.free,
-    )
+    return global_optimality_certificate(*pair_terms(prob), prob.y, z, prob.mask.free)
+
+
+def stationarity_gap(prob, res):
+    """(|z_F - y_F - lam * half_gradient(z)|, |z_F - y_F|): zero gap at a
+    stationary point of the Lagrangian."""
+    z = res.counterfactual
+    lhs = z[prob.mask.free] - prob.y[prob.mask.free]
+    rhs = res.lam * half_gradient(*pair_terms(prob), z, prob.mask.free)
+    return float(np.linalg.norm(lhs - rhs)), float(np.linalg.norm(lhs))
 
 
 def unit_pair(eps):
@@ -68,69 +87,6 @@ def test_c_alpha_recomputes():
         + 2.0 * math.log(1.8)
     )
     assert prob.c_alpha == pytest.approx(expected, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# The stationarity map
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_z_of_lambda_zero_is_factual(kind):
-    rng = np.random.default_rng(21)
-    prob = random_pair_problem(rng, 5, kind, epsilon=0.2, mask=random_mask(rng, 5))
-    assert np.allclose(cf.z_of_lambda(prob, 0.0), prob.y, rtol=0, atol=1e-12)
-
-
-def test_z_of_lambda_equal_spherical_moves_along_center_line():
-    s = cf.GaussianComponent(mean=[1.0, -1.0], covariance=cf.CovarianceSpec.spherical(2.0), prior=0.5)
-    t = cf.GaussianComponent(mean=[3.0, 2.0], covariance=cf.CovarianceSpec.spherical(2.0), prior=0.5)
-    y = np.asarray([0.5, 0.5])
-    prob = cf.build_pair_problem(s, t, y, cf.Mask.all_free(2), 0.0)
-    for lam in (-0.7, 0.3, 1.1):
-        z = cf.z_of_lambda(prob, lam)
-        step = z - y
-        direction = (s.mean - t.mean) / np.linalg.norm(s.mean - t.mean)
-        residual = step - (step @ direction) * direction
-        assert float(np.linalg.norm(residual)) < 1e-12
-
-
-def test_z_of_lambda_diagonal_matches_full_representation():
-    rng = np.random.default_rng(33)
-    d = 4
-    var_s = rng.uniform(0.4, 2.0, size=d)
-    var_t = rng.uniform(0.4, 2.0, size=d)
-    m_s, m_t = rng.normal(size=(2, d))
-    y = rng.normal(size=d)
-    mask = cf.Mask.from_bits([1, 0, 1, 1])
-    diag_prob = cf.build_pair_problem(
-        cf.GaussianComponent(mean=m_s, covariance=cf.CovarianceSpec.diagonal(var_s), prior=0.5),
-        cf.GaussianComponent(mean=m_t, covariance=cf.CovarianceSpec.diagonal(var_t), prior=0.5),
-        y,
-        mask,
-        0.1,
-    )
-    full_prob = cf.build_pair_problem(
-        cf.GaussianComponent(mean=m_s, covariance=cf.CovarianceSpec.full(np.diag(var_s)), prior=0.5),
-        cf.GaussianComponent(mean=m_t, covariance=cf.CovarianceSpec.full(np.diag(var_t)), prior=0.5),
-        y,
-        mask,
-        0.1,
-    )
-    for lam in (-1.3, -0.2, 0.0, 0.4, 2.0):
-        try:
-            z_diag = cf.z_of_lambda(diag_prob, lam)
-            z_full = cf.z_of_lambda(full_prob, lam)
-        except cf.PoleError:
-            continue
-        assert np.allclose(z_diag, z_full, rtol=0, atol=1e-10)
-
-
-def test_z_of_lambda_rejects_poles():
-    rng = np.random.default_rng(37)
-    prob = random_pair_problem(rng, 3, cf.DIAGONAL)
-    assert prob.poles
-    with pytest.raises(cf.PoleError):
-        cf.z_of_lambda(prob, prob.poles[0])
 
 
 # ---------------------------------------------------------------------------
@@ -211,38 +167,6 @@ def test_no_root_detected_and_verified_analytically():
     # D = 0.75 > 0: the interval's lower end is open, written as null.
     assert res.diagnostics["interval"] == [None, pytest.approx(1.0 / 0.75)]
     assert json.loads(json.dumps(res.diagnostics, allow_nan=False))["interval"][0] is None
-
-
-def test_uniqueness_classes():
-    rng = np.random.default_rng(41)
-    # Spherical with distinct variances.
-    sphere = cf.build_pair_problem(
-        cf.GaussianComponent(mean=[0.0, 0.0], covariance=cf.CovarianceSpec.spherical(1.0), prior=0.5),
-        cf.GaussianComponent(mean=[2.0, 0.0], covariance=cf.CovarianceSpec.spherical(2.0), prior=0.5),
-        [0.0, 0.0],
-        cf.Mask.all_free(2),
-        0.0,
-    )
-    assert cf.uniqueness_class(sphere) == cf.UNIQUE
-    # Diagonal with sign flip across dimensions.
-    mixed = cf.build_pair_problem(
-        cf.GaussianComponent(mean=[0.0, 0.0], covariance=cf.CovarianceSpec.diagonal([1.0, 4.0]), prior=0.5),
-        cf.GaussianComponent(mean=[2.0, 0.0], covariance=cf.CovarianceSpec.diagonal([4.0, 1.0]), prior=0.5),
-        [0.0, 0.0],
-        cf.Mask.all_free(2),
-        0.0,
-    )
-    assert cf.uniqueness_class(mixed) == cf.INDETERMINATE
-    # Full with S_s = 2 S_t: D = half the target precision block, definite.
-    base = random_spd(rng, 3)
-    scaled = cf.build_pair_problem(
-        cf.GaussianComponent(mean=[0.0, 0.0, 0.0], covariance=cf.CovarianceSpec.full(2.0 * base), prior=0.5),
-        cf.GaussianComponent(mean=[2.0, 1.0, 0.0], covariance=cf.CovarianceSpec.full(base), prior=0.5),
-        [0.0, 0.0, 0.0],
-        cf.Mask.all_free(3),
-        0.0,
-    )
-    assert cf.uniqueness_class(scaled) == cf.UNIQUE
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -327,11 +251,9 @@ def test_kkt_stationarity(kind):
         res = cf.solve_gaussian_cf(prob)
         if res.status != cf.STATUS_OK:
             continue
-        z_free = res.counterfactual[mask.free]
-        lhs = z_free - prob.y[mask.free]
-        rhs = res.lam * (prob.D_free() @ z_free - prob.lin_vector())
-        scale = float(np.linalg.norm(lhs)) + 1e-12
-        assert float(np.linalg.norm(lhs - rhs)) <= 1e-7 * (1.0 + scale)
+        gap, step = stationarity_gap(prob, res)
+        scale = step + 1e-12
+        assert gap <= 1e-7 * (1.0 + scale)
 
 
 def test_expanded_equation_matches_residual_formulation():
@@ -343,11 +265,11 @@ def test_expanded_equation_matches_residual_formulation():
         y = rng.normal(size=d)
         mask = random_mask(rng, d)
         prob = cf.build_pair_problem(source, target, y, mask, 0.25)
+        poles = stationary_poles(source.covariance.matrix(d), target.covariance.matrix(d), mask.free)
         for lam in rng.normal(scale=1.5, size=4):
-            try:
-                z = cf.z_of_lambda(prob, float(lam))
-            except cf.PoleError:
+            if any(abs(float(lam) - p) <= 1e-12 * (1.0 + abs(p)) for p in poles):
                 continue
+            z = stationary_point(*pair_terms(prob), y, mask.free, mask.fixed, float(lam))
             lhs = expanded_full_lambda_equation(
                 source.mean, source.covariance.matrix(d), source.prior,
                 target.mean, target.covariance.matrix(d), target.prior,
@@ -380,11 +302,45 @@ def test_affine_fallback_for_equal_covariances():
     assert abs(cf.constraint_residual(prob, res.counterfactual)) <= 1e-8 * (1 + abs(prob.c_alpha))
     # The constraint is affine; an independent least-squares projection onto
     # the induced hyperplane must find the same distance.
-    grad = -2.0 * prob.lin_vector()
+    grad = 2.0 * half_gradient(m_s, cov, m_t, cov, y, mask.free)
     g_y = cf.constraint_residual(prob, prob.y)
     c_free = float(grad @ y[mask.free]) - g_y
     oracle_d2, _ = lstsq_plane_distance_sq(y[mask.free], grad, c_free)
     assert res.distance_sq == pytest.approx(oracle_d2, rel=1e-9, abs=1e-12)
+
+
+def test_ok_results_carry_json_safe_diagnostics():
+    rng = np.random.default_rng(83)
+    problems = []
+    for kind in KINDS:
+        for _ in range(40):
+            d = int(rng.integers(1, 7))
+            eps = float(rng.choice([0.0, 1e-5, 0.3, 1.0]))
+            problems.append(random_pair_problem(rng, d, kind, epsilon=eps, mask=random_mask(rng, d)))
+    # The factual path: a factual already on the boundary.
+    source, target = fixed_full_pair()
+    start = cf.build_pair_problem(source, target, [0.4, -0.2], cf.Mask.all_free(2), 0.0)
+    boundary = cf.solve_gaussian_cf(start).counterfactual
+    problems.append(cf.build_pair_problem(source, target, boundary, cf.Mask.all_free(2), 0.0))
+    # The hard case: concentric spheres seen from their shared mean.
+    problems.append(cf.build_pair_problem(
+        cf.GaussianComponent(mean=[0.0, 0.0], covariance=cf.CovarianceSpec.spherical(1.0), prior=0.5),
+        cf.GaussianComponent(mean=[0.0, 0.0], covariance=cf.CovarianceSpec.spherical(4.0), prior=0.5),
+        [0.0, 0.0], cf.Mask.all_free(2), 0.0,
+    ))
+    with resources.files("clustercf.schemas").joinpath("explain_result.schema.json").open() as fh:
+        schema = json.load(fh)["properties"]["diagnostics"]
+    paths = []
+    for prob in problems:
+        res = cf.solve_gaussian_cf(prob)
+        jsonschema.validate(res.diagnostics, schema)
+        if res.status != cf.STATUS_OK:
+            continue
+        assert res.diagnostics["path"] in ("factual", "interval", "hard_case")
+        assert json.loads(json.dumps(res.diagnostics, allow_nan=False)) == res.diagnostics
+        paths.append(res.diagnostics["path"])
+    assert set(paths) == {"factual", "interval", "hard_case"}
+    assert len(paths) >= 100
 
 
 def test_factual_on_boundary_returns_itself():
@@ -457,10 +413,8 @@ def test_solution_properties_random(seed, kind_ix, d):
     tol = 1e-8 * (1.0 + abs(prob.c_alpha))
     assert abs(cf.constraint_residual(prob, z)) <= tol
     # The counterfactual is a stationary point of the Lagrangian.
-    z_free = z[mask.free]
-    lhs = z_free - prob.y[mask.free]
-    rhs = res.lam * (prob.D_free() @ z_free - prob.lin_vector())
-    assert float(np.linalg.norm(lhs - rhs)) <= 1e-7 * (1.0 + float(np.linalg.norm(lhs)))
+    gap, step = stationarity_gap(prob, res)
+    assert gap <= 1e-7 * (1.0 + step)
     # And the global minimizer: I - lam * D_FF is positive semidefinite.
     assert certify(prob, z) >= -1e-9
 
@@ -481,7 +435,6 @@ def test_multiple_roots_picks_nearest():
     radius_sq = prob.c_alpha / 0.75
     radius = math.sqrt(radius_sq)
     assert np.allclose(res.counterfactual, [radius, 0.0], atol=1e-6)
-    assert cf.uniqueness_class(prob) == cf.UNIQUE
 
     # At the shared mean every point of the circle is nearest: the hard
     # case, with the multiplier on the pole of I - lam * D.
