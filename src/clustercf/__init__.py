@@ -61,13 +61,6 @@ from .fit import (
     fit_kmeans,
     priors_policy,
 )
-from .gaussian_cf import (
-    GaussianPairProblem,
-    build_pair_problem,
-    constraint_residual,
-    solve_gaussian_cf,
-)
-from .kmeans_cf import KmeansConstraint, build_constraint, solve_kmeans_cf
 from .model_io import (
     DataError,
     load_dataset,
@@ -93,18 +86,13 @@ __all__ = [
     "FitConfig",
     "FitError",
     "GaussianComponent",
-    "GaussianPairProblem",
-    "KmeansConstraint",
     "Mask",
     "SourceMismatchWarning",
     "Standardization",
     "ValidationError",
     "assign_cluster",
     "attach_baselines",
-    "build_constraint",
-    "build_pair_problem",
     "compute_aggregates",
-    "constraint_residual",
     "distance_sq",
     "explain",
     "explain_best",
@@ -123,8 +111,6 @@ __all__ = [
     "run_eval",
     "save_model",
     "score_matrix",
-    "solve_gaussian_cf",
-    "solve_kmeans_cf",
     "sweep_epsilon",
     "write_records_csv",
     "write_report_json",

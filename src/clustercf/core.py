@@ -474,14 +474,10 @@ class CfRequest:
         if self.source is not None:
             object.__setattr__(self, "source", int(self.source))
 
-    def resolved_mask(self, d: int) -> Mask:
-        if self.mask is None:
-            return Mask.all_free(d)
-        if self.mask.d != d:
-            raise ValidationError("mask", f"length {self.mask.d} does not match dimension {d}")
-        return self.mask
-
-    def validate_against(self, model: ClusterModel) -> None:
+    def validate_against(self, model: ClusterModel) -> Mask:
+        """Check the request against the model and return its mask (all
+        free when the request has none). This is the one validation of a
+        request; the solvers behind `explain` trust what it passed."""
         if self.factual.size != model.d:
             raise DimensionMismatchError(
                 f"factual has dimension {self.factual.size}, model expects {model.d}"
@@ -491,7 +487,11 @@ class CfRequest:
             model.check_cluster(self.source, "source")
             if self.source == self.target:
                 raise ValidationError("target", "source and target clusters must differ")
-        self.resolved_mask(model.d)
+        if self.mask is None:
+            return Mask.all_free(model.d)
+        if self.mask.d != model.d:
+            raise ValidationError("mask", f"length {self.mask.d} does not match dimension {model.d}")
+        return self.mask
 
 
 @dataclass(frozen=True, eq=False)

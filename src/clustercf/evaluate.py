@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import warnings
 from dataclasses import dataclass, field, asdict
 
@@ -209,6 +208,7 @@ def ingest_baseline(path, name: str, model: ClusterModel, factuals: dict, target
     are judged with this package's assignment rule and metric so that all
     methods are compared on identical footing.
     """
+    model.check_cluster(target, "target")
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = [row for row in csv.reader(fh) if any(c.strip() for c in row)]
@@ -303,26 +303,26 @@ def sweep_epsilon(
     source: "int | None" = None,
 ):
     """One counterfactual per plausibility value, with the per-feature
-    signed changes `z - y` in original units. Solver failures at one
+    signed changes `z - y` in original units. Every request is built, and
+    its epsilon checked, before the first solve. Solver failures at one
     epsilon do not stop the sweep."""
-    eps_list = [float(e) for e in epsilons]
-    if not eps_list:
+    y_arr = np.asarray(y, dtype=np.float64)
+    requests = [
+        CfRequest(factual=y_arr, target=target, source=source, mask=mask, epsilon=eps)
+        for eps in epsilons
+    ]
+    if not requests:
         raise ValidationError("epsilons", "need at least one value")
-    if any(e < 0.0 or not math.isfinite(e) for e in eps_list):
-        raise ValidationError("epsilons", "all values must be finite and >= 0")
+    eps_list = [request.epsilon for request in requests]
     if eps_list != sorted(eps_list):
         raise ValidationError("epsilons", "values must be sorted ascending")
-    y_arr = np.asarray(y, dtype=np.float64)
     points = []
-    for eps in eps_list:
-        result = explain(
-            model,
-            CfRequest(factual=y_arr, target=target, source=source, mask=mask, epsilon=eps),
-        )
+    for request in requests:
+        result = explain(model, request)
         deltas = None
         if result.counterfactual_original is not None:
             deltas = (result.counterfactual_original - y_arr).tolist()
-        points.append(SweepPoint(epsilon=eps, result=result, deltas=deltas))
+        points.append(SweepPoint(epsilon=request.epsilon, result=result, deltas=deltas))
     return points
 
 

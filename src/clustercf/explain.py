@@ -18,6 +18,7 @@ from .core import (
     CfResult,
     ClusterCfError,
     ClusterModel,
+    DimensionMismatchError,
     Mask,
     ValidationError,
     assign_cluster,
@@ -61,12 +62,13 @@ def explain(model: ClusterModel, request: CfRequest) -> CfResult:
     The factual arrives in original units; solving happens in the model's
     internal space and the result carries both representations. Frozen
     features keep the factual's bits in both spaces. `elapsed` covers
-    constraint construction and the solve, not I/O or verdicts.
+    constraint construction and the solve, not I/O or verdicts. This is
+    the one entry point to the solvers: the request is validated here,
+    once, and the pair builders and solvers behind it trust their inputs.
     """
-    request.validate_against(model)
+    mask = request.validate_against(model)
     y_orig = request.factual
     y = np.asarray(model.to_internal(y_orig), dtype=np.float64)
-    mask = request.resolved_mask(model.d)
 
     detected = assign_cluster(model, y)
     source = request.source if request.source is not None else detected
@@ -173,7 +175,10 @@ def plausibility_check(model: ClusterModel, z, target: int, delta: float) -> boo
     delta = float(delta)
     if not math.isfinite(delta) or delta < 0.0:
         raise ValidationError("delta", "must be finite and >= 0")
+    model.check_cluster(target, "target")
     z = np.asarray(z, dtype=np.float64)
+    if z.shape != (model.d,):
+        raise DimensionMismatchError(f"z has shape {z.shape}, model expects ({model.d},)")
     if model.kind == KMEANS:
         diff = z - model.centers[target]
         log_p = -0.5 * (float(diff @ diff) + model.d * LOG_2PI)

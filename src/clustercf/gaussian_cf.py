@@ -50,10 +50,6 @@ from .core import (
     CfResult,
     GaussianComponent,
     Mask,
-    ValidationError,
-    as_vector,
-    check_epsilon,
-    check_same_dim,
     mahalanobis_sq,
 )
 
@@ -79,9 +75,11 @@ PATH_OPEN_END = "open_end"
 class GaussianPairProblem:
     """Precomputed source/target pair data for one factual, mask and eps.
 
-    Instances are immutable after construction and safe to share across
-    threads. The public surface is `source`, `target`, `y`, `mask`,
-    `epsilon`, `c_alpha` and `affine`.
+    The inputs are trusted: `explain` builds the problem only after
+    `CfRequest.validate_against` has checked the factual's dimension, the
+    mask's length and epsilon. Instances are immutable after construction
+    and safe to share across threads. The public surface is `source`,
+    `target`, `y`, `mask`, `epsilon`, `c_alpha` and `affine`.
     """
 
     def __init__(
@@ -92,13 +90,7 @@ class GaussianPairProblem:
         mask: Mask,
         epsilon: float,
     ):
-        y = as_vector(y, name="y")
-        check_same_dim(source.mean, target.mean, "component means")
-        check_same_dim(source.mean, y, "factual")
-        if mask.d != y.size:
-            raise ValidationError("mask", f"length {mask.d} does not match dimension {y.size}")
-        epsilon = check_epsilon(epsilon)
-
+        y = np.asarray(y, dtype=np.float64)
         self.source = source
         self.target = target
         self.y = y
@@ -161,9 +153,9 @@ def build_pair_problem(
 
 
 def constraint_residual(problem: GaussianPairProblem, z) -> float:
-    """g(z): zero exactly on the eps-shifted pair boundary."""
+    """g(z): zero exactly on the eps-shifted pair boundary. z is trusted
+    to have the problem's dimension."""
     z = np.asarray(z, dtype=np.float64)
-    check_same_dim(problem.y, z, "z")
     return (
         mahalanobis_sq(problem.target, z)
         - mahalanobis_sq(problem.source, z)

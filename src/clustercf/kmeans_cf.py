@@ -19,16 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    MIN_CENTER_SEPARATION_SQ,
     STATUS_DEGENERATE_IDENTITY,
     STATUS_NO_FEASIBLE_SOLUTION,
     STATUS_OK,
     CfResult,
     Mask,
-    ValidationError,
-    as_vector,
-    check_epsilon,
-    check_same_dim,
 )
 
 # Scale-relative tolerance for plane membership and the degenerate test.
@@ -47,18 +42,13 @@ class KmeansConstraint:
 
 
 def build_constraint(m_s, m_t, epsilon: float, mask: Mask) -> KmeansConstraint:
-    """Constraint plane for a center pair at the given plausibility factor."""
-    m_s = as_vector(m_s, name="m_s")
-    m_t = as_vector(m_t, name="m_t")
-    check_same_dim(m_s, m_t, "centers")
-    if mask.d != m_s.size:
-        raise ValidationError("mask", f"length {mask.d} does not match dimension {m_s.size}")
-    epsilon = check_epsilon(epsilon)
+    """Constraint plane for a center pair at the given plausibility factor.
+    Inputs are trusted: `explain` calls this after `CfRequest.validate_against`
+    has checked the mask and epsilon; `ClusterModel` rejects identical centers."""
+    m_s = np.asarray(m_s, dtype=np.float64)
+    m_t = np.asarray(m_t, dtype=np.float64)
     v = m_s - m_t
-    sep = float(v @ v)
-    if sep <= MIN_CENTER_SEPARATION_SQ:
-        raise ValidationError("centers", "source and target centers are identical")
-    d_eps = epsilon * sep
+    d_eps = epsilon * float(v @ v)
     c = (float(m_s @ m_s) - float(m_t @ m_t) - d_eps) / 2.0
     return KmeansConstraint(
         v=v, c=c, d_eps=d_eps, v_free=v[mask.free].copy(), v_fixed=v[mask.fixed].copy()
@@ -71,13 +61,9 @@ def solve_kmeans_cf(y, constraint: KmeansConstraint, mask: Mask) -> CfResult:
     Returns `no_feasible_solution` when the plane cannot be reached with the
     given mask (v_free = 0 with a nonzero offset) and `degenerate_identity`
     when the factual already satisfies the constraint under that mask.
+    The factual and mask are trusted to match the constraint's dimension.
     """
-    y = as_vector(y, name="y")
-    if mask.d != y.size:
-        raise ValidationError("mask", f"length {mask.d} does not match dimension {y.size}")
-    if constraint.v.size != y.size:
-        raise ValidationError("constraint", "dimension mismatch with factual")
-
+    y = np.asarray(y, dtype=np.float64)
     y_free = y[mask.free]
     c_prime = constraint.c - float(y[mask.fixed] @ constraint.v_fixed)
     vf2 = float(constraint.v_free @ constraint.v_free)

@@ -51,7 +51,7 @@ def canonical_json(obj: Any) -> str:
 # Model serialization
 
 
-def _cov_to_dict(cov: CovarianceSpec, d: int) -> dict:
+def _cov_to_dict(cov: CovarianceSpec) -> dict:
     if cov.kind == FULL:
         return {"kind": FULL, "matrix": cov.data.tolist()}
     if cov.kind == DIAGONAL:
@@ -73,7 +73,7 @@ def model_to_dict(model: ClusterModel, provenance: "dict | None" = None) -> dict
         out["components"] = [
             {
                 "mean": c.mean.tolist(),
-                "covariance": _cov_to_dict(c.covariance, model.d),
+                "covariance": _cov_to_dict(c.covariance),
                 "prior": c.prior,
             }
             for c in model.components
@@ -119,29 +119,24 @@ def _parse_covariance(obj, d: int, path: str) -> CovarianceSpec:
     kind = _require(obj, "kind", path)
     if kind not in COVARIANCE_KINDS:
         raise ValidationError(f"{path}.kind", f"unknown covariance kind {kind!r}")
-    try:
-        if kind == FULL:
-            _no_extras(obj, ("kind", "matrix"), path)
-            rows = _require(obj, "matrix", path)
-            if not isinstance(rows, list) or len(rows) != d:
-                raise ValidationError(f"{path}.matrix", f"expected {d} rows")
-            matrix = [_float_list(r, f"{path}.matrix[{i}]", d) for i, r in enumerate(rows)]
-            cov = CovarianceSpec.full(matrix)
-        elif kind == DIAGONAL:
-            _no_extras(obj, ("kind", "variances"), path)
-            cov = CovarianceSpec.diagonal(_float_list(_require(obj, "variances", path), f"{path}.variances", d))
-        else:
-            _no_extras(obj, ("kind", "variance"), path)
-            v = _require(obj, "variance", path)
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise ValidationError(f"{path}.variance", "expected a finite number")
-            cov = CovarianceSpec.spherical(float(v))
-        cov.validate(d, path)
-        return cov
-    except ValidationError:
-        raise
-    except ClusterCfError as exc:
-        raise ValidationError(path, str(exc)) from exc
+    if kind == FULL:
+        _no_extras(obj, ("kind", "matrix"), path)
+        rows = _require(obj, "matrix", path)
+        if not isinstance(rows, list) or len(rows) != d:
+            raise ValidationError(f"{path}.matrix", f"expected {d} rows")
+        matrix = [_float_list(r, f"{path}.matrix[{i}]", d) for i, r in enumerate(rows)]
+        cov = CovarianceSpec.full(matrix)
+    elif kind == DIAGONAL:
+        _no_extras(obj, ("kind", "variances"), path)
+        cov = CovarianceSpec.diagonal(_float_list(_require(obj, "variances", path), f"{path}.variances", d))
+    else:
+        _no_extras(obj, ("kind", "variance"), path)
+        v = _require(obj, "variance", path)
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise ValidationError(f"{path}.variance", "expected a finite number")
+        cov = CovarianceSpec.spherical(float(v))
+    cov.validate(d, path)
+    return cov
 
 
 def model_from_dict(obj: Any) -> "tuple[ClusterModel, dict]":
@@ -173,57 +168,41 @@ def model_from_dict(obj: Any) -> "tuple[ClusterModel, dict]":
         if not isinstance(std_obj, dict):
             raise ValidationError("standardization", "expected an object or null")
         _no_extras(std_obj, ("mean", "std"), "standardization")
-        try:
-            standardization = Standardization(
-                mean=_float_list(_require(std_obj, "mean", "standardization"), "standardization.mean", d),
-                std=_float_list(_require(std_obj, "std", "standardization"), "standardization.std", d),
-            )
-        except ValidationError:
-            raise
-        except ClusterCfError as exc:
-            raise ValidationError("standardization", str(exc)) from exc
+        standardization = Standardization(
+            mean=_float_list(_require(std_obj, "mean", "standardization"), "standardization.mean", d),
+            std=_float_list(_require(std_obj, "std", "standardization"), "standardization.std", d),
+        )
 
     provenance = obj.get("provenance", {})
     if not isinstance(provenance, dict):
         raise ValidationError("provenance", "expected an object")
 
-    try:
-        if kind == KMEANS:
-            rows = _require(obj, "centers", "")
-            if not isinstance(rows, list) or len(rows) != m:
-                raise ValidationError("centers", f"expected {m} rows")
-            centers = [_float_list(r, f"centers[{i}]", d) for i, r in enumerate(rows)]
-            model = ClusterModel(kind=KMEANS, centers=centers, standardization=standardization)
-        else:
-            comp_objs = _require(obj, "components", "")
-            if not isinstance(comp_objs, list) or len(comp_objs) != m:
-                raise ValidationError("components", f"expected {m} components")
-            total = 0.0
-            comps = []
-            for i, co in enumerate(comp_objs):
-                path = f"components[{i}]"
-                if not isinstance(co, dict):
-                    raise ValidationError(path, "expected an object")
-                _no_extras(co, ("mean", "covariance", "prior"), path)
-                mean = _float_list(_require(co, "mean", path), f"{path}.mean", d)
-                cov = _parse_covariance(_require(co, "covariance", path), d, f"{path}.covariance")
-                prior = _require(co, "prior", path)
-                if isinstance(prior, bool) or not isinstance(prior, (int, float)):
-                    raise ValidationError(f"{path}.prior", "expected a number")
-                total += float(prior)
-                try:
-                    comps.append(GaussianComponent(mean=mean, covariance=cov, prior=float(prior)))
-                except ValidationError as exc:
-                    raise ValidationError(f"{path}.{exc.path}", exc.message) from exc
-            if abs(total - 1.0) > 1e-9:
-                raise ValidationError("components[*].prior", f"priors sum to {total!r}, expected 1")
-            model = ClusterModel(
-                kind=GAUSSIAN, components=tuple(comps), standardization=standardization
-            )
-    except ValidationError:
-        raise
-    except ClusterCfError as exc:
-        raise ValidationError("$", str(exc)) from exc
+    if kind == KMEANS:
+        rows = _require(obj, "centers", "")
+        if not isinstance(rows, list) or len(rows) != m:
+            raise ValidationError("centers", f"expected {m} rows")
+        centers = [_float_list(r, f"centers[{i}]", d) for i, r in enumerate(rows)]
+        model = ClusterModel(kind=KMEANS, centers=centers, standardization=standardization)
+    else:
+        comp_objs = _require(obj, "components", "")
+        if not isinstance(comp_objs, list) or len(comp_objs) != m:
+            raise ValidationError("components", f"expected {m} components")
+        comps = []
+        for i, co in enumerate(comp_objs):
+            path = f"components[{i}]"
+            if not isinstance(co, dict):
+                raise ValidationError(path, "expected an object")
+            _no_extras(co, ("mean", "covariance", "prior"), path)
+            mean = _float_list(_require(co, "mean", path), f"{path}.mean", d)
+            cov = _parse_covariance(_require(co, "covariance", path), d, f"{path}.covariance")
+            prior = _require(co, "prior", path)
+            if isinstance(prior, bool) or not isinstance(prior, (int, float)):
+                raise ValidationError(f"{path}.prior", "expected a number")
+            try:
+                comps.append(GaussianComponent(mean=mean, covariance=cov, prior=float(prior)))
+            except ValidationError as exc:
+                raise ValidationError(f"{path}.{exc.path}", exc.message) from exc
+        model = ClusterModel(kind=GAUSSIAN, components=tuple(comps), standardization=standardization)
     return model, provenance
 
 

@@ -1,6 +1,7 @@
 """Builders for randomized test problems."""
 
 import clustercf as cf
+from clustercf.gaussian_cf import build_pair_problem
 from oracles import random_spd
 
 
@@ -37,7 +38,7 @@ def random_pair_problem(rng, d, kind, epsilon=0.0, mask=None, separation=2.0):
     y = source.mean + rng.normal(scale=0.4, size=d)
     if mask is None:
         mask = cf.Mask.all_free(d)
-    return cf.build_pair_problem(source, target, y, mask, epsilon)
+    return build_pair_problem(source, target, y, mask, epsilon)
 
 
 def two_cluster_gaussian_model(kind=cf.FULL):

@@ -10,6 +10,8 @@ import time
 import numpy as np
 
 import clustercf as cf
+from clustercf.gaussian_cf import build_pair_problem, constraint_residual, solve_gaussian_cf
+from clustercf.kmeans_cf import build_constraint, solve_kmeans_cf
 from helpers import random_mask, random_pair_components
 from oracles import (
     expanded_full_lambda_equation,
@@ -50,8 +52,8 @@ def test_criterion_1_kmeans_closed_form_vs_oracle():
             mask = random_mask(rng, d)
             y = rng.normal(scale=2.0, size=d)
             epsilon = eps_grid[i % 3]
-            con = cf.build_constraint(m_s, m_t, epsilon, mask)
-            res = cf.solve_kmeans_cf(y, con, mask)
+            con = build_constraint(m_s, m_t, epsilon, mask)
+            res = solve_kmeans_cf(y, con, mask)
             if res.status != cf.STATUS_OK:
                 continue
             c_free = con.c - float(y[mask.fixed] @ con.v_fixed)
@@ -86,8 +88,8 @@ def test_criterion_2_gaussian_constraint_satisfaction():
         epsilon = float(rng.choice([0.0, 1e-5, 0.5, 2.0]))
         source, target = random_pair_components(rng, d, kind)
         y = source.mean + rng.normal(scale=0.4, size=d)
-        prob = cf.build_pair_problem(source, target, y, mask, epsilon)
-        res = cf.solve_gaussian_cf(prob)
+        prob = build_pair_problem(source, target, y, mask, epsilon)
+        res = solve_gaussian_cf(prob)
         n_total += 1
         if res.status != cf.STATUS_OK:
             continue
@@ -121,8 +123,8 @@ def test_criterion_3_level_set_oracle_2d():
         for _ in range(10):
             source, target = random_pair_components(rng, 2, kind)
             y = source.mean + rng.normal(scale=0.4, size=2)
-            prob = cf.build_pair_problem(source, target, y, cf.Mask.all_free(2), 0.0)
-            res = cf.solve_gaussian_cf(prob)
+            prob = build_pair_problem(source, target, y, cf.Mask.all_free(2), 0.0)
+            res = solve_gaussian_cf(prob)
             assert res.status == cf.STATUS_OK, res.status
             n_solved += 1
 
@@ -228,8 +230,8 @@ def test_criterion_5_specialization_consistency():
         eps = float(rng.choice([0.0, 0.2, 1.0]))
 
         def solve(cov_s, cov_t):
-            return cf.solve_gaussian_cf(
-                cf.build_pair_problem(
+            return solve_gaussian_cf(
+                build_pair_problem(
                     cf.GaussianComponent(mean=m_s, covariance=cov_s, prior=pi_s),
                     cf.GaussianComponent(mean=m_t, covariance=cov_t, prior=1.0 - pi_s),
                     y, mask, eps,
@@ -259,10 +261,10 @@ def test_criterion_5_specialization_consistency():
         m_t = rng.normal(size=d) + 2.0
         y = m_s + rng.normal(scale=0.4, size=d)
         mask = random_mask(rng, d)
-        con = cf.build_constraint(m_s, m_t, 0.0, mask)
-        km_res = cf.solve_kmeans_cf(y, con, mask)
-        g_res = cf.solve_gaussian_cf(
-            cf.build_pair_problem(
+        con = build_constraint(m_s, m_t, 0.0, mask)
+        km_res = solve_kmeans_cf(y, con, mask)
+        g_res = solve_gaussian_cf(
+            build_pair_problem(
                 cf.GaussianComponent(mean=m_s, covariance=cf.CovarianceSpec.spherical(1.0), prior=0.5),
                 cf.GaussianComponent(mean=m_t, covariance=cf.CovarianceSpec.spherical(1.0), prior=0.5),
                 y, mask, 0.0,
@@ -410,7 +412,7 @@ def test_criterion_9_expanded_equation_cross_check():
         y = rng.normal(size=d)
         mask = random_mask(rng, d)
         epsilon = float(rng.choice([0.0, 0.3, 1.0]))
-        prob = cf.build_pair_problem(source, target, y, mask, epsilon)
+        prob = build_pair_problem(source, target, y, mask, epsilon)
         cov_s, cov_t = source.covariance.matrix(d), target.covariance.matrix(d)
         poles = stationary_poles(cov_s, cov_t, mask.free)
         for lam in rng.normal(scale=1.2, size=3):
@@ -428,7 +430,7 @@ def test_criterion_9_expanded_equation_cross_check():
                 target.mean, target.covariance.matrix(d), target.prior,
                 y, mask.free, mask.fixed, epsilon, float(lam),
             )
-            residual = cf.constraint_residual(prob, z)
+            residual = constraint_residual(prob, z)
             worst = max(worst, abs(expanded - residual))
             n_checked += 1
     _report(

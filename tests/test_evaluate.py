@@ -142,6 +142,15 @@ def test_ingest_baseline_hand_arithmetic(tmp_path):
     assert by_id[0].member_strict and by_id[3].member_strict
 
 
+@pytest.mark.parametrize("target", [-1, 2])
+def test_ingest_baseline_rejects_bad_target(tmp_path, target):
+    model = cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0], [4.0, 0.0]])
+    path = tmp_path / "b.csv"
+    path.write_text("factual_id,f0,f1\n0,3.0,4.0\n")
+    with pytest.raises(cf.ValidationError, match="target"):
+        cf.ingest_baseline(path, "b", model, {0: np.zeros(2)}, target)
+
+
 def test_ingest_baseline_errors(tmp_path):
     model = cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0], [4.0, 0.0]])
     factuals = {0: np.asarray([0.0, 0.0])}

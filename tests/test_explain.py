@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import clustercf as cf
+from clustercf.gaussian_cf import build_pair_problem, solve_gaussian_cf
+from clustercf.kmeans_cf import build_constraint, solve_kmeans_cf
 from helpers import two_cluster_gaussian_model
 from oracles import make_blobs, random_spd
 
@@ -184,6 +186,27 @@ def test_plausibility_check_compares_densities_below_float_range():
     assert cf.plausibility_check(model, target.mean, 1, 5e-324) is True
 
 
+@pytest.mark.parametrize("kind", [cf.KMEANS, cf.GAUSSIAN])
+@pytest.mark.parametrize("target", [-1, 3])
+def test_plausibility_check_rejects_bad_target(kind, target):
+    means = [[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]
+    if kind == cf.KMEANS:
+        model = cf.ClusterModel(kind=cf.KMEANS, centers=means)
+    else:
+        spec = cf.CovarianceSpec.spherical(1.0)
+        model = cf.ClusterModel(kind=cf.GAUSSIAN, components=tuple(
+            cf.GaussianComponent(mean=m, covariance=spec, prior=1.0 / 3.0) for m in means
+        ))
+    with pytest.raises(cf.ValidationError, match="target"):
+        cf.plausibility_check(model, np.zeros(2), target, 0.0)
+
+
+@pytest.mark.parametrize("length", [1, 3])
+def test_plausibility_check_rejects_wrong_dimension_kmeans(length):
+    with pytest.raises(cf.DimensionMismatchError):
+        cf.plausibility_check(kmeans_model(), np.zeros(length), 1, 0.0)
+
+
 def test_plausibility_check_kmeans_uses_unit_gaussian():
     model = kmeans_model()
     center = model.centers[1]
@@ -201,10 +224,10 @@ def test_explain_times_every_request():
 
 def test_direct_solver_calls_leave_elapsed_at_zero():
     mask = cf.Mask.all_free(2)
-    constraint = cf.build_constraint([0.0, 0.0], [2.0, 0.0], 1e-5, mask)
-    kres = cf.solve_kmeans_cf([0.0, 0.5], constraint, mask)
+    constraint = build_constraint(np.zeros(2), np.array([2.0, 0.0]), 1e-5, mask)
+    kres = solve_kmeans_cf(np.array([0.0, 0.5]), constraint, mask)
     source, target = two_cluster_gaussian_model().components
-    gres = cf.solve_gaussian_cf(cf.build_pair_problem(source, target, [0.1, -0.3], mask, 1e-5))
+    gres = solve_gaussian_cf(build_pair_problem(source, target, np.array([0.1, -0.3]), mask, 1e-5))
     assert kres.status == gres.status == cf.STATUS_OK
     assert kres.elapsed == 0.0 and gres.elapsed == 0.0
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clustercf as cf
+from clustercf.gaussian_cf import build_pair_problem, constraint_residual, solve_gaussian_cf
 from helpers import random_mask, random_pair_components, random_pair_problem
 from oracles import (
     expanded_full_lambda_equation,
@@ -52,16 +53,17 @@ def stationarity_gap(prob, res):
 def unit_pair(eps):
     s = cf.GaussianComponent(mean=[0.0, 0.0], covariance=cf.CovarianceSpec.spherical(1.0), prior=0.5)
     t = cf.GaussianComponent(mean=[2.0, 0.0], covariance=cf.CovarianceSpec.spherical(1.0), prior=0.5)
-    return cf.build_pair_problem(s, t, [0.0, 0.0], cf.Mask.all_free(2), eps)
+    return build_pair_problem(s, t, np.zeros(2), cf.Mask.all_free(2), eps)
 
 
 def test_residual_zero_at_symmetric_midpoint():
-    assert cf.constraint_residual(unit_pair(0.0), [1.0, 0.0]) == pytest.approx(0.0, abs=1e-14)
+    residual = constraint_residual(unit_pair(0.0), np.array([1.0, 0.0]))
+    assert residual == pytest.approx(0.0, abs=1e-14)
 
 
 def test_residual_shifts_by_two_log_one_plus_eps():
     prob = unit_pair(math.e - 1.0)
-    assert cf.constraint_residual(prob, [1.0, 0.0]) == pytest.approx(2.0, abs=1e-12)
+    assert constraint_residual(prob, np.array([1.0, 0.0])) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_residual_equals_log_density_identity():
@@ -74,7 +76,7 @@ def test_residual_equals_log_density_identity():
                 (math.log(prob.source.prior) + cf.log_density(prob.source, z))
                 - (math.log(prob.target.prior) + cf.log_density(prob.target, z))
             ) + 2.0 * math.log1p(prob.epsilon)
-            assert cf.constraint_residual(prob, z) == pytest.approx(via_density, rel=1e-9, abs=1e-9)
+            assert constraint_residual(prob, z) == pytest.approx(via_density, rel=1e-9, abs=1e-9)
 
 
 def test_c_alpha_recomputes():
@@ -94,14 +96,14 @@ def test_c_alpha_recomputes():
 
 
 def test_solve_unit_spherical_boundary():
-    res = cf.solve_gaussian_cf(unit_pair(0.0))
+    res = solve_gaussian_cf(unit_pair(0.0))
     assert res.status == cf.STATUS_OK
     assert np.allclose(res.counterfactual, [1.0, 0.0], atol=1e-10)
     assert abs(res.residual) <= 1e-8
 
 
 def test_solve_unit_spherical_with_plausibility():
-    res = cf.solve_gaussian_cf(unit_pair(math.e - 1.0))
+    res = solve_gaussian_cf(unit_pair(math.e - 1.0))
     assert res.status == cf.STATUS_OK
     assert np.allclose(res.counterfactual, [1.5, 0.0], atol=1e-10)
 
@@ -124,8 +126,8 @@ def test_solve_full_2d_matches_level_set_oracle_all_masks():
         target.mean, target.covariance.matrix(2), target.prior, 0.0,
     )
     # Both actionable: 2-D grid scan over a box covering the pair.
-    prob = cf.build_pair_problem(source, target, y, cf.Mask.all_free(2), 0.0)
-    out = cf.solve_gaussian_cf(prob)
+    prob = build_pair_problem(source, target, y, cf.Mask.all_free(2), 0.0)
+    out = solve_gaussian_cf(prob)
     assert out.status == cf.STATUS_OK
     xs = np.linspace(-5.0, 8.0, 2000)
     ys = np.linspace(-5.0, 8.0, 2000)
@@ -135,8 +137,8 @@ def test_solve_full_2d_matches_level_set_oracle_all_masks():
 
     # Single-coordinate masks: the level set restricted to a line.
     for free_axis, bits in ((0, [1, 0]), (1, [0, 1])):
-        prob_m = cf.build_pair_problem(source, target, y, cf.Mask.from_bits(bits), 0.0)
-        out_m = cf.solve_gaussian_cf(prob_m)
+        prob_m = build_pair_problem(source, target, y, cf.Mask.from_bits(bits), 0.0)
+        out_m = solve_gaussian_cf(prob_m)
         assert out_m.status == cf.STATUS_OK
         line = np.linspace(-40.0, 40.0, 4_000_000)
         oracle_1d, n1 = line_level_set_min_distance(res_fn, y, free_axis, line)
@@ -160,8 +162,8 @@ def test_no_root_detected_and_verified_analytically():
     mask = cf.Mask.from_bits([1, 0])
     c_h = (0.0 - 10.0) ** 2 / 1.0 - 0.0
     assert c_h + math.log(0.25) > 0.0
-    prob = cf.build_pair_problem(source, target, y, mask, 0.0)
-    res = cf.solve_gaussian_cf(prob)
+    prob = build_pair_problem(source, target, y, mask, 0.0)
+    res = solve_gaussian_cf(prob)
     assert res.status == cf.STATUS_NO_FEASIBLE_SOLUTION
     assert res.diagnostics["g_limit"] == pytest.approx(c_h + math.log(0.25), rel=1e-12)
     # D = 0.75 > 0: the interval's lower end is open, written as null.
@@ -178,7 +180,7 @@ def test_solutions_preserve_mask_and_satisfy_constraint(kind):
         mask = random_mask(rng, d)
         eps = float(rng.choice([0.0, 1e-5, 0.4, 1.5]))
         prob = random_pair_problem(rng, d, kind, epsilon=eps, mask=mask)
-        res = cf.solve_gaussian_cf(prob)
+        res = solve_gaussian_cf(prob)
         if res.status != cf.STATUS_OK:
             continue
         solved += 1
@@ -186,7 +188,7 @@ def test_solutions_preserve_mask_and_satisfy_constraint(kind):
         assert np.array_equal(z[mask.fixed], prob.y[mask.fixed])
         tol = 1e-8 * (1.0 + abs(prob.c_alpha))
         assert abs(res.residual) <= tol
-        assert abs(cf.constraint_residual(prob, z)) <= tol
+        assert abs(constraint_residual(prob, z)) <= tol
     assert solved >= 15
 
 
@@ -194,7 +196,7 @@ def test_eps_zero_equalizes_weighted_log_densities():
     rng = np.random.default_rng(53)
     for kind in KINDS:
         prob = random_pair_problem(rng, 3, kind, epsilon=0.0)
-        res = cf.solve_gaussian_cf(prob)
+        res = solve_gaussian_cf(prob)
         assert res.status == cf.STATUS_OK
         z = res.counterfactual
         gap = (math.log(prob.source.prior) + cf.log_density(prob.source, z)) - (
@@ -217,7 +219,7 @@ def test_specialization_chain_spherical_diagonal_full():
         eps = float(rng.choice([0.0, 0.2]))
 
         def build(cov_s, cov_t):
-            return cf.build_pair_problem(
+            return build_pair_problem(
                 cf.GaussianComponent(mean=m_s, covariance=cov_s, prior=pi_s),
                 cf.GaussianComponent(mean=m_t, covariance=cov_t, prior=1.0 - pi_s),
                 y,
@@ -226,11 +228,11 @@ def test_specialization_chain_spherical_diagonal_full():
             )
 
         results = [
-            cf.solve_gaussian_cf(build(cf.CovarianceSpec.spherical(s_var), cf.CovarianceSpec.spherical(t_var))),
-            cf.solve_gaussian_cf(build(
+            solve_gaussian_cf(build(cf.CovarianceSpec.spherical(s_var), cf.CovarianceSpec.spherical(t_var))),
+            solve_gaussian_cf(build(
                 cf.CovarianceSpec.diagonal(np.full(d, s_var)), cf.CovarianceSpec.diagonal(np.full(d, t_var))
             )),
-            cf.solve_gaussian_cf(build(
+            solve_gaussian_cf(build(
                 cf.CovarianceSpec.full(s_var * np.eye(d)), cf.CovarianceSpec.full(t_var * np.eye(d))
             )),
         ]
@@ -248,7 +250,7 @@ def test_kkt_stationarity(kind):
         d = int(rng.integers(2, 6))
         mask = random_mask(rng, d)
         prob = random_pair_problem(rng, d, kind, epsilon=0.1, mask=mask)
-        res = cf.solve_gaussian_cf(prob)
+        res = solve_gaussian_cf(prob)
         if res.status != cf.STATUS_OK:
             continue
         gap, step = stationarity_gap(prob, res)
@@ -264,7 +266,7 @@ def test_expanded_equation_matches_residual_formulation():
         source, target = random_pair_components(rng, d, cf.FULL)
         y = rng.normal(size=d)
         mask = random_mask(rng, d)
-        prob = cf.build_pair_problem(source, target, y, mask, 0.25)
+        prob = build_pair_problem(source, target, y, mask, 0.25)
         poles = stationary_poles(source.covariance.matrix(d), target.covariance.matrix(d), mask.free)
         for lam in rng.normal(scale=1.5, size=4):
             if any(abs(float(lam) - p) <= 1e-12 * (1.0 + abs(p)) for p in poles):
@@ -275,7 +277,7 @@ def test_expanded_equation_matches_residual_formulation():
                 target.mean, target.covariance.matrix(d), target.prior,
                 y, mask.free, mask.fixed, 0.25, float(lam),
             )
-            rhs = cf.constraint_residual(prob, z)
+            rhs = constraint_residual(prob, z)
             assert lhs == pytest.approx(rhs, abs=1e-8 * (1.0 + abs(rhs)))
             checked += 1
     assert checked >= 40
@@ -289,7 +291,7 @@ def test_affine_fallback_for_equal_covariances():
     m_t = m_s + rng.normal(scale=2.0, size=d)
     y = m_s + rng.normal(scale=0.3, size=d)
     mask = cf.Mask.from_bits([1, 1, 0, 1])
-    prob = cf.build_pair_problem(
+    prob = build_pair_problem(
         cf.GaussianComponent(mean=m_s, covariance=cf.CovarianceSpec.full(cov), prior=0.5),
         cf.GaussianComponent(mean=m_t, covariance=cf.CovarianceSpec.full(cov), prior=0.5),
         y,
@@ -297,13 +299,13 @@ def test_affine_fallback_for_equal_covariances():
         0.3,
     )
     assert prob.affine
-    res = cf.solve_gaussian_cf(prob)
+    res = solve_gaussian_cf(prob)
     assert res.status == cf.STATUS_OK
-    assert abs(cf.constraint_residual(prob, res.counterfactual)) <= 1e-8 * (1 + abs(prob.c_alpha))
+    assert abs(constraint_residual(prob, res.counterfactual)) <= 1e-8 * (1 + abs(prob.c_alpha))
     # The constraint is affine; an independent least-squares projection onto
     # the induced hyperplane must find the same distance.
     grad = 2.0 * half_gradient(m_s, cov, m_t, cov, y, mask.free)
-    g_y = cf.constraint_residual(prob, prob.y)
+    g_y = constraint_residual(prob, prob.y)
     c_free = float(grad @ y[mask.free]) - g_y
     oracle_d2, _ = lstsq_plane_distance_sq(y[mask.free], grad, c_free)
     assert res.distance_sq == pytest.approx(oracle_d2, rel=1e-9, abs=1e-12)
@@ -319,20 +321,20 @@ def test_ok_results_carry_json_safe_diagnostics():
             problems.append(random_pair_problem(rng, d, kind, epsilon=eps, mask=random_mask(rng, d)))
     # The factual path: a factual already on the boundary.
     source, target = fixed_full_pair()
-    start = cf.build_pair_problem(source, target, [0.4, -0.2], cf.Mask.all_free(2), 0.0)
-    boundary = cf.solve_gaussian_cf(start).counterfactual
-    problems.append(cf.build_pair_problem(source, target, boundary, cf.Mask.all_free(2), 0.0))
+    start = build_pair_problem(source, target, np.array([0.4, -0.2]), cf.Mask.all_free(2), 0.0)
+    boundary = solve_gaussian_cf(start).counterfactual
+    problems.append(build_pair_problem(source, target, boundary, cf.Mask.all_free(2), 0.0))
     # The hard case: concentric spheres seen from their shared mean.
-    problems.append(cf.build_pair_problem(
+    problems.append(build_pair_problem(
         cf.GaussianComponent(mean=[0.0, 0.0], covariance=cf.CovarianceSpec.spherical(1.0), prior=0.5),
         cf.GaussianComponent(mean=[0.0, 0.0], covariance=cf.CovarianceSpec.spherical(4.0), prior=0.5),
-        [0.0, 0.0], cf.Mask.all_free(2), 0.0,
+        np.zeros(2), cf.Mask.all_free(2), 0.0,
     ))
     with resources.files("clustercf.schemas").joinpath("explain_result.schema.json").open() as fh:
         schema = json.load(fh)["properties"]["diagnostics"]
     paths = []
     for prob in problems:
-        res = cf.solve_gaussian_cf(prob)
+        res = solve_gaussian_cf(prob)
         jsonschema.validate(res.diagnostics, schema)
         if res.status != cf.STATUS_OK:
             continue
@@ -345,10 +347,10 @@ def test_ok_results_carry_json_safe_diagnostics():
 
 def test_factual_on_boundary_returns_itself():
     source, target = fixed_full_pair()
-    start = cf.build_pair_problem(source, target, [0.4, -0.2], cf.Mask.all_free(2), 0.0)
-    boundary = cf.solve_gaussian_cf(start).counterfactual
-    prob = cf.build_pair_problem(source, target, boundary, cf.Mask.all_free(2), 0.0)
-    res = cf.solve_gaussian_cf(prob)
+    start = build_pair_problem(source, target, np.array([0.4, -0.2]), cf.Mask.all_free(2), 0.0)
+    boundary = solve_gaussian_cf(start).counterfactual
+    prob = build_pair_problem(source, target, boundary, cf.Mask.all_free(2), 0.0)
+    res = solve_gaussian_cf(prob)
     assert res.status == cf.STATUS_OK
     assert res.distance_sq <= 1e-12
     assert np.allclose(res.counterfactual, boundary, atol=1e-6)
@@ -368,8 +370,8 @@ def test_mixed_covariance_kinds_promote_to_matrix_path():
     )
     y = np.asarray([0.3, -0.2, 0.1])
     mask = cf.Mask.from_bits([1, 1, 0])
-    mixed = cf.solve_gaussian_cf(cf.build_pair_problem(source_diag, target, y, mask, 0.1))
-    full = cf.solve_gaussian_cf(cf.build_pair_problem(source_full, target, y, mask, 0.1))
+    mixed = solve_gaussian_cf(build_pair_problem(source_diag, target, y, mask, 0.1))
+    full = solve_gaussian_cf(build_pair_problem(source_full, target, y, mask, 0.1))
     assert mixed.status == full.status == cf.STATUS_OK
     assert np.allclose(mixed.counterfactual, full.counterfactual, rtol=0, atol=1e-10)
 
@@ -380,17 +382,17 @@ def test_requires_at_least_one_free_feature():
     rng = np.random.default_rng(73)
     frozen = cf.Mask.from_bits([0, 0, 0])
     prob = random_pair_problem(rng, 3, cf.FULL, mask=frozen)
-    res = cf.solve_gaussian_cf(prob)
+    res = solve_gaussian_cf(prob)
     assert res.status == cf.STATUS_NO_FEASIBLE_SOLUTION
     assert res.counterfactual is None and res.distance_sq is None
-    assert res.residual == cf.constraint_residual(prob, prob.y)
+    assert res.residual == constraint_residual(prob, prob.y)
 
     source, target = prob.source, prob.target
-    boundary = cf.solve_gaussian_cf(
-        cf.build_pair_problem(source, target, prob.y, cf.Mask.all_free(3), 0.0)
+    boundary = solve_gaussian_cf(
+        build_pair_problem(source, target, prob.y, cf.Mask.all_free(3), 0.0)
     ).counterfactual
-    on = cf.build_pair_problem(source, target, boundary, frozen, 0.0)
-    res = cf.solve_gaussian_cf(on)
+    on = build_pair_problem(source, target, boundary, frozen, 0.0)
+    res = solve_gaussian_cf(on)
     assert res.status == cf.STATUS_DEGENERATE_IDENTITY
     assert np.array_equal(res.counterfactual, boundary) and res.distance_sq == 0.0
     assert abs(res.residual) <= 1e-8 * (1.0 + abs(on.c_alpha))
@@ -403,7 +405,7 @@ def test_solution_properties_random(seed, kind_ix, d):
     mask = random_mask(rng, d)
     epsilon = float(rng.choice([0.0, 1e-5, 0.3, 1.0]))
     prob = random_pair_problem(rng, d, KINDS[kind_ix], epsilon=epsilon, mask=mask)
-    res = cf.solve_gaussian_cf(prob)
+    res = solve_gaussian_cf(prob)
     if res.status != cf.STATUS_OK:
         return
     z = res.counterfactual
@@ -411,7 +413,7 @@ def test_solution_properties_random(seed, kind_ix, d):
     assert np.array_equal(z[mask.fixed], prob.y[mask.fixed])
     # Residual within the constraint's natural scale.
     tol = 1e-8 * (1.0 + abs(prob.c_alpha))
-    assert abs(cf.constraint_residual(prob, z)) <= tol
+    assert abs(constraint_residual(prob, z)) <= tol
     # The counterfactual is a stationary point of the Lagrangian.
     gap, step = stationarity_gap(prob, res)
     assert gap <= 1e-7 * (1.0 + step)
@@ -429,8 +431,8 @@ def test_multiple_roots_picks_nearest():
         mean=[0.0, 0.0], covariance=cf.CovarianceSpec.spherical(4.0), prior=0.5
     )
     y = np.asarray([3.0, 0.0])
-    prob = cf.build_pair_problem(source, target, y, cf.Mask.all_free(2), 0.0)
-    res = cf.solve_gaussian_cf(prob)
+    prob = build_pair_problem(source, target, y, cf.Mask.all_free(2), 0.0)
+    res = solve_gaussian_cf(prob)
     assert res.status == cf.STATUS_OK
     radius_sq = prob.c_alpha / 0.75
     radius = math.sqrt(radius_sq)
@@ -438,13 +440,13 @@ def test_multiple_roots_picks_nearest():
 
     # At the shared mean every point of the circle is nearest: the hard
     # case, with the multiplier on the pole of I - lam * D.
-    centre = cf.build_pair_problem(source, target, [0.0, 0.0], cf.Mask.all_free(2), 0.0)
-    res = cf.solve_gaussian_cf(centre)
+    centre = build_pair_problem(source, target, np.zeros(2), cf.Mask.all_free(2), 0.0)
+    res = solve_gaussian_cf(centre)
     assert res.status == cf.STATUS_OK
     assert res.distance_sq == pytest.approx(radius_sq, rel=1e-12)
-    assert abs(cf.constraint_residual(centre, res.counterfactual)) <= 1e-8 * (1 + centre.c_alpha)
+    assert abs(constraint_residual(centre, res.counterfactual)) <= 1e-8 * (1 + centre.c_alpha)
     assert certify(centre, res.counterfactual) >= -1e-9
-    again = cf.solve_gaussian_cf(centre)
+    again = solve_gaussian_cf(centre)
     assert np.array_equal(again.counterfactual, res.counterfactual) and again.lam == res.lam
 
 
@@ -464,11 +466,11 @@ def test_near_hard_case_matches_level_set_oracle(eps):
         target.mean, target.covariance.matrix(2), target.prior, eps,
     )
     results = []
-    for y in ([0.0, 0.0], [1e-9, 0.0]):
-        prob = cf.build_pair_problem(source, target, y, cf.Mask.all_free(2), eps)
-        res = cf.solve_gaussian_cf(prob)
+    for y in (np.zeros(2), np.array([1e-9, 0.0])):
+        prob = build_pair_problem(source, target, y, cf.Mask.all_free(2), eps)
+        res = solve_gaussian_cf(prob)
         assert res.status == cf.STATUS_OK
-        assert abs(cf.constraint_residual(prob, res.counterfactual)) <= 1e-8 * (1 + prob.c_alpha)
+        assert abs(constraint_residual(prob, res.counterfactual)) <= 1e-8 * (1 + prob.c_alpha)
         assert certify(prob, res.counterfactual) >= -1e-9
         results.append(res)
     grid = np.linspace(-3.0, 3.0, 2000)
@@ -491,10 +493,10 @@ def test_near_flat_source_returns_global_minimizer():
         covariance=cf.CovarianceSpec.diagonal([0.31692275337239634, 0.9205784681890601]),
         prior=0.5,
     )
-    y = [1.108241314903022e-05, -1.122221726853932]
-    prob = cf.build_pair_problem(source, target, y, cf.Mask.all_free(2), 1.0)
-    res = cf.solve_gaussian_cf(prob)
+    y = np.array([1.108241314903022e-05, -1.122221726853932])
+    prob = build_pair_problem(source, target, y, cf.Mask.all_free(2), 1.0)
+    res = solve_gaussian_cf(prob)
     assert res.status == cf.STATUS_OK
-    assert abs(cf.constraint_residual(prob, res.counterfactual)) <= 1e-8 * (1 + abs(prob.c_alpha))
+    assert abs(constraint_residual(prob, res.counterfactual)) <= 1e-8 * (1 + abs(prob.c_alpha))
     assert certify(prob, res.counterfactual) >= -1e-9
     assert res.distance_sq == pytest.approx(5.435e-7, rel=1e-3)
