@@ -57,8 +57,6 @@ from .fit import (
     FitConfig,
     FitError,
     fit,
-    fit_gmm,
-    fit_kmeans,
     priors_policy,
 )
 from .model_io import (
@@ -98,8 +96,6 @@ __all__ = [
     "explain_best",
     "export_baseline_csv",
     "fit",
-    "fit_gmm",
-    "fit_kmeans",
     "ingest_baseline",
     "load_dataset",
     "load_model",

@@ -129,6 +129,9 @@ class CovarianceSpec:
         return CovarianceSpec(SPHERICAL, np.asarray(float(variance), dtype=np.float64))
 
     def validate(self, d: int, path: str = "covariance") -> None:
+        """Finiteness, shape, symmetry and positive variances. A full
+        matrix's positive definiteness is checked by the one Cholesky
+        factorization `GaussianComponent` takes."""
         a = self.data
         if not np.all(np.isfinite(a)):
             raise ValidationError(path, "contains NaN or infinite entries")
@@ -138,10 +141,6 @@ class CovarianceSpec:
             scale = 1.0 + float(np.max(np.abs(a)))
             if float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
                 raise ValidationError(path, "matrix is not symmetric")
-            try:
-                np.linalg.cholesky((a + a.T) / 2.0)
-            except np.linalg.LinAlgError:
-                raise ValidationError(path, "matrix is not positive definite") from None
         elif self.kind == DIAGONAL:
             if a.shape != (d,):
                 raise ValidationError(path, f"expected {d} variances, got shape {a.shape}")
@@ -195,7 +194,10 @@ class GaussianComponent:
         self.covariance.validate(d)
         if self.covariance.kind == FULL:
             sym = (self.covariance.data + self.covariance.data.T) / 2.0
-            chol = np.linalg.cholesky(sym)
+            try:
+                chol = np.linalg.cholesky(sym)
+            except np.linalg.LinAlgError:
+                raise ValidationError("covariance", "matrix is not positive definite") from None
             log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
             inv_chol = np.linalg.solve(chol, np.eye(d))
             precision = inv_chol.T @ inv_chol
@@ -320,14 +322,14 @@ class ClusterModel:
             object.__setattr__(self, "_whitening", _readonly(np.stack(whitening)))
             object.__setattr__(self, "_score_const", _readonly(np.array(const)))
         means = self.means()
-        for i in range(means.shape[0]):
-            for j in range(i + 1, means.shape[0]):
-                gap = float(np.sum((means[i] - means[j]) ** 2))
-                if gap <= MIN_CENTER_SEPARATION_SQ:
-                    raise ValidationError(
-                        "centers" if self.kind == KMEANS else "components",
-                        f"clusters {i} and {j} have identical centers",
-                    )
+        diff = means[:, None, :] - means[None, :, :]
+        close = np.triu(np.sum(diff * diff, axis=2) <= MIN_CENTER_SEPARATION_SQ, k=1)
+        if close.any():
+            i, j = np.argwhere(close)[0]
+            raise ValidationError(
+                "centers" if self.kind == KMEANS else "components",
+                f"clusters {i} and {j} have identical centers",
+            )
         if self.standardization is not None:
             check_same_dim(self.standardization.mean, means[0], "standardization")
 

@@ -127,9 +127,10 @@ def explain_best(
 
     Candidates default to all clusters except the source. Only `ok`
     results compete; distance ties go to the lower target id. Every
-    request is validated before the first solve. Raises
-    AllTargetsFailedError with the per-target statuses when nothing
-    solves.
+    candidate target is checked before the first solve; the fields the
+    candidates share are validated by the first `explain` call, which
+    rejects them before it solves. Raises AllTargetsFailedError with the
+    per-target statuses when nothing solves.
     """
     y_arr = np.asarray(y, dtype=np.float64)
     resolved_source = (
@@ -144,18 +145,19 @@ def explain_best(
     if not candidate_targets:
         raise ValidationError("candidate_targets", "no candidate target clusters")
 
-    requests = [
-        CfRequest(factual=y_arr, target=target, source=resolved_source, mask=mask, epsilon=epsilon)
-        for target in sorted(candidate_targets)
-    ]
-    for request in requests:
-        request.validate_against(model)
+    for target in candidate_targets:
+        model.check_cluster(target, "target")
+    if mask is None:
+        mask = Mask.all_free(model.d)
 
     best = None
     statuses = {}
-    for request in requests:
+    for target in sorted(candidate_targets):
+        request = CfRequest(
+            factual=y_arr, target=target, source=resolved_source, mask=mask, epsilon=epsilon
+        )
         result = explain(model, request)
-        statuses[request.target] = result.status
+        statuses[target] = result.status
         if result.status == STATUS_OK and (best is None or result.distance_sq < best.distance_sq):
             best = result
     if best is None:

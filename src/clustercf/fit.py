@@ -1,7 +1,9 @@
 """Model fitting: Lloyd's k-means and EM for Gaussian mixtures.
 
-Both algorithms seed with k-means++ and run a fixed number of restarts,
-keeping the best objective. Fits are bit-reproducible for a fixed seed.
+`fit` runs both algorithms: each restart seeds with k-means++, and the
+best objective wins. EM's E-step scores with `score_matrix`, through the
+whitening factors the M-step's components cache. Fits are
+bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from .core import (
     FULL,
     GAUSSIAN,
     KMEANS,
-    LOG_2PI,
     ClusterCfError,
     ClusterModel,
     CovarianceSpec,
@@ -144,6 +145,8 @@ def _pairwise_d2(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def _lloyd(x, centers, max_iter, rel_tol):
+    """Lloyd iterations from the given centers; returns (centers,
+    iterations, inertia history), the last entry the final inertia."""
     prev_inertia = math.inf
     history = []
     iterations = 0
@@ -172,47 +175,8 @@ def _lloyd(x, centers, max_iter, rel_tol):
             break
         prev_inertia = inertia
     d2 = _pairwise_d2(x, centers)
-    labels = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(x.shape[0]), labels].sum())
-    history.append(inertia)
-    return centers, labels, inertia, iterations, tuple(history)
-
-
-def fit_kmeans(data: Dataset, config: FitConfig) -> ClusterModel:
-    model, _ = fit_kmeans_info(data, config)
-    return model
-
-
-def fit_kmeans_info(data: Dataset, config: FitConfig):
-    _check_data(data, config.n_clusters)
-    std = _standardization(data.rows) if config.standardize else None
-    x = std.to_internal(data.rows) if std is not None else data.rows
-
-    best = None
-    seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
-    for ss in seeds:
-        rng = np.random.default_rng(ss)
-        centers0 = _kmeans_pp(x, config.n_clusters, rng)
-        centers, _, inertia, iters, history = _lloyd(
-            x, centers0, config.max_iter, config.rel_tol
-        )
-        if best is None or inertia < best[1]:
-            best = (centers, inertia, iters, history)
-
-    centers, inertia, iters, history = best
-    try:
-        model = ClusterModel(kind=KMEANS, centers=centers, standardization=std)
-    except ValidationError as exc:
-        raise FitError(f"k-means produced an invalid model: {exc}") from exc
-    info = FitInfo(
-        algorithm=KMEANS,
-        iterations=iters,
-        objective=inertia,
-        objective_history=history,
-        restarts=config.restarts,
-        seed=config.seed,
-    )
-    return model, info
+    history.append(float(np.min(d2, axis=1).sum()))
+    return centers, iterations, tuple(history)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +222,9 @@ def _positive_variances(var: np.ndarray) -> np.ndarray:
     raise FitError("per-feature variances failed to become positive")
 
 
-def _m_step(x, resp, covariance_kind):
-    n, d = x.shape
+def _m_step(x, resp, covariance_kind) -> ClusterModel:
+    """The Gaussian model the responsibilities estimate. Its components
+    cache the whitening factors the next E-step scores with."""
     nk = resp.sum(axis=0) + _RESP_FLOOR
     means = (resp.T @ x) / nk[:, None]
     priors = nk / nk.sum()
@@ -278,103 +243,82 @@ def _m_step(x, resp, covariance_kind):
             var = (resp[:, ki][:, None] * diff * diff).sum(axis=0) / nk[ki]
             sigma2 = float(_positive_variances(np.asarray([var.mean()]))[0])
             covs.append(CovarianceSpec.spherical(sigma2))
-    return means, covs, priors
+    try:
+        components = tuple(
+            GaussianComponent(mean=m, covariance=c, prior=float(p))
+            for m, c, p in zip(means, covs, priors)
+        )
+        return ClusterModel(kind=GAUSSIAN, components=components)
+    except ValidationError as exc:
+        raise FitError(f"EM produced an invalid model: {exc}") from exc
 
 
-def _log_prob_matrix(x, means, covs, priors):
-    n = x.shape[0]
-    d = x.shape[1]
-    out = np.empty((n, len(priors)))
-    for ki, (m, cov, p) in enumerate(zip(means, covs, priors)):
-        diff = x - m
-        if cov.kind == FULL:
-            try:
-                chol = np.linalg.cholesky(cov.data)
-            except np.linalg.LinAlgError:
-                raise FitError(f"covariance of component {ki} is not positive definite") from None
-            a = np.linalg.solve(chol, diff.T)
-            quad = np.sum(a * a, axis=0)
-            log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        else:
-            var = cov.variances(d)
-            quad = np.sum(diff * diff / var, axis=1)
-            log_det = float(np.sum(np.log(var)))
-        out[:, ki] = math.log(p) - 0.5 * (quad + log_det + d * LOG_2PI)
-    return out
-
-
-def _em(x, k, covariance_kind, max_iter, rel_tol, rng):
-    centers = _kmeans_pp(x, k, rng)
+def _em(x, centers, covariance_kind, max_iter, rel_tol):
+    """EM from a hard assignment to the given centers; returns (model,
+    iterations, log-likelihood history)."""
     labels = np.argmin(_pairwise_d2(x, centers), axis=1)
-    resp = np.zeros((x.shape[0], k))
+    resp = np.zeros((x.shape[0], centers.shape[0]))
     resp[np.arange(x.shape[0]), labels] = 1.0
 
     history = []
     prev_ll = -math.inf
     iterations = 0
-    means, covs, priors = _m_step(x, resp, covariance_kind)
+    model = _m_step(x, resp, covariance_kind)
     for _ in range(max_iter):
         iterations += 1
-        log_prob = _log_prob_matrix(x, means, covs, priors)
+        log_prob = score_matrix(model, x)
         lse = _logsumexp_rows(log_prob)
         ll = float(lse.sum())
         history.append(ll)
         resp = np.exp(log_prob - lse[:, None])
-        means, covs, priors = _m_step(x, resp, covariance_kind)
+        model = _m_step(x, resp, covariance_kind)
         if math.isfinite(prev_ll) and ll - prev_ll <= rel_tol * (1.0 + abs(prev_ll)):
             break
         prev_ll = ll
-    return means, covs, priors, iterations, tuple(history)
+    return model, iterations, tuple(history)
 
 
-def fit_gmm(data: Dataset, config: FitConfig) -> ClusterModel:
-    model, _ = fit_gmm_info(data, config)
-    return model
+def fit(data: Dataset, config: FitConfig):
+    """Fit `config.algorithm` on the data; returns (model, info).
 
-
-def fit_gmm_info(data: Dataset, config: FitConfig):
+    Each of `config.restarts` seeded restarts starts from k-means++
+    centers. The best restart (lowest inertia, or highest log-likelihood;
+    ties keep the earlier) gives the model, which carries the
+    standardization the fit ran under.
+    """
     _check_data(data, config.n_clusters)
     std = _standardization(data.rows) if config.standardize else None
     x = std.to_internal(data.rows) if std is not None else data.rows
+    kmeans = config.algorithm == KMEANS
 
-    best = None
-    seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
-    for ss in seeds:
-        rng = np.random.default_rng(ss)
-        means, covs, priors, iters, history = _em(
-            x, config.n_clusters, config.covariance, config.max_iter, config.rel_tol, rng
-        )
-        ll = history[-1]
-        if best is None or ll > best[3]:
-            best = (means, covs, priors, ll, iters, history)
+    best = best_objective = None
+    for ss in np.random.SeedSequence(config.seed).spawn(config.restarts):
+        centers = _kmeans_pp(x, config.n_clusters, np.random.default_rng(ss))
+        if kmeans:
+            run = _lloyd(x, centers, config.max_iter, config.rel_tol)
+        else:
+            run = _em(x, centers, config.covariance, config.max_iter, config.rel_tol)
+        objective = run[2][-1]
+        if best is None or (objective < best_objective if kmeans else objective > best_objective):
+            best, best_objective = run, objective
 
-    means, covs, priors, ll, iters, history = best
-    priors = np.asarray(priors)
-    priors = priors / priors.sum()
-    try:
-        components = tuple(
-            GaussianComponent(mean=means[i], covariance=covs[i], prior=float(priors[i]))
-            for i in range(len(covs))
-        )
-        model = ClusterModel(kind=GAUSSIAN, components=components, standardization=std)
-    except ValidationError as exc:
-        raise FitError(f"EM produced an invalid model: {exc}") from exc
+    fitted, iterations, history = best
+    if kmeans:
+        try:
+            model = ClusterModel(kind=KMEANS, centers=fitted, standardization=std)
+        except ValidationError as exc:
+            raise FitError(f"k-means produced an invalid model: {exc}") from exc
+    else:
+        model = ClusterModel(kind=GAUSSIAN, components=fitted.components, standardization=std)
     info = FitInfo(
-        algorithm="gmm",
-        iterations=iters,
-        objective=ll,
+        algorithm=config.algorithm,
+        iterations=iterations,
+        objective=history[-1],
         objective_history=history,
         restarts=config.restarts,
         seed=config.seed,
     )
     return model, info
-
-
-def fit(data: Dataset, config: FitConfig):
-    """Dispatch on config.algorithm; returns (model, info)."""
-    if config.algorithm == KMEANS:
-        return fit_kmeans_info(data, config)
-    return fit_gmm_info(data, config)
 
 
 def priors_policy(model: ClusterModel, policy: str, data: "Dataset | None" = None) -> ClusterModel:

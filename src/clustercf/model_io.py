@@ -125,18 +125,15 @@ def _parse_covariance(obj, d: int, path: str) -> CovarianceSpec:
         if not isinstance(rows, list) or len(rows) != d:
             raise ValidationError(f"{path}.matrix", f"expected {d} rows")
         matrix = [_float_list(r, f"{path}.matrix[{i}]", d) for i, r in enumerate(rows)]
-        cov = CovarianceSpec.full(matrix)
-    elif kind == DIAGONAL:
+        return CovarianceSpec.full(matrix)
+    if kind == DIAGONAL:
         _no_extras(obj, ("kind", "variances"), path)
-        cov = CovarianceSpec.diagonal(_float_list(_require(obj, "variances", path), f"{path}.variances", d))
-    else:
-        _no_extras(obj, ("kind", "variance"), path)
-        v = _require(obj, "variance", path)
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise ValidationError(f"{path}.variance", "expected a finite number")
-        cov = CovarianceSpec.spherical(float(v))
-    cov.validate(d, path)
-    return cov
+        return CovarianceSpec.diagonal(_float_list(_require(obj, "variances", path), f"{path}.variances", d))
+    _no_extras(obj, ("kind", "variance"), path)
+    v = _require(obj, "variance", path)
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ValidationError(f"{path}.variance", "expected a finite number")
+    return CovarianceSpec.spherical(float(v))
 
 
 def model_from_dict(obj: Any) -> "tuple[ClusterModel, dict]":
@@ -159,8 +156,8 @@ def model_from_dict(obj: Any) -> "tuple[ClusterModel, dict]":
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise ValidationError("d", "must be a positive integer")
     m = _require(obj, "n_clusters", "")
-    if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-        raise ValidationError("n_clusters", "must be an integer >= 2")
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+        raise ValidationError("n_clusters", "must be a positive integer")
 
     standardization = None
     std_obj = obj.get("standardization")

@@ -377,7 +377,7 @@ def test_criterion_8_baseline_ingest_round_trip(tmp_path):
     rng = np.random.default_rng(1008)
     rows, _ = make_blobs(rng, [[0.0, 0.0, 0.0], [6.0, 5.0, 4.0]], sigma=0.6, n_per=100)
     data = cf.Dataset(rows=rows)
-    model = cf.fit_kmeans(
+    model, _ = cf.fit(
         data, cf.FitConfig(algorithm=cf.KMEANS, n_clusters=2, seed=3, standardize=False)
     )
     source = cf.assign_cluster(model, rows[0])

@@ -103,7 +103,7 @@ def test_assign_ties_break_to_lowest_id():
 def test_assign_full_gmm_matches_direct_density_argmax():
     rng = np.random.default_rng(42)
     rows, _ = make_blobs(rng, [[0.0, 0.0], [4.0, 3.0]], sigma=0.9, n_per=120)
-    model = cf.fit_gmm(
+    model, _ = cf.fit(
         cf.Dataset(rows=rows),
         cf.FitConfig(algorithm="gmm", covariance=cf.FULL, n_clusters=2, seed=1, standardize=False),
     )
@@ -377,6 +377,8 @@ def test_public_api_names_resolve_once():
         # The pair builders and solvers trust their inputs; `explain` is their entry point.
         "GaussianPairProblem", "build_pair_problem", "constraint_residual", "solve_gaussian_cf",
         "KmeansConstraint", "build_constraint", "solve_kmeans_cf",
+        # `fit` runs both algorithms; EM scores through `score_matrix`.
+        "fit_gmm", "fit_kmeans", "fit_gmm_info", "fit_kmeans_info", "_log_prob_matrix",
     ],
 )
 def test_retired_names_are_not_public(name):

@@ -14,7 +14,7 @@ def blob_setup():
     rng = np.random.default_rng(101)
     rows, _ = make_blobs(rng, [[0.0, 0.0], [6.0, 5.0]], sigma=0.6, n_per=120)
     data = cf.Dataset(rows=rows)
-    model = cf.fit_kmeans(
+    model, _ = cf.fit(
         data, cf.FitConfig(algorithm=cf.KMEANS, n_clusters=2, seed=7, standardize=False)
     )
     source = cf.assign_cluster(model, rows[0])

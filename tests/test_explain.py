@@ -141,7 +141,7 @@ def test_strict_membership_for_positive_epsilon():
 def test_standardized_model_keeps_frozen_features_bit_exact():
     rng = np.random.default_rng(79)
     rows, _ = make_blobs(rng, [[0.0, 0.0, 0.0], [6.0, 5.0, 4.0]], sigma=0.5, n_per=100)
-    model = cf.fit_gmm(
+    model, _ = cf.fit(
         cf.Dataset(rows=rows),
         cf.FitConfig(algorithm="gmm", covariance=cf.FULL, n_clusters=2, seed=1, standardize=True),
     )
@@ -242,3 +242,26 @@ def test_explain_best_validates_every_target_before_solving(monkeypatch):
     model = cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
     with pytest.raises(cf.ValidationError, match="target"):
         cf.explain_best(model, [0.0, 0.5], source=0, candidate_targets=[1, 2, 9])
+
+
+def test_explain_best_validates_each_candidate_once(monkeypatch):
+    counts = {"validate_against": 0, "all_free": 0}
+    validate_against = cf.CfRequest.validate_against
+    all_free = cf.Mask.all_free
+
+    def counting_validate_against(self, model):
+        counts["validate_against"] += 1
+        return validate_against(self, model)
+
+    def counting_all_free(d):
+        counts["all_free"] += 1
+        return all_free(d)
+
+    monkeypatch.setattr(cf.CfRequest, "validate_against", counting_validate_against)
+    monkeypatch.setattr(cf.Mask, "all_free", staticmethod(counting_all_free))
+    centers = [[0.0, 0.0], [3.0, 0.0], [0.0, 3.0], [3.0, 3.0], [-3.0, 0.0]]
+    model = cf.ClusterModel(kind=cf.KMEANS, centers=centers)
+    result = cf.explain_best(model, [0.2, 0.1])
+    assert result.status == cf.STATUS_OK
+    assert counts["validate_against"] == 4
+    assert counts["all_free"] <= 1

@@ -68,10 +68,26 @@ def test_save_load_save_is_byte_identical(tmp_path, idx):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("algorithm", [cf.KMEANS, "gmm"])
+def test_one_cluster_fit_round_trips(tmp_path, algorithm):
+    rows = np.random.default_rng(61).normal(size=(60, 3)) * [1.0, 2.0, 0.5]
+    model, _ = cf.fit(
+        cf.Dataset(rows=rows), cf.FitConfig(algorithm=algorithm, n_clusters=1, restarts=1)
+    )
+    p1 = tmp_path / "m1.json"
+    p2 = tmp_path / "m2.json"
+    cf.save_model(model, p1)
+    jsonschema.validate(json.loads(p1.read_text()), load_schema("model.schema.json"))
+    loaded = cf.load_model(p1)
+    assert loaded.n_clusters == 1
+    cf.save_model(loaded, p2)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
 def test_loaded_model_densities_match(tmp_path):
     rng = np.random.default_rng(117)
     rows, _ = make_blobs(rng, [[0, 0, 0], [5, 4, 3], [-4, 5, 1]], sigma=0.7, n_per=80)
-    model = cf.fit_gmm(
+    model, _ = cf.fit(
         cf.Dataset(rows=rows),
         cf.FitConfig(algorithm="gmm", covariance=cf.FULL, n_clusters=3, seed=2),
     )
