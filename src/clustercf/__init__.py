@@ -50,6 +50,7 @@ from .explain import (
     SourceMismatchWarning,
     explain,
     explain_best,
+    explain_many,
     plausibility_check,
 )
 from .fit import (
@@ -94,6 +95,7 @@ __all__ = [
     "distance_sq",
     "explain",
     "explain_best",
+    "explain_many",
     "export_baseline_csv",
     "fit",
     "ingest_baseline",

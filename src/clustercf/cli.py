@@ -98,7 +98,6 @@ def _result_dict(result: CfResult, epsilon: float, mask: "Mask | None") -> dict:
         "distance_sq": result.distance_sq,
         "lambda": result.lam,
         "residual": result.residual,
-        "roots_found": result.roots_found,
         "strict_member": result.strict_member,
         "tolerant_member": result.tolerant_member,
         "elapsed": result.elapsed,

@@ -168,8 +168,8 @@ class CovarianceSpec:
 
 @dataclass(frozen=True, eq=False)
 class GaussianComponent:
-    """One Gaussian cluster with cached log-determinant, whitening factor
-    and precision.
+    """One Gaussian cluster with cached log-determinant and whitening
+    factor, and a precision formed on first use.
 
     `whitening` is W with W S W' = I: the d x d inverse Cholesky factor of
     a full covariance, the vector 1/sqrt(var) of a diagonal or spherical
@@ -200,15 +200,12 @@ class GaussianComponent:
                 raise ValidationError("covariance", "matrix is not positive definite") from None
             log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
             inv_chol = np.linalg.solve(chol, np.eye(d))
-            precision = inv_chol.T @ inv_chol
-            precision = _readonly((precision + precision.T) / 2.0)
             object.__setattr__(self, "whitening", _readonly(inv_chol))
-            object.__setattr__(self, "_precision", precision)
         else:
             variances = self.covariance.variances(d)
             log_det = float(np.sum(np.log(variances)))
             object.__setattr__(self, "whitening", _readonly(1.0 / np.sqrt(variances)))
-            object.__setattr__(self, "_precision", None)
+        object.__setattr__(self, "_precision", None)
         object.__setattr__(self, "log_det", log_det)
 
     @property
@@ -216,10 +213,18 @@ class GaussianComponent:
         return self.mean.size
 
     def precision_matrix(self) -> np.ndarray:
-        """Inverse covariance as a dense d x d matrix."""
-        if self._precision is not None:
-            return self._precision
-        return np.diag(1.0 / self.covariance.variances(self.d))
+        """Inverse covariance as a dense d x d matrix (read-only), formed on
+        the first call and kept: W'W symmetrized for a full covariance,
+        diag(1/var) otherwise. Fitting never asks for it."""
+        if self._precision is None:
+            w = self.whitening
+            if w.ndim == 2:
+                precision = w.T @ w
+                precision = (precision + precision.T) / 2.0
+            else:
+                precision = np.diag(1.0 / self.covariance.variances(self.d))
+            object.__setattr__(self, "_precision", _readonly(precision))
+        return self._precision
 
 
 def mahalanobis_sq(component: GaussianComponent, x: np.ndarray) -> float:
@@ -284,6 +289,7 @@ class ClusterModel:
     _means: np.ndarray = field(init=False, repr=False)
     _whitening: "np.ndarray | None" = field(init=False, repr=False, default=None)
     _score_const: "np.ndarray | None" = field(init=False, repr=False, default=None)
+    _all_free: "Mask | None" = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -345,6 +351,13 @@ class ClusterModel:
 
     def means(self) -> np.ndarray:
         return self._means
+
+    def all_free_mask(self) -> "Mask":
+        """The mask with every feature free, built on first use and shared
+        by the requests that carry no mask (a Mask is immutable)."""
+        if self._all_free is None:
+            object.__setattr__(self, "_all_free", Mask.all_free(self.d))
+        return self._all_free
 
     def check_cluster(self, k: int, path: str) -> None:
         """Raise ValidationError at `path` unless k is a cluster id."""
@@ -431,8 +444,8 @@ class Mask:
         if bits.ndim != 1 or bits.size == 0:
             raise ValidationError("mask", "must be a non-empty 1-D boolean array")
         object.__setattr__(self, "bits", _readonly(bits))
-        object.__setattr__(self, "free", _readonly(np.flatnonzero(bits)))
-        object.__setattr__(self, "fixed", _readonly(np.flatnonzero(~bits)))
+        object.__setattr__(self, "free", _readonly(bits.nonzero()[0]))
+        object.__setattr__(self, "fixed", _readonly((~bits).nonzero()[0]))
 
     @staticmethod
     def all_free(d: int) -> "Mask":
@@ -479,7 +492,7 @@ class CfRequest:
     def validate_against(self, model: ClusterModel) -> Mask:
         """Check the request against the model and return its mask (all
         free when the request has none). This is the one validation of a
-        request; the solvers behind `explain` trust what it passed."""
+        request; the solvers behind `explain_many` trust what it passed."""
         if self.factual.size != model.d:
             raise DimensionMismatchError(
                 f"factual has dimension {self.factual.size}, model expects {model.d}"
@@ -490,7 +503,7 @@ class CfRequest:
             if self.source == self.target:
                 raise ValidationError("target", "source and target clusters must differ")
         if self.mask is None:
-            return Mask.all_free(model.d)
+            return model.all_free_mask()
         if self.mask.d != model.d:
             raise ValidationError("mask", f"length {self.mask.d} does not match dimension {model.d}")
         return self.mask
@@ -504,9 +517,10 @@ class CfResult:
     internal space); `counterfactual_original` is the same point mapped
     back to original units, with frozen features copied bit-exact from the
     factual. `lam` is the scalar multiplier for Gaussian solves and None
-    for the closed-form centroid case. `elapsed` is set by `explain` alone,
-    in seconds, around the constraint build and the solve; a solver called
-    directly leaves it at 0.0.
+    for the closed-form centroid case. `elapsed` is set by `explain_many`
+    alone, in seconds: the time its group of requests (one source, target
+    and mask) spent in constraint construction and the solve, divided by
+    the group's size. A solver called directly leaves it at 0.0.
     """
 
     status: str
@@ -514,7 +528,6 @@ class CfResult:
     distance_sq: "float | None"
     lam: "float | None" = None
     residual: "float | None" = None
-    roots_found: int = 0
     elapsed: float = 0.0
     source: "int | None" = None
     target: "int | None" = None

@@ -28,7 +28,7 @@ from .core import (
     distance_sq,
     score_matrix,
 )
-from .explain import explain, membership_verdict
+from .explain import explain_many, membership_verdict
 from .fit import Dataset
 from .model_io import DataError, canonical_json
 
@@ -131,7 +131,8 @@ def compute_aggregates(records) -> dict:
 
 def run_eval(model: ClusterModel, data: Dataset, config: EvalConfig) -> EvalReport:
     """Sample factuals from the source cluster (without replacement, seeded)
-    and explain each one toward the target cluster. The cluster ids are
+    and explain them toward the target cluster with one `explain_many`
+    call, which shares one constraint build among them. The cluster ids are
     checked against the model before any factual is solved."""
     config.validate_against(model)
     rows = data.rows
@@ -149,35 +150,36 @@ def run_eval(model: ClusterModel, data: Dataset, config: EvalConfig) -> EvalRepo
     rng = np.random.default_rng(config.seed)
     chosen = np.sort(rng.choice(source_rows, size=n, replace=False))
 
-    mask = config.mask if config.mask is not None else Mask.all_free(model.d)
-    records = []
-    for row_id in chosen.tolist():
-        request = CfRequest(
+    mask = config.mask if config.mask is not None else model.all_free_mask()
+    requests = [
+        CfRequest(
             factual=rows[row_id],
             target=config.target,
             source=config.source,
             mask=mask,
             epsilon=config.epsilon,
         )
-        result = explain(model, request)
-        records.append(
-            FactualRecord(
-                factual_id=int(row_id),
-                status=result.status,
-                strict_member=bool(result.strict_member),
-                tolerant_member=bool(result.tolerant_member),
-                distance_sq=result.distance_sq,
-                lam=result.lam,
-                residual=result.residual,
-                elapsed=result.elapsed,
-                factual=rows[row_id].tolist(),
-                counterfactual=(
-                    result.counterfactual_original.tolist()
-                    if result.counterfactual_original is not None
-                    else None
-                ),
-            )
+        for row_id in chosen.tolist()
+    ]
+    records = [
+        FactualRecord(
+            factual_id=int(row_id),
+            status=result.status,
+            strict_member=bool(result.strict_member),
+            tolerant_member=bool(result.tolerant_member),
+            distance_sq=result.distance_sq,
+            lam=result.lam,
+            residual=result.residual,
+            elapsed=result.elapsed,
+            factual=rows[row_id].tolist(),
+            counterfactual=(
+                result.counterfactual_original.tolist()
+                if result.counterfactual_original is not None
+                else None
+            ),
         )
+        for row_id, result in zip(chosen.tolist(), explain_many(model, requests))
+    ]
 
     report = EvalReport(
         schema_version=REPORT_SCHEMA_VERSION,
@@ -223,7 +225,7 @@ def ingest_baseline(path, name: str, model: ClusterModel, factuals: dict, target
         raise DataError(
             f"baseline {path}: expected {model.d} feature columns, got {len(header) - 1}"
         )
-    records = []
+    ids, vectors = [], []
     for r, cells in enumerate(rows[1:], start=2):
         if len(cells) != len(header):
             raise DataError(f"baseline {path}: ragged row {r}")
@@ -239,18 +241,26 @@ def ingest_baseline(path, name: str, model: ClusterModel, factuals: dict, target
             raise DataError(f"baseline {path}: non-numeric cell at row {r}") from None
         if not np.all(np.isfinite(vec)):
             raise DataError(f"baseline {path}: non-finite cell at row {r}")
-        z_internal = np.asarray(model.to_internal(vec), dtype=np.float64)
-        y_internal = np.asarray(model.to_internal(np.asarray(factuals[factual_id])), dtype=np.float64)
-        strict, tolerant = membership_verdict(model, z_internal, target)
-        records.append(
-            BaselineRecord(
-                factual_id=factual_id,
-                counterfactual=vec.tolist(),
-                distance_sq=distance_sq(z_internal, y_internal),
-                member_strict=strict,
-                member_tolerant=tolerant,
-            )
+        ids.append(factual_id)
+        vectors.append(vec)
+    if not ids:
+        return []
+    z_internal = np.asarray(model.to_internal(np.stack(vectors)), dtype=np.float64)
+    y_internal = np.asarray(
+        model.to_internal(np.stack([np.asarray(factuals[i], dtype=np.float64) for i in ids])),
+        dtype=np.float64,
+    )
+    strict, tolerant = membership_verdict(model, z_internal, [target] * len(ids))
+    records = [
+        BaselineRecord(
+            factual_id=factual_id,
+            counterfactual=vec.tolist(),
+            distance_sq=distance_sq(z_internal[j], y_internal[j]),
+            member_strict=strict[j],
+            member_tolerant=tolerant[j],
         )
+        for j, (factual_id, vec) in enumerate(zip(ids, vectors))
+    ]
     records.sort(key=lambda rec: rec.factual_id)
     return records
 
@@ -303,9 +313,10 @@ def sweep_epsilon(
     source: "int | None" = None,
 ):
     """One counterfactual per plausibility value, with the per-feature
-    signed changes `z - y` in original units. Every request is built, and
-    its epsilon checked, before the first solve. Solver failures at one
-    epsilon do not stop the sweep."""
+    signed changes `z - y` in original units, from one `explain_many`
+    call: every request is built, and its epsilon checked, before the
+    first solve, and the plausibility values share one constraint build.
+    Solver failures at one epsilon do not stop the sweep."""
     y_arr = np.asarray(y, dtype=np.float64)
     requests = [
         CfRequest(factual=y_arr, target=target, source=source, mask=mask, epsilon=eps)
@@ -317,8 +328,7 @@ def sweep_epsilon(
     if eps_list != sorted(eps_list):
         raise ValidationError("epsilons", "values must be sorted ascending")
     points = []
-    for request in requests:
-        result = explain(model, request)
+    for request, result in zip(requests, explain_many(model, requests)):
         deltas = None
         if result.counterfactual_original is not None:
             deltas = (result.counterfactual_original - y_arr).tolist()

@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .core import (
     log_density,
     score_matrix,
 )
-from .gaussian_cf import build_pair_problem, solve_gaussian_cf
+from .gaussian_cf import GaussianPairPlan, solve_gaussian_rows
 from .kmeans_cf import build_constraint, solve_kmeans_cf
 
 DEFAULT_EPSILON = 1e-5
@@ -48,71 +47,112 @@ class AllTargetsFailedError(ClusterCfError):
         self.statuses = dict(statuses)
 
 
-def membership_verdict(model: ClusterModel, z: np.ndarray, target: int):
-    """(strict, tolerant) target-membership of z in internal space."""
-    scores = score_matrix(model, z[None, :])[0]
-    strict = int(np.argmax(scores)) == target
-    tolerant = strict or (float(np.max(scores)) - float(scores[target])) <= MEMBERSHIP_TIE_TOL
+def membership_verdict(model: ClusterModel, rows: np.ndarray, targets):
+    """(strict, tolerant): lists of target-membership verdicts for the rows
+    of `rows` (N x d, internal space), row i judged against `targets[i]`,
+    from one `score_matrix` call. Strict membership is the argmax (ties to
+    the lowest id); tolerant membership also admits a target within
+    MEMBERSHIP_TIE_TOL of the best score."""
+    strict, tolerant = [], []
+    for scores, target in zip(score_matrix(model, rows).tolist(), targets):
+        best = max(scores)
+        member = scores.index(best) == target
+        strict.append(member)
+        tolerant.append(member or best - scores[target] <= MEMBERSHIP_TIE_TOL)
     return strict, tolerant
 
 
 def explain(model: ClusterModel, request: CfRequest) -> CfResult:
-    """Counterfactual for one (source, target) pair.
+    """Counterfactual for one (source, target) pair: `explain_many` of the
+    one request."""
+    return explain_many(model, [request])[0]
 
-    The factual arrives in original units; solving happens in the model's
-    internal space and the result carries both representations. Frozen
-    features keep the factual's bits in both spaces. `elapsed` covers
-    constraint construction and the solve, not I/O or verdicts. This is
-    the one entry point to the solvers: the request is validated here,
-    once, and the pair builders and solvers behind it trust their inputs.
+
+def explain_many(model: ClusterModel, requests) -> "list[CfResult]":
+    """Counterfactuals for a batch of requests, in request order.
+
+    Each factual arrives in original units; solving happens in the model's
+    internal space and each result carries both representations. Frozen
+    features keep the factual's bits in both spaces. This is the one entry
+    point to the solvers and the one place that times them: every request
+    is validated before the first solve, the factuals are mapped and their
+    sources detected together, and the requests that share a (source,
+    target, mask) share one constraint build. A Gaussian group builds one
+    `GaussianPairPlan` and solves all its rows against it; a k-means group
+    projects each row in closed form. `elapsed` is the group's build and
+    solve time divided by its size, without I/O or verdicts. The verdicts
+    and the map back to original units run once over all results.
     """
-    mask = request.validate_against(model)
-    y_orig = request.factual
+    requests = list(requests)
+    masks = [request.validate_against(model) for request in requests]
+    if not requests:
+        return []
+    y_orig = np.array([request.factual for request in requests])
     y = np.asarray(model.to_internal(y_orig), dtype=np.float64)
+    detected = score_matrix(model, y).argmax(axis=1).tolist()
 
-    detected = assign_cluster(model, y)
-    source = request.source if request.source is not None else detected
-    if source == request.target:
-        raise ValidationError("target", "source and target clusters must differ")
-    if request.source is not None and detected != request.source:
-        warnings.warn(
-            f"factual is assigned to cluster {detected}, not claimed source {request.source}",
-            SourceMismatchWarning,
-            stacklevel=2,
-        )
+    groups = {}
+    for i, (request, mask, found) in enumerate(zip(requests, masks, detected)):
+        source = found if request.source is None else request.source
+        if source == request.target:
+            raise ValidationError("target", "source and target clusters must differ")
+        if source != found:
+            warnings.warn(
+                f"factual is assigned to cluster {found}, not claimed source {source}",
+                SourceMismatchWarning,
+                stacklevel=2,
+            )
+        groups.setdefault((source, request.target, mask.bits.tobytes()), []).append(i)
 
-    t0 = time.perf_counter_ns()
-    if model.kind == KMEANS:
-        constraint = build_constraint(
-            model.centers[source], model.centers[request.target], request.epsilon, mask
-        )
-        result = solve_kmeans_cf(y, constraint, mask)
-    else:
-        problem = build_pair_problem(
-            model.components[source],
-            model.components[request.target],
-            y,
-            mask,
-            request.epsilon,
-        )
-        result = solve_gaussian_cf(problem)
-    elapsed = (time.perf_counter_ns() - t0) * 1e-9
+    solved = [None] * len(requests)  # (result, source, elapsed)
+    for (source, target, _), idx in groups.items():
+        mask = masks[idx[0]]
+        epsilons = [requests[i].epsilon for i in idx]
+        t0 = time.perf_counter_ns()
+        if model.kind == KMEANS:
+            m_s, m_t = model.centers[source], model.centers[target]
+            group = [
+                solve_kmeans_cf(y[i], build_constraint(m_s, m_t, eps, mask), mask)
+                for i, eps in zip(idx, epsilons)
+            ]
+        else:
+            plan = GaussianPairPlan(model.components[source], model.components[target], mask)
+            group = solve_gaussian_rows(plan, y if len(idx) == len(y) else y[idx], epsilons)
+        share = (time.perf_counter_ns() - t0) * 1e-9 / len(idx)
+        for i, result in zip(idx, group):
+            solved[i] = (result, source, share)
 
-    strict = tolerant = None
-    z_orig = None
-    if result.counterfactual is not None:
-        strict, tolerant = membership_verdict(model, result.counterfactual, request.target)
-        z_orig = np.asarray(model.to_original(result.counterfactual), dtype=np.float64)
-        z_orig[mask.fixed] = y_orig[mask.fixed]
-    return replace(
-        result,
-        elapsed=elapsed,
-        source=source,
-        target=request.target,
-        strict_member=strict,
-        tolerant_member=tolerant,
-        counterfactual_original=z_orig,
-    )
+    # Verdicts and the map back to original units, once for every result
+    # with a point.
+    placed = [i for i, (result, _, _) in enumerate(solved) if result.counterfactual is not None]
+    verdicts = {}
+    if placed:
+        z = np.array([solved[i][0].counterfactual for i in placed])
+        strict, tolerant = membership_verdict(model, z, [requests[i].target for i in placed])
+        z_orig = np.asarray(model.to_original(z), dtype=np.float64)
+        for j, i in enumerate(placed):
+            fixed = masks[i].fixed
+            if fixed.size:
+                z_orig[j, fixed] = y_orig[i, fixed]
+            verdicts[i] = (strict[j], tolerant[j], z_orig[j])
+    out = []
+    for i, (result, source, share) in enumerate(solved):
+        strict_i, tolerant_i, z_orig_i = verdicts.get(i, (None, None, None))
+        out.append(CfResult(
+            status=result.status,
+            counterfactual=result.counterfactual,
+            distance_sq=result.distance_sq,
+            lam=result.lam,
+            residual=result.residual,
+            elapsed=share,
+            source=source,
+            target=requests[i].target,
+            strict_member=strict_i,
+            tolerant_member=tolerant_i,
+            counterfactual_original=z_orig_i,
+            diagnostics=result.diagnostics,
+        ))
+    return out
 
 
 def explain_best(
@@ -127,9 +167,9 @@ def explain_best(
 
     Candidates default to all clusters except the source. Only `ok`
     results compete; distance ties go to the lower target id. Every
-    candidate target is checked before the first solve; the fields the
-    candidates share are validated by the first `explain` call, which
-    rejects them before it solves. Raises AllTargetsFailedError with the
+    candidate target is checked before the first solve, and all
+    candidates are solved by one `explain_many` call, which validates
+    every request before it solves. Raises AllTargetsFailedError with the
     per-target statuses when nothing solves.
     """
     y_arr = np.asarray(y, dtype=np.float64)
@@ -148,15 +188,16 @@ def explain_best(
     for target in candidate_targets:
         model.check_cluster(target, "target")
     if mask is None:
-        mask = Mask.all_free(model.d)
+        mask = model.all_free_mask()
 
+    targets = sorted(candidate_targets)
+    requests = [
+        CfRequest(factual=y_arr, target=target, source=resolved_source, mask=mask, epsilon=epsilon)
+        for target in targets
+    ]
     best = None
     statuses = {}
-    for target in sorted(candidate_targets):
-        request = CfRequest(
-            factual=y_arr, target=target, source=resolved_source, mask=mask, epsilon=epsilon
-        )
-        result = explain(model, request)
+    for target, result in zip(targets, explain_many(model, requests)):
         statuses[target] = result.status
         if result.status == STATUS_OK and (best is None or result.distance_sq < best.distance_sq):
             best = result

@@ -31,8 +31,19 @@ the minimizer sits on that pole (the trust-region "hard case"); when it
 keeps its sign to an open end with no linear term left, no
 counterfactual exists.
 
-Diagonal and spherical covariances use the same coordinates with e and a
-taken directly per coordinate (no eigendecomposition).
+Only a and g(y) depend on the factual, and only c_a on eps. A
+`GaussianPairPlan` holds the rest for one (source, target, mask): the
+eigenbasis of D (the identity when neither covariance is full), e, the
+multiplier interval and the pole data of each side. `solve_gaussian_rows`
+then solves many factuals and eps values against one plan: a and g(y)
+for all rows from one matrix product, the side, factual and hard-case
+tests over all rows at once, one scalar root per row, and the
+confirmation over all rows. g(y) is evaluated as
+y'(P_t - P_s) y + 2 (P_s m_s - P_t m_t)'y + k, with the precision
+difference formed before any factual is applied, so the terms that grow
+with |y| cancel in it and not in the rows; the confirmation evaluates
+the exact expansion g(y) + 2 a.s + s' diag(e) s in the solve's own
+coordinates. Neither subtracts two large Mahalanobis terms.
 """
 
 from __future__ import annotations
@@ -50,7 +61,6 @@ from .core import (
     CfResult,
     GaussianComponent,
     Mask,
-    mahalanobis_sq,
 )
 
 # Acceptance tolerance for a root, in the constraint's natural scale.
@@ -72,95 +82,148 @@ PATH_HARD_CASE = "hard_case"
 PATH_OPEN_END = "open_end"
 
 
-class GaussianPairProblem:
-    """Precomputed source/target pair data for one factual, mask and eps.
+class _Side:
+    """The solve variable x >= 0 on one side of lam = 0 (see below):
+    lam = lam0 + kappa * x and 1 - lam * e_i = alpha_i + beta_i * x.
 
-    The inputs are trusted: `explain` builds the problem only after
-    `CfRequest.validate_against` has checked the factual's dimension, the
-    mask's length and epsilon. Instances are immutable after construction
-    and safe to share across threads. The public surface is `source`,
-    `target`, `y`, `mask`, `epsilon`, `c_alpha` and `affine`.
+    Toward a pole (`e_k`, the eigenvalue that bounds the interval on this
+    side), `block` marks the coordinates on the pole and `edge_weight`
+    holds (1 + gap) / gap^2 at x = POLE_EXCLUSION, where the hard-case
+    test evaluates g. Toward an open end (`e_k` None), `inv_abs_e` holds
+    1 / |e| off the null space (0 on it) and `min_abs_e` the least |e| off
+    it."""
+
+    def __init__(self, e: np.ndarray, null: np.ndarray, sign: float, e_k: "float | None"):
+        self.e_k = e_k
+        if e_k is not None:
+            r = e / e_k
+            self.block = r >= 1.0 - POLE_EXCLUSION
+            self.alpha = 1.0 - r
+            self.alpha[self.block] = 0.0
+            self.beta = r
+            self.beta[self.block] = 1.0
+            self.lam0, self.kappa = 1.0 / e_k, -1.0 / e_k
+            gap = self.alpha + self.beta * POLE_EXCLUSION
+            self.edge_weight = (1.0 + gap) / (gap * gap)
+        else:
+            self.alpha, self.beta = np.ones_like(e), -sign * e
+            self.lam0, self.kappa = 0.0, sign
+            abs_e = np.abs(e[~null])
+            self.min_abs_e = float(abs_e.min()) if abs_e.size else math.inf
+            self.inv_abs_e = np.zeros_like(e)
+            self.inv_abs_e[~null] = 1.0 / abs_e
+
+
+class GaussianPairPlan:
+    """The factual- and eps-independent part of the pair's multiplier
+    equation, for one (source, target, mask): one build branch, whose only
+    choice is the eigenbasis of D_FF (`eigh` when either covariance is
+    full, the identity otherwise).
+
+    The inputs are trusted: `explain_many` builds a plan only after
+    `CfRequest.validate_against` has checked each request. A plan lives
+    for one call; it is not shared across calls. Its public surface is
+    `source`, `target`, `mask`, `affine`, `interval`, `c_alpha(eps)` and
+    `terms(rows, epsilons)`.
     """
 
-    def __init__(
-        self,
-        source: GaussianComponent,
-        target: GaussianComponent,
-        y,
-        mask: Mask,
-        epsilon: float,
-    ):
-        y = np.asarray(y, dtype=np.float64)
+    def __init__(self, source: GaussianComponent, target: GaussianComponent, mask: Mask):
         self.source = source
         self.target = target
-        self.y = y
         self.mask = mask
-        self.epsilon = epsilon
-        self.c_alpha = (
+        self._c_base = (
             target.log_det
             - source.log_det
             - 2.0 * (math.log(target.prior) - math.log(source.prior))
-            + 2.0 * math.log1p(epsilon)
         )
-
         free = mask.free
-        d = y.size
-        componentwise = source.covariance.kind != FULL and target.covariance.kind != FULL
-
-        # Half the gradient of g at y over the free block: the linear term
-        # of the step problem, taken directly so that no cancellation
-        # between D y_F and b enters it.
-        if componentwise:
-            inv_s = 1.0 / source.covariance.variances(d)[free]
-            inv_t = 1.0 / target.covariance.variances(d)[free]
-            evals = inv_t - inv_s
-            a = (y[free] - target.mean[free]) * inv_t - (y[free] - source.mean[free]) * inv_s
-            self._basis = None
+        p_s, p_t = _precisions(source, target)
+        p_diff = p_t - p_s
+        if p_diff.ndim == 2:
+            dmat = p_diff[free][:, free]
+            evals, basis = np.linalg.eigh((dmat + dmat.T) / 2.0)
         else:
-            p_s = source.precision_matrix()
-            p_t = target.precision_matrix()
-            dmat = p_t[np.ix_(free, free)] - p_s[np.ix_(free, free)]
-            half_grad = (p_t @ (y - target.mean) - p_s @ (y - source.mean))[free]
-            if free.size:
-                evals, evecs = np.linalg.eigh((dmat + dmat.T) / 2.0)
-            else:
-                evals, evecs = np.empty(0), np.empty((0, 0))
-            self._basis = evecs
-            a = evecs.T @ half_grad
+            evals, basis = p_diff[free], None
+        # None stands for the identity basis of a component-wise pair.
+        self._basis = basis
+        self._evals = evals
+        self._e = evals * (np.abs(evals) > EIG_ZERO)
+        self._null = self._e == 0.0
+        self._null_weight = self._null.astype(np.float64)
+        self.affine = not self._e.any()
+        # The multiplier interval where I - lam * D_FF is positive
+        # definite; an open end is None.
+        values = self._e.tolist()
+        self._e_min, self._e_max = min(values, default=0.0), max(values, default=0.0)
+        self.interval = [
+            1.0 / self._e_min if self._e_min < 0.0 else None,
+            1.0 / self._e_max if self._e_max > 0.0 else None,
+        ]
+        self._sides = {}
 
-        self._e = np.where(np.abs(evals) > EIG_ZERO, evals, 0.0)
-        self._a = a
-        self._g_y = mahalanobis_sq(target, y) - mahalanobis_sq(source, y) + self.c_alpha
-        self.affine = not np.any(self._e)
+        # g(y) = y'Dy + 2 b'y + k with D = P_t - P_s, b = P_s m_s - P_t m_t
+        # and k = m_t'P_t m_t - m_s'P_s m_s + c_alpha (its eps term is
+        # added per row); its half gradient is h = D y + b. The terms that grow with |y| cancel in D, not in the
+        # rows: for equal covariances D is exactly zero and g is affine.
+        pm_s, pm_t = _apply(p_s, source.mean), _apply(p_t, target.mean)
+        self._d = p_diff
+        self._b = pm_s - pm_t
+        self._k = float(target.mean @ pm_t) - float(source.mean @ pm_s) + self._c_base
 
-    def _point(self, step: np.ndarray) -> np.ndarray:
-        """The factual moved by `step` (eigen-coordinates) on the free block."""
-        if self._basis is not None:
-            step = self._basis @ step
-        z = self.y.copy()
-        z[self.mask.free] = self.y[self.mask.free] + step
-        return z
+    def c_alpha(self, epsilon: float) -> float:
+        return self._c_base + 2.0 * math.log1p(epsilon)
+
+    def terms(self, rows: np.ndarray, epsilons) -> "tuple[np.ndarray, np.ndarray]":
+        """(a, g(y)) for each row of `rows` (N x d, internal space), row i
+        at `epsilons[i]`: the half gradient over the free block in the
+        eigenbasis (N x |F|) and the constraint value (N)."""
+        h = _apply(self._d, rows) + self._b
+        a = self._to_eigen(h.take(self.mask.free, axis=1))
+        shift = [self._k + 2.0 * math.log1p(eps) for eps in epsilons]
+        return a, np.vecdot(rows, h + self._b) + shift
+
+    def _to_eigen(self, x: np.ndarray) -> np.ndarray:
+        """Rows of free-block vectors in eigen-coordinates: x_i @ B."""
+        return x if self._basis is None else _row_products(x, self._basis)
+
+    def _to_features(self, s: np.ndarray) -> np.ndarray:
+        """Rows of eigen-coordinate steps on the free features: s_i @ B'."""
+        return s if self._basis is None else _row_products(s, self._basis.T)
+
+    def side(self, sign: float) -> _Side:
+        """The side of lam = 0 toward which g rises for sign = +1 (g(y) < 0)
+        or falls for sign = -1, built on first use."""
+        if sign not in self._sides:
+            bound = self._e_max if sign > 0.0 else self._e_min
+            e_k = bound if bound * sign > 0.0 else None
+            self._sides[sign] = _Side(self._e, self._null, sign, e_k)
+        return self._sides[sign]
 
 
-def build_pair_problem(
-    source: GaussianComponent,
-    target: GaussianComponent,
-    y,
-    mask: Mask,
-    epsilon: float,
-) -> GaussianPairProblem:
-    return GaussianPairProblem(source, target, y, mask, epsilon)
+def _precisions(source: GaussianComponent, target: GaussianComponent):
+    """(P_s, P_t): vectors 1 / var when both covariances are component-wise,
+    d x d matrices otherwise."""
+    if source.covariance.kind != FULL and target.covariance.kind != FULL:
+        return (
+            1.0 / source.covariance.variances(source.d),
+            1.0 / target.covariance.variances(target.d),
+        )
+    return source.precision_matrix(), target.precision_matrix()
 
 
-def constraint_residual(problem: GaussianPairProblem, z) -> float:
-    """g(z): zero exactly on the eps-shifted pair boundary. z is trusted
-    to have the problem's dimension."""
-    z = np.asarray(z, dtype=np.float64)
-    return (
-        mahalanobis_sq(problem.target, z)
-        - mahalanobis_sq(problem.source, z)
-        + problem.c_alpha
-    )
+def _apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The symmetric map m (a matrix, or a vector for a diagonal map) on a
+    vector or on each row of x."""
+    if m.ndim == 1:
+        return x * m
+    return x @ m if x.ndim == 1 else _row_products(x, m)
+
+
+def _row_products(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x_i @ m for each row x_i, one product per row, so that a row's result
+    does not depend on the other rows of the batch (a blocked matrix
+    product may round a row differently with other rows beside it)."""
+    return np.matmul(x[:, None, :], m)[:, 0, :]
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +239,14 @@ def constraint_residual(problem: GaussianPairProblem, z) -> float:
 class _Secular:
     """g and dg/dx along one side of the interval, and its root."""
 
-    def __init__(self, a, g_y, lam0, kappa, alpha, beta):
+    def __init__(self, a, a2, g_y, side: _Side):
         self.a = a
-        self.a2 = a * a
+        self.a2 = a2
         self.g_y = g_y
-        self.lam0 = lam0
-        self.kappa = kappa
-        self.alpha = alpha
-        self.beta = beta
+        self.lam0 = side.lam0
+        self.kappa = side.kappa
+        self.alpha = side.alpha
+        self.beta = side.beta
 
     def lam(self, x: float) -> float:
         return self.lam0 + self.kappa * x
@@ -255,40 +318,18 @@ def _hard_case(sec: _Secular, block: np.ndarray, e_k: float) -> np.ndarray:
     return step
 
 
-def _interval(e: np.ndarray) -> list:
-    """The multiplier interval where I - lam * D_FF is positive definite;
-    an open end is None."""
-    lo = 1.0 / float(e.min()) if e.size and e.min() < 0.0 else None
-    hi = 1.0 / float(e.max()) if e.size and e.max() > 0.0 else None
-    return [lo, hi]
-
-
-def _result(problem, status, *, diagnostics, z=None, lam=None, residual=None):
-    distance = None
-    if z is not None:
-        dz = z[problem.mask.free] - problem.y[problem.mask.free]
-        distance = float(dz @ dz)
-    return CfResult(
-        status=status,
-        counterfactual=z,
-        distance_sq=distance,
-        lam=lam,
-        residual=residual,
-        roots_found=1 if status == STATUS_OK else 0,
-        diagnostics=diagnostics,
-    )
-
-
-def solve_gaussian_cf(problem: GaussianPairProblem) -> CfResult:
-    """Nearest point to the factual on g(z) = 0 over the free features.
+def solve_gaussian_rows(plan: GaussianPairPlan, rows, epsilons) -> "list[CfResult]":
+    """Nearest point to each factual row on its g(z) = 0 over the free
+    features; row i is solved at `epsilons[i]`.
 
     The multiplier is solved on the interval where I - lam * D_FF is
     positive definite, which holds the global minimizer (see the module
-    docstring). Outcomes:
+    docstring). Outcomes, per row:
 
-    - `ok`: the minimizer with its multiplier `lam`, confirmed against
-      `constraint_residual` within 1e-8 * (1 + |c_alpha|). The factual
-      itself is returned, at lam = 0, when it already meets that tolerance.
+    - `ok`: the minimizer with its multiplier `lam`, confirmed by the
+      expansion of g in the solve's coordinates within
+      1e-8 * (1 + |c_alpha|). The factual itself is returned, at lam = 0,
+      when it already meets that tolerance.
     - `degenerate_identity`: the free features cannot change g (none are
       free, or D_FF and the gradient vanish) and the factual satisfies it.
     - `no_feasible_solution`: g keeps the factual's sign, beyond the
@@ -301,70 +342,131 @@ def solve_gaussian_cf(problem: GaussianPairProblem) -> CfResult:
     `interval` or `hard_case` for `ok`), the multiplier `interval` (None
     for an open end) and the Newton `iterations`.
     """
-    g_ok_tol = RESIDUAL_TOL_FACTOR * (1.0 + abs(problem.c_alpha))
-    e, a, g_y = problem._e, problem._a, problem._g_y
-    null = e == 0.0
+    rows = np.asarray(rows, dtype=np.float64)
+    scale = [1.0 + abs(plan.c_alpha(eps)) for eps in epsilons]
+    g_ok_tol = [RESIDUAL_TOL_FACTOR * s for s in scale]
+    a, g_y = plan.terms(rows, epsilons)
+    a2 = a * a
+    g_list = g_y.tolist()
     # g's slope in lam on the null space of D_FF is 2 |a_null|^2; a
     # gradient there (2 |a_null|) below EIG_ZERO counts as none.
-    null_sq = float(a[null] @ a[null])
-    has_linear = 2.0 * math.sqrt(null_sq) > EIG_ZERO
-    diagnostics = {"path": PATH_FACTUAL, "interval": _interval(e), "iterations": 0}
+    null_sq = np.vecdot(a2, plan._null_weight)
+    has_linear = [2.0 * math.sqrt(v) > EIG_ZERO for v in null_sq.tolist()]
+    any_linear = any(has_linear)
+    at_factual = [abs(g) <= tol for g, tol in zip(g_list, g_ok_tol)]
+    # g rises with lam on the interval: each row moves to the side of its
+    # zero, sign +1 when g(y) < 0.
+    positive = [g > 0.0 for g in g_list]
+    signs = {-1.0 if p else 1.0 for p, f in zip(positive, at_factual) if not f}
 
-    if abs(g_y) <= g_ok_tol:
-        status = STATUS_OK if has_linear or not problem.affine else STATUS_DEGENERATE_IDENTITY
-        return _result(
-            problem, status, z=problem.y.copy(), lam=0.0 if status == STATUS_OK else None,
-            residual=g_y, diagnostics=diagnostics,
-        )
+    # Everything up to the root, for all rows at once on each side that
+    # has rows: toward a pole, g at the pole's edge for the hard-case test;
+    # toward an open end, the root bound from the null-space slope and,
+    # without one, the limit of g.
+    edge = {}
+    for sign in signs:
+        side = plan.side(sign)
+        if side.e_k is not None:
+            edge[sign] = (
+                g_y + (side.lam0 + side.kappa * POLE_EXCLUSION) * np.vecdot(a2, side.edge_weight)
+            ).tolist()
+            continue
+        hi_linear = g_limit = hi_flat = None
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if any_linear:
+                # Every other term moves g the same way, so the null-space
+                # slope alone brings g to zero within |g(y)| / slope.
+                hi_linear = (np.abs(g_y) / (2.0 * null_sq)).tolist()
+            if not all(has_linear):
+                # Without it, g tends to g(y) + sign * sum(a^2 / |e|), the
+                # extremum of g over the free block, with terms that decay
+                # at least as fast as 1 / (1 + x * min|e|)^2.
+                weight = np.vecdot(a2, side.inv_abs_e)
+                limit = g_y + sign * weight
+                g_limit = limit.tolist()
+                hi_flat = ((np.sqrt(weight / np.abs(limit)) - 1.0) / side.min_abs_e).tolist()
+        edge[sign] = (hi_linear, g_limit, hi_flat)
 
-    # g rises with lam on the interval: move to the side of its zero.
-    side = 1.0 if g_y < 0.0 else -1.0
-    y_positive = g_y > 0.0
-    step = None
-    if np.any(e * side > 0.0):
-        e_k = side * float(np.max(e * side))
-        r = e / e_k
-        block = r >= 1.0 - POLE_EXCLUSION
-        sec = _Secular(
-            a, g_y, 1.0 / e_k, -1.0 / e_k, np.where(block, 0.0, 1.0 - r), np.where(block, 1.0, r)
-        )
-        lo, hi, x0, lo_positive = POLE_EXCLUSION, 1.0, 1.0, not y_positive
-        g_edge, _ = sec(lo)
-        if (g_edge > 0.0) == y_positive:
-            diagnostics["path"] = PATH_HARD_CASE
-            lam, step = sec.lam0, _hard_case(sec, block, e_k)
-    else:
-        sec = _Secular(a, g_y, 0.0, side, np.ones_like(e), -side * e)
-        if has_linear:
-            # Every other term moves g the same way, so the null-space
-            # slope alone brings g to zero within |g(y)| / slope.
-            hi = abs(g_y) / (2.0 * null_sq)
-        else:
-            # g tends to g(y) + side * sum(a^2 / |e|), the extremum of g
-            # over the free block, with terms that decay at least as fast
-            # as 1 / (1 + x * min|e|)^2.
-            weight = a[~null] ** 2 / np.abs(e[~null])
-            g_limit = g_y + side * float(np.sum(weight))
-            diagnostics["g_limit"] = g_limit
-            if g_limit == 0.0 or (g_limit > 0.0) == y_positive:
-                diagnostics["path"] = PATH_OPEN_END
-                status = (
-                    STATUS_NO_FEASIBLE_SOLUTION if abs(g_limit) > g_ok_tol else STATUS_NO_ROOT_FOUND
-                )
-                return _result(problem, status, residual=g_y, diagnostics=diagnostics)
-            hi = (math.sqrt(float(np.sum(weight)) / abs(g_limit)) - 1.0) / float(
-                np.min(np.abs(e[~null]))
+    n = rows.shape[0]
+    results = [None] * n
+    all_diagnostics = [
+        {"path": PATH_FACTUAL, "interval": list(plan.interval), "iterations": 0} for _ in range(n)
+    ]
+    lam = [0.0] * n
+    steps = np.zeros(a.shape)
+    solved = []
+    for i, diagnostics in enumerate(all_diagnostics):
+        if at_factual[i]:
+            status = STATUS_OK if has_linear[i] or not plan.affine else STATUS_DEGENERATE_IDENTITY
+            results[i] = CfResult(
+                status=status, counterfactual=rows[i].copy(), distance_sq=0.0,
+                lam=0.0 if status == STATUS_OK else None, residual=g_list[i],
+                diagnostics=diagnostics,
             )
-        lo, x0, lo_positive = 0.0, 0.0, y_positive
-    if step is None:
+            continue
+        sign = -1.0 if positive[i] else 1.0
+        side = plan.side(sign)
+        sec = _Secular(a[i], a2[i], g_list[i], side)
+        if side.e_k is not None:
+            if (edge[sign][i] > 0.0) == positive[i]:
+                diagnostics["path"] = PATH_HARD_CASE
+                lam[i], steps[i] = sec.lam0, _hard_case(sec, side.block, side.e_k)
+                solved.append(i)
+                continue
+            lo, hi, x0, lo_positive = POLE_EXCLUSION, 1.0, 1.0, not positive[i]
+        else:
+            hi_linear, g_limit, hi_flat = edge[sign]
+            if has_linear[i]:
+                hi = hi_linear[i]
+            else:
+                diagnostics["g_limit"] = g_limit[i]
+                if g_limit[i] == 0.0 or (g_limit[i] > 0.0) == positive[i]:
+                    diagnostics["path"] = PATH_OPEN_END
+                    status = (
+                        STATUS_NO_FEASIBLE_SOLUTION
+                        if abs(g_limit[i]) > g_ok_tol[i]
+                        else STATUS_NO_ROOT_FOUND
+                    )
+                    results[i] = CfResult(
+                        status=status, counterfactual=None, distance_sq=None,
+                        residual=g_list[i], diagnostics=diagnostics,
+                    )
+                    continue
+                hi = hi_flat[i]
+            lo, x0, lo_positive = 0.0, 0.0, positive[i]
         diagnostics["path"] = PATH_INTERVAL
-        refine_tol = REFINE_TOL_FACTOR * (1.0 + abs(problem.c_alpha))
-        x, diagnostics["iterations"] = sec.root(lo, hi, x0, lo_positive, refine_tol)
-        lam, step = sec.lam(x), sec.step(x)
+        x, diagnostics["iterations"] = sec.root(
+            lo, hi, x0, lo_positive, REFINE_TOL_FACTOR * scale[i]
+        )
+        lam[i], steps[i] = sec.lam(x), sec.step(x)
+        solved.append(i)
+    if not solved:
+        return results
 
-    z = problem._point(step)
-    residual = constraint_residual(problem, z)
-    if abs(residual) > g_ok_tol:
-        diagnostics["lam"] = lam
-        return _result(problem, STATUS_NO_ROOT_FOUND, residual=residual, diagnostics=diagnostics)
-    return _result(problem, STATUS_OK, z=z, lam=lam, residual=residual, diagnostics=diagnostics)
+    # Confirm, place and measure every candidate at once. The expansion
+    # g(y + B s) = g(y) + 2 a.s + s' diag(e) s is exact for the
+    # eigenvalues of D_FF before small ones were zeroed.
+    residual = (
+        g_y + 2.0 * np.vecdot(a, steps) + np.vecdot(steps * steps, plan._evals)
+    ).tolist()
+    free = plan.mask.free
+    y_free = rows.take(free, axis=1)
+    moved = y_free + plan._to_features(steps)
+    dz = moved - y_free
+    distance = np.vecdot(dz, dz).tolist()
+    points = rows.copy()
+    points[:, free] = moved
+    for i in solved:
+        diagnostics = all_diagnostics[i]
+        if abs(residual[i]) > g_ok_tol[i]:
+            diagnostics["lam"] = lam[i]
+            results[i] = CfResult(
+                status=STATUS_NO_ROOT_FOUND, counterfactual=None, distance_sq=None,
+                residual=residual[i], diagnostics=diagnostics,
+            )
+        else:
+            results[i] = CfResult(
+                status=STATUS_OK, counterfactual=points[i], distance_sq=distance[i],
+                lam=lam[i], residual=residual[i], diagnostics=diagnostics,
+            )
+    return results

@@ -1,7 +1,11 @@
 """Builders for randomized test problems."""
 
+from types import SimpleNamespace
+
+import numpy as np
+
 import clustercf as cf
-from clustercf.gaussian_cf import build_pair_problem
+from clustercf.gaussian_cf import GaussianPairPlan, solve_gaussian_rows
 from oracles import random_spd
 
 
@@ -38,7 +42,21 @@ def random_pair_problem(rng, d, kind, epsilon=0.0, mask=None, separation=2.0):
     y = source.mean + rng.normal(scale=0.4, size=d)
     if mask is None:
         mask = cf.Mask.all_free(d)
-    return build_pair_problem(source, target, y, mask, epsilon)
+    return pair_case(source, target, y, mask, epsilon)
+
+
+def pair_case(source, target, y, mask, epsilon):
+    """One factual and epsilon on the pair plan of (source, target, mask)."""
+    plan = GaussianPairPlan(source, target, mask)
+    return SimpleNamespace(
+        plan=plan, source=source, target=target, y=np.asarray(y, dtype=np.float64), mask=mask,
+        epsilon=epsilon, c_alpha=plan.c_alpha(epsilon), affine=plan.affine,
+    )
+
+
+def solve_case(case):
+    """The plan's batched solve on the one row of a pair case."""
+    return solve_gaussian_rows(case.plan, case.y[None, :], [case.epsilon])[0]
 
 
 def two_cluster_gaussian_model(kind=cf.FULL):

@@ -7,7 +7,10 @@ level sets come from grid scans with sign-change interpolation.
 
 import math
 
+import mpmath
 import numpy as np
+
+from clustercf.core import mahalanobis_sq
 
 
 def loop_distance_sq(a, b):
@@ -184,6 +187,35 @@ def line_level_set_min_distance(res, y, free_axis, pts):
 # Minimizing |z_F - y_F|^2 subject to g(z) = 0 with z_G = y_G gives the
 # stationarity condition z_F - y_F = lam * (D_FF z_F - b), whose right side
 # is lam times half the gradient of g at z over the free block.
+
+
+def constraint_residual(case, z):
+    """g(z) of a pair case: the difference of the two whitened squared
+    distances plus c_alpha. Rounding grows with |z|^2 here; see
+    `mpmath_residual` for far points."""
+    z = np.asarray(z, dtype=np.float64)
+    return mahalanobis_sq(case.target, z) - mahalanobis_sq(case.source, z) + case.c_alpha
+
+
+def mpmath_residual(source, target, epsilon, z, dps=50):
+    """(g(z), c_alpha) of a Gaussian pair at the float point z, evaluated in
+    `dps`-digit arithmetic from the covariance matrices (LU solves and
+    determinants), so that no float rounding enters."""
+    with mpmath.workdps(dps):
+        d = len(z)
+
+        def quad_and_log_det(comp):
+            cov = mpmath.matrix(comp.covariance.matrix(d).tolist())
+            diff = mpmath.matrix([mpmath.mpf(float(a)) - mpmath.mpf(float(b))
+                                  for a, b in zip(z, comp.mean)])
+            x = mpmath.lu_solve(cov, diff)
+            return sum(diff[i] * x[i] for i in range(d)), mpmath.log(mpmath.det(cov))
+
+        q_t, ld_t = quad_and_log_det(target)
+        q_s, ld_s = quad_and_log_det(source)
+        c_alpha = (ld_t - ld_s - 2 * (mpmath.log(target.prior) - mpmath.log(source.prior))
+                   + 2 * mpmath.log1p(mpmath.mpf(epsilon)))
+        return float(q_t - q_s + c_alpha), float(c_alpha)
 
 
 def half_gradient(m_s, cov_s, m_t, cov_t, z, free):

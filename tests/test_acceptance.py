@@ -10,10 +10,10 @@ import time
 import numpy as np
 
 import clustercf as cf
-from clustercf.gaussian_cf import build_pair_problem, constraint_residual, solve_gaussian_cf
 from clustercf.kmeans_cf import build_constraint, solve_kmeans_cf
-from helpers import random_mask, random_pair_components
+from helpers import pair_case, random_mask, random_pair_components, solve_case
 from oracles import (
+    constraint_residual,
     expanded_full_lambda_equation,
     global_optimality_certificate,
     level_set_min_distance_2d,
@@ -88,8 +88,8 @@ def test_criterion_2_gaussian_constraint_satisfaction():
         epsilon = float(rng.choice([0.0, 1e-5, 0.5, 2.0]))
         source, target = random_pair_components(rng, d, kind)
         y = source.mean + rng.normal(scale=0.4, size=d)
-        prob = build_pair_problem(source, target, y, mask, epsilon)
-        res = solve_gaussian_cf(prob)
+        prob = pair_case(source, target, y, mask, epsilon)
+        res = solve_case(prob)
         n_total += 1
         if res.status != cf.STATUS_OK:
             continue
@@ -98,6 +98,9 @@ def test_criterion_2_gaussian_constraint_satisfaction():
         assert np.array_equal(res.counterfactual[mask.fixed], y[mask.fixed])
         worst_rel = max(worst_rel, abs(res.residual) / tol)
         assert abs(res.residual) <= tol
+        # The reported residual is the solve's own expansion of g; the
+        # oracle evaluates g at the returned point from the densities.
+        assert abs(constraint_residual(prob, res.counterfactual)) <= tol
         cert = global_optimality_certificate(
             source.mean, source.covariance.matrix(d), target.mean, target.covariance.matrix(d),
             y, res.counterfactual, mask.free,
@@ -123,8 +126,8 @@ def test_criterion_3_level_set_oracle_2d():
         for _ in range(10):
             source, target = random_pair_components(rng, 2, kind)
             y = source.mean + rng.normal(scale=0.4, size=2)
-            prob = build_pair_problem(source, target, y, cf.Mask.all_free(2), 0.0)
-            res = solve_gaussian_cf(prob)
+            prob = pair_case(source, target, y, cf.Mask.all_free(2), 0.0)
+            res = solve_case(prob)
             assert res.status == cf.STATUS_OK, res.status
             n_solved += 1
 
@@ -230,8 +233,8 @@ def test_criterion_5_specialization_consistency():
         eps = float(rng.choice([0.0, 0.2, 1.0]))
 
         def solve(cov_s, cov_t):
-            return solve_gaussian_cf(
-                build_pair_problem(
+            return solve_case(
+                pair_case(
                     cf.GaussianComponent(mean=m_s, covariance=cov_s, prior=pi_s),
                     cf.GaussianComponent(mean=m_t, covariance=cov_t, prior=1.0 - pi_s),
                     y, mask, eps,
@@ -263,8 +266,8 @@ def test_criterion_5_specialization_consistency():
         mask = random_mask(rng, d)
         con = build_constraint(m_s, m_t, 0.0, mask)
         km_res = solve_kmeans_cf(y, con, mask)
-        g_res = solve_gaussian_cf(
-            build_pair_problem(
+        g_res = solve_case(
+            pair_case(
                 cf.GaussianComponent(mean=m_s, covariance=cf.CovarianceSpec.spherical(1.0), prior=0.5),
                 cf.GaussianComponent(mean=m_t, covariance=cf.CovarianceSpec.spherical(1.0), prior=0.5),
                 y, mask, 0.0,
@@ -412,7 +415,7 @@ def test_criterion_9_expanded_equation_cross_check():
         y = rng.normal(size=d)
         mask = random_mask(rng, d)
         epsilon = float(rng.choice([0.0, 0.3, 1.0]))
-        prob = build_pair_problem(source, target, y, mask, epsilon)
+        prob = pair_case(source, target, y, mask, epsilon)
         cov_s, cov_t = source.covariance.matrix(d), target.covariance.matrix(d)
         poles = stationary_poles(cov_s, cov_t, mask.free)
         for lam in rng.normal(scale=1.2, size=3):

@@ -117,6 +117,19 @@ def test_explain_worked_example(tmp_path, boundary_model, capsys):
     assert line["status"] == "ok"
 
 
+def test_explain_result_has_no_roots_found(tmp_path, boundary_model, capsys):
+    out = tmp_path / "result.json"
+    code = main([
+        "explain", "--model", str(boundary_model), "--factual", "0,0.5",
+        "--target", "1", "-o", str(out),
+    ])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert "roots_found" not in doc
+    assert "roots_found" not in load_schema("explain_result.schema.json")["properties"]
+    assert "roots_found" not in json.loads(capsys.readouterr().out.strip())
+
+
 def test_explain_target_best_includes_chosen_target(tmp_path, capsys):
     model = cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0], [2.0, 0.0], [10.0, 0.0]])
     mpath = tmp_path / "three.json"

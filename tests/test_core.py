@@ -319,6 +319,47 @@ def test_component_caches_match_recomputation():
 # Masks and requests
 
 
+def test_precision_is_formed_on_first_use():
+    rng = np.random.default_rng(13)
+    cov = random_spd(rng, 4)
+    comp = cf.GaussianComponent(
+        mean=rng.normal(size=4), covariance=cf.CovarianceSpec.full(cov), prior=1.0
+    )
+    assert comp._precision is None
+    precision = comp.precision_matrix()
+    assert comp.precision_matrix() is precision
+    assert not precision.flags.writeable
+    assert np.array_equal(precision, precision.T)
+    assert np.allclose(precision, np.linalg.inv(cov), rtol=1e-10, atol=1e-12)
+
+
+def test_fit_never_forms_a_precision(monkeypatch):
+    def no_precision(self):
+        raise AssertionError("fit formed a precision matrix")
+
+    monkeypatch.setattr(cf.GaussianComponent, "precision_matrix", no_precision)
+    rng = np.random.default_rng(19)
+    rows = np.concatenate([rng.normal(size=(40, 3)), rng.normal(size=(40, 3)) + 4.0])
+    for covariance in (cf.FULL, cf.DIAGONAL, cf.SPHERICAL):
+        model, _ = cf.fit(cf.Dataset(rows=rows), cf.FitConfig(
+            algorithm="gmm", covariance=covariance, n_clusters=2, seed=1, max_iter=5))
+        assert all(c._precision is None for c in model.components)
+
+
+def test_requests_without_a_mask_share_the_model_all_free_mask():
+    model = cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0, 0.0], [2.0, 0.0, 1.0]])
+    first = cf.CfRequest(factual=[0.0, 0.0, 0.0], target=1).validate_against(model)
+    second = cf.CfRequest(factual=[1.0, 0.0, 0.0], target=0).validate_against(model)
+    assert first is second is model.all_free_mask()
+    assert first.bits.tolist() == [True, True, True] and first.fixed.size == 0
+
+
+def test_result_has_no_roots_found():
+    import dataclasses
+
+    assert "roots_found" not in {f.name for f in dataclasses.fields(cf.CfResult)}
+
+
 def test_mask_from_string_and_index_sets():
     mask = cf.Mask.from_string("1,0,1,0")
     assert mask.d == 4 and mask.n_free == 2
@@ -376,6 +417,7 @@ def test_public_api_names_resolve_once():
         "z_of_lambda", "PoleError", "uniqueness_class", "UNIQUE", "INDETERMINATE", "preference",
         # The pair builders and solvers trust their inputs; `explain` is their entry point.
         "GaussianPairProblem", "build_pair_problem", "constraint_residual", "solve_gaussian_cf",
+        "GaussianPairPlan", "solve_gaussian_rows",
         "KmeansConstraint", "build_constraint", "solve_kmeans_cf",
         # `fit` runs both algorithms; EM scores through `score_matrix`.
         "fit_gmm", "fit_kmeans", "fit_gmm_info", "fit_kmeans_info", "_log_prob_matrix",

@@ -219,3 +219,34 @@ def test_sweep_validates_epsilons():
         cf.sweep_epsilon(model, [0.0, 0.0], 1, None, [-0.1, 0.5])
     with pytest.raises(cf.ValidationError):
         cf.sweep_epsilon(model, [0.0, 0.0], 1, None, [])
+
+
+def test_ingest_baseline_judges_all_rows_with_one_score_call(tmp_path, blob_setup, monkeypatch):
+    import importlib
+
+    model, data, source, target = blob_setup
+    report = cf.run_eval(model, data, cf.EvalConfig(source=source, target=target, n_factuals=12))
+    path = tmp_path / "ours.csv"
+    cf.export_baseline_csv(report, path)
+    explain_module = importlib.import_module("clustercf.explain")
+    counts = {"score": 0, "to_internal": 0}
+    score_matrix, to_internal = explain_module.score_matrix, cf.ClusterModel.to_internal
+
+    def counting_score(*args, **kwargs):
+        counts["score"] += 1
+        return score_matrix(*args, **kwargs)
+
+    def counting_to_internal(self, x):
+        counts["to_internal"] += 1
+        return to_internal(self, x)
+
+    monkeypatch.setattr(explain_module, "score_matrix", counting_score)
+    monkeypatch.setattr(cf.ClusterModel, "to_internal", counting_to_internal)
+    factuals = {r.factual_id: np.asarray(r.factual) for r in report.records}
+    table = cf.ingest_baseline(path, "ours", model, factuals, target)
+    assert len(table) == 12
+    assert counts == {"score": 1, "to_internal": 2}
+    ours = {r.factual_id: r for r in report.records}
+    for rec in table:
+        assert rec.distance_sq == ours[rec.factual_id].distance_sq
+        assert rec.member_tolerant == ours[rec.factual_id].tolerant_member

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 import clustercf as cf
-from clustercf.gaussian_cf import build_pair_problem, solve_gaussian_cf
 from clustercf.kmeans_cf import build_constraint, solve_kmeans_cf
-from helpers import two_cluster_gaussian_model
+from helpers import pair_case, solve_case, two_cluster_gaussian_model
 from oracles import make_blobs, random_spd
 
 
@@ -227,7 +226,7 @@ def test_direct_solver_calls_leave_elapsed_at_zero():
     constraint = build_constraint(np.zeros(2), np.array([2.0, 0.0]), 1e-5, mask)
     kres = solve_kmeans_cf(np.array([0.0, 0.5]), constraint, mask)
     source, target = two_cluster_gaussian_model().components
-    gres = solve_gaussian_cf(build_pair_problem(source, target, np.array([0.1, -0.3]), mask, 1e-5))
+    gres = solve_case(pair_case(source, target, np.array([0.1, -0.3]), mask, 1e-5))
     assert kres.status == gres.status == cf.STATUS_OK
     assert kres.elapsed == 0.0 and gres.elapsed == 0.0
 

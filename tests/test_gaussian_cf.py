@@ -9,15 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clustercf as cf
-from clustercf.gaussian_cf import build_pair_problem, constraint_residual, solve_gaussian_cf
-from helpers import random_mask, random_pair_components, random_pair_problem
+from helpers import (
+    pair_case,
+    random_covariance,
+    random_mask,
+    random_pair_components,
+    random_pair_problem,
+    solve_case,
+)
 from oracles import (
+    constraint_residual,
     expanded_full_lambda_equation,
     global_optimality_certificate,
     half_gradient,
     level_set_min_distance_2d,
     line_level_set_min_distance,
     lstsq_plane_distance_sq,
+    mpmath_residual,
     pair_residual_fn,
     random_spd,
     stationary_point,
@@ -53,7 +61,7 @@ def stationarity_gap(prob, res):
 def unit_pair(eps):
     s = cf.GaussianComponent(mean=[0.0, 0.0], covariance=cf.CovarianceSpec.spherical(1.0), prior=0.5)
     t = cf.GaussianComponent(mean=[2.0, 0.0], covariance=cf.CovarianceSpec.spherical(1.0), prior=0.5)
-    return build_pair_problem(s, t, np.zeros(2), cf.Mask.all_free(2), eps)
+    return pair_case(s, t, np.zeros(2), cf.Mask.all_free(2), eps)
 
 
 def test_residual_zero_at_symmetric_midpoint():
@@ -96,14 +104,14 @@ def test_c_alpha_recomputes():
 
 
 def test_solve_unit_spherical_boundary():
-    res = solve_gaussian_cf(unit_pair(0.0))
+    res = solve_case(unit_pair(0.0))
     assert res.status == cf.STATUS_OK
     assert np.allclose(res.counterfactual, [1.0, 0.0], atol=1e-10)
     assert abs(res.residual) <= 1e-8
 
 
 def test_solve_unit_spherical_with_plausibility():
-    res = solve_gaussian_cf(unit_pair(math.e - 1.0))
+    res = solve_case(unit_pair(math.e - 1.0))
     assert res.status == cf.STATUS_OK
     assert np.allclose(res.counterfactual, [1.5, 0.0], atol=1e-10)
 
@@ -126,8 +134,8 @@ def test_solve_full_2d_matches_level_set_oracle_all_masks():
         target.mean, target.covariance.matrix(2), target.prior, 0.0,
     )
     # Both actionable: 2-D grid scan over a box covering the pair.
-    prob = build_pair_problem(source, target, y, cf.Mask.all_free(2), 0.0)
-    out = solve_gaussian_cf(prob)
+    prob = pair_case(source, target, y, cf.Mask.all_free(2), 0.0)
+    out = solve_case(prob)
     assert out.status == cf.STATUS_OK
     xs = np.linspace(-5.0, 8.0, 2000)
     ys = np.linspace(-5.0, 8.0, 2000)
@@ -137,8 +145,8 @@ def test_solve_full_2d_matches_level_set_oracle_all_masks():
 
     # Single-coordinate masks: the level set restricted to a line.
     for free_axis, bits in ((0, [1, 0]), (1, [0, 1])):
-        prob_m = build_pair_problem(source, target, y, cf.Mask.from_bits(bits), 0.0)
-        out_m = solve_gaussian_cf(prob_m)
+        prob_m = pair_case(source, target, y, cf.Mask.from_bits(bits), 0.0)
+        out_m = solve_case(prob_m)
         assert out_m.status == cf.STATUS_OK
         line = np.linspace(-40.0, 40.0, 4_000_000)
         oracle_1d, n1 = line_level_set_min_distance(res_fn, y, free_axis, line)
@@ -162,8 +170,8 @@ def test_no_root_detected_and_verified_analytically():
     mask = cf.Mask.from_bits([1, 0])
     c_h = (0.0 - 10.0) ** 2 / 1.0 - 0.0
     assert c_h + math.log(0.25) > 0.0
-    prob = build_pair_problem(source, target, y, mask, 0.0)
-    res = solve_gaussian_cf(prob)
+    prob = pair_case(source, target, y, mask, 0.0)
+    res = solve_case(prob)
     assert res.status == cf.STATUS_NO_FEASIBLE_SOLUTION
     assert res.diagnostics["g_limit"] == pytest.approx(c_h + math.log(0.25), rel=1e-12)
     # D = 0.75 > 0: the interval's lower end is open, written as null.
@@ -180,7 +188,7 @@ def test_solutions_preserve_mask_and_satisfy_constraint(kind):
         mask = random_mask(rng, d)
         eps = float(rng.choice([0.0, 1e-5, 0.4, 1.5]))
         prob = random_pair_problem(rng, d, kind, epsilon=eps, mask=mask)
-        res = solve_gaussian_cf(prob)
+        res = solve_case(prob)
         if res.status != cf.STATUS_OK:
             continue
         solved += 1
@@ -196,7 +204,7 @@ def test_eps_zero_equalizes_weighted_log_densities():
     rng = np.random.default_rng(53)
     for kind in KINDS:
         prob = random_pair_problem(rng, 3, kind, epsilon=0.0)
-        res = solve_gaussian_cf(prob)
+        res = solve_case(prob)
         assert res.status == cf.STATUS_OK
         z = res.counterfactual
         gap = (math.log(prob.source.prior) + cf.log_density(prob.source, z)) - (
@@ -219,7 +227,7 @@ def test_specialization_chain_spherical_diagonal_full():
         eps = float(rng.choice([0.0, 0.2]))
 
         def build(cov_s, cov_t):
-            return build_pair_problem(
+            return pair_case(
                 cf.GaussianComponent(mean=m_s, covariance=cov_s, prior=pi_s),
                 cf.GaussianComponent(mean=m_t, covariance=cov_t, prior=1.0 - pi_s),
                 y,
@@ -228,11 +236,11 @@ def test_specialization_chain_spherical_diagonal_full():
             )
 
         results = [
-            solve_gaussian_cf(build(cf.CovarianceSpec.spherical(s_var), cf.CovarianceSpec.spherical(t_var))),
-            solve_gaussian_cf(build(
+            solve_case(build(cf.CovarianceSpec.spherical(s_var), cf.CovarianceSpec.spherical(t_var))),
+            solve_case(build(
                 cf.CovarianceSpec.diagonal(np.full(d, s_var)), cf.CovarianceSpec.diagonal(np.full(d, t_var))
             )),
-            solve_gaussian_cf(build(
+            solve_case(build(
                 cf.CovarianceSpec.full(s_var * np.eye(d)), cf.CovarianceSpec.full(t_var * np.eye(d))
             )),
         ]
@@ -250,7 +258,7 @@ def test_kkt_stationarity(kind):
         d = int(rng.integers(2, 6))
         mask = random_mask(rng, d)
         prob = random_pair_problem(rng, d, kind, epsilon=0.1, mask=mask)
-        res = solve_gaussian_cf(prob)
+        res = solve_case(prob)
         if res.status != cf.STATUS_OK:
             continue
         gap, step = stationarity_gap(prob, res)
@@ -266,7 +274,7 @@ def test_expanded_equation_matches_residual_formulation():
         source, target = random_pair_components(rng, d, cf.FULL)
         y = rng.normal(size=d)
         mask = random_mask(rng, d)
-        prob = build_pair_problem(source, target, y, mask, 0.25)
+        prob = pair_case(source, target, y, mask, 0.25)
         poles = stationary_poles(source.covariance.matrix(d), target.covariance.matrix(d), mask.free)
         for lam in rng.normal(scale=1.5, size=4):
             if any(abs(float(lam) - p) <= 1e-12 * (1.0 + abs(p)) for p in poles):
@@ -291,7 +299,7 @@ def test_affine_fallback_for_equal_covariances():
     m_t = m_s + rng.normal(scale=2.0, size=d)
     y = m_s + rng.normal(scale=0.3, size=d)
     mask = cf.Mask.from_bits([1, 1, 0, 1])
-    prob = build_pair_problem(
+    prob = pair_case(
         cf.GaussianComponent(mean=m_s, covariance=cf.CovarianceSpec.full(cov), prior=0.5),
         cf.GaussianComponent(mean=m_t, covariance=cf.CovarianceSpec.full(cov), prior=0.5),
         y,
@@ -299,7 +307,7 @@ def test_affine_fallback_for_equal_covariances():
         0.3,
     )
     assert prob.affine
-    res = solve_gaussian_cf(prob)
+    res = solve_case(prob)
     assert res.status == cf.STATUS_OK
     assert abs(constraint_residual(prob, res.counterfactual)) <= 1e-8 * (1 + abs(prob.c_alpha))
     # The constraint is affine; an independent least-squares projection onto
@@ -321,11 +329,11 @@ def test_ok_results_carry_json_safe_diagnostics():
             problems.append(random_pair_problem(rng, d, kind, epsilon=eps, mask=random_mask(rng, d)))
     # The factual path: a factual already on the boundary.
     source, target = fixed_full_pair()
-    start = build_pair_problem(source, target, np.array([0.4, -0.2]), cf.Mask.all_free(2), 0.0)
-    boundary = solve_gaussian_cf(start).counterfactual
-    problems.append(build_pair_problem(source, target, boundary, cf.Mask.all_free(2), 0.0))
+    start = pair_case(source, target, np.array([0.4, -0.2]), cf.Mask.all_free(2), 0.0)
+    boundary = solve_case(start).counterfactual
+    problems.append(pair_case(source, target, boundary, cf.Mask.all_free(2), 0.0))
     # The hard case: concentric spheres seen from their shared mean.
-    problems.append(build_pair_problem(
+    problems.append(pair_case(
         cf.GaussianComponent(mean=[0.0, 0.0], covariance=cf.CovarianceSpec.spherical(1.0), prior=0.5),
         cf.GaussianComponent(mean=[0.0, 0.0], covariance=cf.CovarianceSpec.spherical(4.0), prior=0.5),
         np.zeros(2), cf.Mask.all_free(2), 0.0,
@@ -334,7 +342,7 @@ def test_ok_results_carry_json_safe_diagnostics():
         schema = json.load(fh)["properties"]["diagnostics"]
     paths = []
     for prob in problems:
-        res = solve_gaussian_cf(prob)
+        res = solve_case(prob)
         jsonschema.validate(res.diagnostics, schema)
         if res.status != cf.STATUS_OK:
             continue
@@ -347,10 +355,10 @@ def test_ok_results_carry_json_safe_diagnostics():
 
 def test_factual_on_boundary_returns_itself():
     source, target = fixed_full_pair()
-    start = build_pair_problem(source, target, np.array([0.4, -0.2]), cf.Mask.all_free(2), 0.0)
-    boundary = solve_gaussian_cf(start).counterfactual
-    prob = build_pair_problem(source, target, boundary, cf.Mask.all_free(2), 0.0)
-    res = solve_gaussian_cf(prob)
+    start = pair_case(source, target, np.array([0.4, -0.2]), cf.Mask.all_free(2), 0.0)
+    boundary = solve_case(start).counterfactual
+    prob = pair_case(source, target, boundary, cf.Mask.all_free(2), 0.0)
+    res = solve_case(prob)
     assert res.status == cf.STATUS_OK
     assert res.distance_sq <= 1e-12
     assert np.allclose(res.counterfactual, boundary, atol=1e-6)
@@ -370,8 +378,8 @@ def test_mixed_covariance_kinds_promote_to_matrix_path():
     )
     y = np.asarray([0.3, -0.2, 0.1])
     mask = cf.Mask.from_bits([1, 1, 0])
-    mixed = solve_gaussian_cf(build_pair_problem(source_diag, target, y, mask, 0.1))
-    full = solve_gaussian_cf(build_pair_problem(source_full, target, y, mask, 0.1))
+    mixed = solve_case(pair_case(source_diag, target, y, mask, 0.1))
+    full = solve_case(pair_case(source_full, target, y, mask, 0.1))
     assert mixed.status == full.status == cf.STATUS_OK
     assert np.allclose(mixed.counterfactual, full.counterfactual, rtol=0, atol=1e-10)
 
@@ -382,17 +390,20 @@ def test_requires_at_least_one_free_feature():
     rng = np.random.default_rng(73)
     frozen = cf.Mask.from_bits([0, 0, 0])
     prob = random_pair_problem(rng, 3, cf.FULL, mask=frozen)
-    res = solve_gaussian_cf(prob)
+    res = solve_case(prob)
     assert res.status == cf.STATUS_NO_FEASIBLE_SOLUTION
     assert res.counterfactual is None and res.distance_sq is None
-    assert res.residual == constraint_residual(prob, prob.y)
+    # The residual is g(y) as the plan evaluates it, y'Dy + 2 b'y + k; the
+    # oracle's difference of squares agrees to rounding.
+    assert res.residual == prob.plan.terms(prob.y[None, :], [prob.epsilon])[1][0]
+    assert res.residual == pytest.approx(constraint_residual(prob, prob.y), rel=1e-12, abs=1e-12)
 
     source, target = prob.source, prob.target
-    boundary = solve_gaussian_cf(
-        build_pair_problem(source, target, prob.y, cf.Mask.all_free(3), 0.0)
+    boundary = solve_case(
+        pair_case(source, target, prob.y, cf.Mask.all_free(3), 0.0)
     ).counterfactual
-    on = build_pair_problem(source, target, boundary, frozen, 0.0)
-    res = solve_gaussian_cf(on)
+    on = pair_case(source, target, boundary, frozen, 0.0)
+    res = solve_case(on)
     assert res.status == cf.STATUS_DEGENERATE_IDENTITY
     assert np.array_equal(res.counterfactual, boundary) and res.distance_sq == 0.0
     assert abs(res.residual) <= 1e-8 * (1.0 + abs(on.c_alpha))
@@ -405,7 +416,7 @@ def test_solution_properties_random(seed, kind_ix, d):
     mask = random_mask(rng, d)
     epsilon = float(rng.choice([0.0, 1e-5, 0.3, 1.0]))
     prob = random_pair_problem(rng, d, KINDS[kind_ix], epsilon=epsilon, mask=mask)
-    res = solve_gaussian_cf(prob)
+    res = solve_case(prob)
     if res.status != cf.STATUS_OK:
         return
     z = res.counterfactual
@@ -431,8 +442,8 @@ def test_multiple_roots_picks_nearest():
         mean=[0.0, 0.0], covariance=cf.CovarianceSpec.spherical(4.0), prior=0.5
     )
     y = np.asarray([3.0, 0.0])
-    prob = build_pair_problem(source, target, y, cf.Mask.all_free(2), 0.0)
-    res = solve_gaussian_cf(prob)
+    prob = pair_case(source, target, y, cf.Mask.all_free(2), 0.0)
+    res = solve_case(prob)
     assert res.status == cf.STATUS_OK
     radius_sq = prob.c_alpha / 0.75
     radius = math.sqrt(radius_sq)
@@ -440,13 +451,13 @@ def test_multiple_roots_picks_nearest():
 
     # At the shared mean every point of the circle is nearest: the hard
     # case, with the multiplier on the pole of I - lam * D.
-    centre = build_pair_problem(source, target, np.zeros(2), cf.Mask.all_free(2), 0.0)
-    res = solve_gaussian_cf(centre)
+    centre = pair_case(source, target, np.zeros(2), cf.Mask.all_free(2), 0.0)
+    res = solve_case(centre)
     assert res.status == cf.STATUS_OK
     assert res.distance_sq == pytest.approx(radius_sq, rel=1e-12)
     assert abs(constraint_residual(centre, res.counterfactual)) <= 1e-8 * (1 + centre.c_alpha)
     assert certify(centre, res.counterfactual) >= -1e-9
-    again = solve_gaussian_cf(centre)
+    again = solve_case(centre)
     assert np.array_equal(again.counterfactual, res.counterfactual) and again.lam == res.lam
 
 
@@ -467,8 +478,8 @@ def test_near_hard_case_matches_level_set_oracle(eps):
     )
     results = []
     for y in (np.zeros(2), np.array([1e-9, 0.0])):
-        prob = build_pair_problem(source, target, y, cf.Mask.all_free(2), eps)
-        res = solve_gaussian_cf(prob)
+        prob = pair_case(source, target, y, cf.Mask.all_free(2), eps)
+        res = solve_case(prob)
         assert res.status == cf.STATUS_OK
         assert abs(constraint_residual(prob, res.counterfactual)) <= 1e-8 * (1 + prob.c_alpha)
         assert certify(prob, res.counterfactual) >= -1e-9
@@ -494,9 +505,43 @@ def test_near_flat_source_returns_global_minimizer():
         prior=0.5,
     )
     y = np.array([1.108241314903022e-05, -1.122221726853932])
-    prob = build_pair_problem(source, target, y, cf.Mask.all_free(2), 1.0)
-    res = solve_gaussian_cf(prob)
+    prob = pair_case(source, target, y, cf.Mask.all_free(2), 1.0)
+    res = solve_case(prob)
     assert res.status == cf.STATUS_OK
     assert abs(constraint_residual(prob, res.counterfactual)) <= 1e-8 * (1 + abs(prob.c_alpha))
     assert certify(prob, res.counterfactual) >= -1e-9
     assert res.distance_sq == pytest.approx(5.435e-7, rel=1e-3)
+
+
+def test_mpmath_residual_agrees_with_the_float_oracle_near_the_means():
+    rng = np.random.default_rng(31)
+    for kind in KINDS:
+        prob = random_pair_problem(rng, 5, kind, epsilon=0.3)
+        z = prob.y + rng.normal(size=5)
+        exact, c_alpha = mpmath_residual(prob.source, prob.target, prob.epsilon, z)
+        assert c_alpha == pytest.approx(prob.c_alpha, rel=1e-12)
+        assert exact == pytest.approx(constraint_residual(prob, z), rel=1e-10, abs=1e-10)
+
+
+def test_far_factuals_on_equal_covariance_pairs_solve_and_confirm():
+    # Equal covariances make g affine, but at |y| ~ 1e4 each Mahalanobis
+    # term is near 1e8, and their float difference rounds by about the
+    # 1e-8 * (1 + |c_alpha|) acceptance tolerance. g(y) is taken with the
+    # covariance terms cancelled before the factual enters and the
+    # candidate is confirmed in the solve's own coordinates, so every
+    # request solves; a 50-digit residual checks each point.
+    rng = np.random.default_rng(29)
+    for i in range(300):
+        d = int(rng.integers(2, 13))
+        cov = random_covariance(rng, d, KINDS[i % 3])
+        pi_s = float(rng.uniform(0.3, 0.7))
+        m_s = rng.normal(size=d)
+        m_t = m_s + rng.normal(scale=2.0, size=d)
+        source = cf.GaussianComponent(mean=m_s, covariance=cov, prior=pi_s)
+        target = cf.GaussianComponent(mean=m_t, covariance=cov, prior=1.0 - pi_s)
+        u = rng.normal(size=d)
+        y = m_s + 1e4 * u / np.linalg.norm(u)
+        res = solve_case(pair_case(source, target, y, cf.Mask.all_free(d), 0.3))
+        assert res.status == cf.STATUS_OK, (i, res.diagnostics)
+        exact, c_alpha = mpmath_residual(source, target, 0.3, res.counterfactual)
+        assert abs(exact) <= 1e-8 * (1.0 + abs(c_alpha)), (i, exact)
