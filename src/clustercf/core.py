@@ -18,6 +18,7 @@ rows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -289,7 +290,6 @@ class ClusterModel:
     _means: np.ndarray = field(init=False, repr=False)
     _whitening: "np.ndarray | None" = field(init=False, repr=False, default=None)
     _score_const: "np.ndarray | None" = field(init=False, repr=False, default=None)
-    _all_free: "Mask | None" = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -352,13 +352,6 @@ class ClusterModel:
     def means(self) -> np.ndarray:
         return self._means
 
-    def all_free_mask(self) -> "Mask":
-        """The mask with every feature free, built on first use and shared
-        by the requests that carry no mask (a Mask is immutable)."""
-        if self._all_free is None:
-            object.__setattr__(self, "_all_free", Mask.all_free(self.d))
-        return self._all_free
-
     def check_cluster(self, k: int, path: str) -> None:
         """Raise ValidationError at `path` unless k is a cluster id."""
         if not (0 <= k < self.n_clusters):
@@ -375,13 +368,17 @@ class ClusterModel:
         return self.standardization.to_original(x)
 
 
-def score_matrix(model: ClusterModel, rows: np.ndarray) -> np.ndarray:
+def score_matrix(model: ClusterModel, rows: np.ndarray, *, per_row: bool = False) -> np.ndarray:
     """Assignment scores for each row and cluster, higher is better.
 
     Gaussian models score log(prior * density); kmeans models score the
     negated squared distance to each center. Both reduce cluster
     assignment to an argmax. Gaussian rows are whitened against every
-    cluster at once, SCORE_BLOCK_ROWS rows at a time.
+    cluster at once, SCORE_BLOCK_ROWS rows at a time. A full-covariance
+    block takes one matrix product per cluster, which can round a row
+    differently with other rows beside it; with `per_row`, each row takes
+    its own product per cluster, so its scores are the bits a one-row call
+    gives, whatever else is in the batch.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim == 1:
@@ -398,7 +395,9 @@ def score_matrix(model: ClusterModel, rows: np.ndarray) -> np.ndarray:
     for start in range(0, rows.shape[0], SCORE_BLOCK_ROWS):
         block = rows[start : start + SCORE_BLOCK_ROWS]
         diff = block[None, :, :] - means[:, None, :]
-        if whitening.ndim == 3:
+        if whitening.ndim == 3 and per_row:
+            white = np.matmul(diff[:, :, None, :], whitening.transpose(0, 2, 1)[:, None])[:, :, 0]
+        elif whitening.ndim == 3:
             white = np.matmul(diff, whitening.transpose(0, 2, 1))
         else:
             white = diff * whitening[:, None, :]
@@ -448,7 +447,11 @@ class Mask:
         object.__setattr__(self, "fixed", _readonly((~bits).nonzero()[0]))
 
     @staticmethod
+    @functools.lru_cache(maxsize=64)
     def all_free(d: int) -> "Mask":
+        """The mask with every feature free. A Mask is immutable, so the
+        requests that carry no mask share one instance per d instead of
+        building one each."""
         return Mask(np.ones(d, dtype=bool))
 
     @staticmethod
@@ -503,7 +506,7 @@ class CfRequest:
             if self.source == self.target:
                 raise ValidationError("target", "source and target clusters must differ")
         if self.mask is None:
-            return model.all_free_mask()
+            return Mask.all_free(model.d)
         if self.mask.d != model.d:
             raise ValidationError("mask", f"length {self.mask.d} does not match dimension {model.d}")
         return self.mask

@@ -150,7 +150,7 @@ def run_eval(model: ClusterModel, data: Dataset, config: EvalConfig) -> EvalRepo
     rng = np.random.default_rng(config.seed)
     chosen = np.sort(rng.choice(source_rows, size=n, replace=False))
 
-    mask = config.mask if config.mask is not None else model.all_free_mask()
+    mask = config.mask if config.mask is not None else Mask.all_free(model.d)
     requests = [
         CfRequest(
             factual=rows[row_id],

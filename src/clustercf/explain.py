@@ -50,11 +50,12 @@ class AllTargetsFailedError(ClusterCfError):
 def membership_verdict(model: ClusterModel, rows: np.ndarray, targets):
     """(strict, tolerant): lists of target-membership verdicts for the rows
     of `rows` (N x d, internal space), row i judged against `targets[i]`,
-    from one `score_matrix` call. Strict membership is the argmax (ties to
-    the lowest id); tolerant membership also admits a target within
-    MEMBERSHIP_TIE_TOL of the best score."""
+    from one `score_matrix` call that scores each row on its own, so a
+    row's verdicts do not depend on the batch. Strict membership is the
+    argmax (ties to the lowest id); tolerant membership also admits a
+    target within MEMBERSHIP_TIE_TOL of the best score."""
     strict, tolerant = [], []
-    for scores, target in zip(score_matrix(model, rows).tolist(), targets):
+    for scores, target in zip(score_matrix(model, rows, per_row=True).tolist(), targets):
         best = max(scores)
         member = scores.index(best) == target
         strict.append(member)
@@ -89,7 +90,7 @@ def explain_many(model: ClusterModel, requests) -> "list[CfResult]":
         return []
     y_orig = np.array([request.factual for request in requests])
     y = np.asarray(model.to_internal(y_orig), dtype=np.float64)
-    detected = score_matrix(model, y).argmax(axis=1).tolist()
+    detected = score_matrix(model, y, per_row=True).argmax(axis=1).tolist()
 
     groups = {}
     for i, (request, mask, found) in enumerate(zip(requests, masks, detected)):
@@ -188,7 +189,7 @@ def explain_best(
     for target in candidate_targets:
         model.check_cluster(target, "target")
     if mask is None:
-        mask = model.all_free_mask()
+        mask = Mask.all_free(model.d)
 
     targets = sorted(candidate_targets)
     requests = [

@@ -36,14 +36,16 @@ Only a and g(y) depend on the factual, and only c_a on eps. A
 eigenbasis of D (the identity when neither covariance is full), e, the
 multiplier interval and the pole data of each side. `solve_gaussian_rows`
 then solves many factuals and eps values against one plan: a and g(y)
-for all rows from one matrix product, the side, factual and hard-case
+for all rows from row-wise products, the side, factual and hard-case
 tests over all rows at once, one scalar root per row, and the
-confirmation over all rows. g(y) is evaluated as
-y'(P_t - P_s) y + 2 (P_s m_s - P_t m_t)'y + k, with the precision
-difference formed before any factual is applied, so the terms that grow
-with |y| cancel in it and not in the rows; the confirmation evaluates
-the exact expansion g(y) + 2 a.s + s' diag(e) s in the solve's own
-coordinates. Neither subtracts two large Mahalanobis terms.
+confirmation over all rows. a comes from the half gradient taken around
+the source mean, h = D (y - m_s) + P_t (m_s - m_t), and g(y) from the
+whitened differences |W_t (y - m_t)|^2 - |W_s (y - m_s)|^2 + c_a; when
+the two precisions are equal the squares cancel exactly and g(y) is the
+affine 2 h.(y - m_s) + (m_s - m_t)' P_t (m_s - m_t) + c_a, so a far
+factual keeps its precision. The confirmation evaluates the exact
+expansion g(y) + 2 a.s + s' diag(e) s in the solve's own coordinates
+instead of subtracting two large Mahalanobis terms at the candidate.
 """
 
 from __future__ import annotations
@@ -161,14 +163,15 @@ class GaussianPairPlan:
         ]
         self._sides = {}
 
-        # g(y) = y'Dy + 2 b'y + k with D = P_t - P_s, b = P_s m_s - P_t m_t
-        # and k = m_t'P_t m_t - m_s'P_s m_s + c_alpha (its eps term is
-        # added per row); its half gradient is h = D y + b. The terms that grow with |y| cancel in D, not in the
-        # rows: for equal covariances D is exactly zero and g is affine.
-        pm_s, pm_t = _apply(p_s, source.mean), _apply(p_t, target.mean)
+        # h = P_t (y - m_t) - P_s (y - m_s) around the source mean: with
+        # u = y - m_s and delta = m_s - m_t, h = D u + P_t delta. For equal
+        # precisions D is exactly zero and g(y) = 2 h.u + delta'P_t delta
+        # + c_alpha (`_g_equal` holds the constant before c_alpha).
+        delta = source.mean - target.mean
         self._d = p_diff
-        self._b = pm_s - pm_t
-        self._k = float(target.mean @ pm_t) - float(source.mean @ pm_s) + self._c_base
+        self._h_base = _apply(p_t, delta)
+        self._equal = not p_diff.any()
+        self._g_equal = float(delta @ self._h_base)
 
     def c_alpha(self, epsilon: float) -> float:
         return self._c_base + 2.0 * math.log1p(epsilon)
@@ -176,11 +179,19 @@ class GaussianPairPlan:
     def terms(self, rows: np.ndarray, epsilons) -> "tuple[np.ndarray, np.ndarray]":
         """(a, g(y)) for each row of `rows` (N x d, internal space), row i
         at `epsilons[i]`: the half gradient over the free block in the
-        eigenbasis (N x |F|) and the constraint value (N)."""
-        h = _apply(self._d, rows) + self._b
+        eigenbasis (N x |F|) and the constraint value (N). g(y) is the
+        difference of the whitened squared distances, as `mahalanobis_sq`
+        takes them, or its exact affine form when the precisions are
+        equal."""
+        u = rows - self.source.mean
+        h = _apply(self._d, u) + self._h_base
         a = self._to_eigen(h.take(self.mask.free, axis=1))
-        shift = [self._k + 2.0 * math.log1p(eps) for eps in epsilons]
-        return a, np.vecdot(rows, h + self._b) + shift
+        if self._equal:
+            g = 2.0 * np.vecdot(u, self._h_base) + self._g_equal
+        else:
+            q_t = _whitened_sq(self.target.whitening, rows - self.target.mean)
+            g = q_t - _whitened_sq(self.source.whitening, u)
+        return a, g + [self.c_alpha(eps) for eps in epsilons]
 
     def _to_eigen(self, x: np.ndarray) -> np.ndarray:
         """Rows of free-block vectors in eigen-coordinates: x_i @ B."""
@@ -224,6 +235,14 @@ def _row_products(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     does not depend on the other rows of the batch (a blocked matrix
     product may round a row differently with other rows beside it)."""
     return np.matmul(x[:, None, :], m)[:, 0, :]
+
+
+def _whitened_sq(w: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """|W (x - m)|^2 for each row x - m of `diff`, with the products
+    `mahalanobis_sq` takes for one vector (a matrix-vector product and a
+    dot product per row), so each row gets the same bits."""
+    white = np.matmul(w, diff[:, :, None])[:, :, 0] if w.ndim == 2 else diff * w
+    return np.vecdot(white, white)
 
 
 # ---------------------------------------------------------------------------

@@ -346,12 +346,13 @@ def test_fit_never_forms_a_precision(monkeypatch):
         assert all(c._precision is None for c in model.components)
 
 
-def test_requests_without_a_mask_share_the_model_all_free_mask():
+def test_requests_without_a_mask_share_one_all_free_mask():
     model = cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0, 0.0], [2.0, 0.0, 1.0]])
     first = cf.CfRequest(factual=[0.0, 0.0, 0.0], target=1).validate_against(model)
     second = cf.CfRequest(factual=[1.0, 0.0, 0.0], target=0).validate_against(model)
-    assert first is second is model.all_free_mask()
+    assert first is second is cf.Mask.all_free(3)
     assert first.bits.tolist() == [True, True, True] and first.fixed.size == 0
+    assert not first.bits.flags.writeable and not first.free.flags.writeable
 
 
 def test_result_has_no_roots_found():

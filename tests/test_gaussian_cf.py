@@ -393,10 +393,7 @@ def test_requires_at_least_one_free_feature():
     res = solve_case(prob)
     assert res.status == cf.STATUS_NO_FEASIBLE_SOLUTION
     assert res.counterfactual is None and res.distance_sq is None
-    # The residual is g(y) as the plan evaluates it, y'Dy + 2 b'y + k; the
-    # oracle's difference of squares agrees to rounding.
-    assert res.residual == prob.plan.terms(prob.y[None, :], [prob.epsilon])[1][0]
-    assert res.residual == pytest.approx(constraint_residual(prob, prob.y), rel=1e-12, abs=1e-12)
+    assert res.residual == constraint_residual(prob, prob.y)
 
     source, target = prob.source, prob.target
     boundary = solve_case(
@@ -545,3 +542,34 @@ def test_far_factuals_on_equal_covariance_pairs_solve_and_confirm():
         assert res.status == cf.STATUS_OK, (i, res.diagnostics)
         exact, c_alpha = mpmath_residual(source, target, 0.3, res.counterfactual)
         assert abs(exact) <= 1e-8 * (1.0 + abs(c_alpha)), (i, exact)
+
+
+def test_means_far_from_the_origin_keep_their_precision():
+    # Moving a pair and its factual by 1e5 leaves y - m and the whitened
+    # differences as they were, so each request gives the status and
+    # distance of the unmoved one, and the 50-digit residual at the moved
+    # point stays within the acceptance tolerance. Every fourth pair shares
+    # one covariance.
+    rng = np.random.default_rng(43)
+    shift = 1e5
+    solved = 0
+    for i in range(90):
+        d = int(rng.integers(2, 9))
+        source, target = random_pair_components(rng, d, KINDS[i % 3])
+        if i % 4 == 0:
+            target = cf.GaussianComponent(mean=target.mean, covariance=source.covariance,
+                                          prior=target.prior)
+        y = source.mean + rng.normal(scale=0.4, size=d)
+        mask = random_mask(rng, d)
+        moved = [cf.GaussianComponent(mean=c.mean + shift, covariance=c.covariance, prior=c.prior)
+                 for c in (source, target)]
+        near = solve_case(pair_case(source, target, y, mask, 0.3))
+        far = solve_case(pair_case(*moved, y + shift, mask, 0.3))
+        assert far.status == near.status, (i, far.diagnostics)
+        if far.status != cf.STATUS_OK:
+            continue
+        solved += 1
+        assert far.distance_sq == pytest.approx(near.distance_sq, rel=1e-6, abs=1e-9)
+        exact, c_alpha = mpmath_residual(*moved, 0.3, far.counterfactual)
+        assert abs(exact) <= 1e-8 * (1.0 + abs(c_alpha)), (i, exact)
+    assert solved >= 60
