@@ -2,9 +2,11 @@
 
 Given a fitted clustering (k-means centers or Gaussian components), a
 factual point, a target cluster, a per-feature actionability mask and a
-plausibility factor, the solvers return the closest point assigned to the
-target cluster: a closed-form hyperplane projection for k-means and a
-single-scalar root-find for Gaussian cluster pairs.
+plausibility factor, one pair solve returns the closest point on the
+(source, target) pair's boundary shifted into the target: a
+single-scalar root-find for Gaussian cluster pairs, whose affine case (a
+pair of k-means centers, the identity-precision pair, or two Gaussians
+with equal precisions) is a closed-form projection onto a hyperplane.
 """
 
 from .core import (

@@ -161,11 +161,6 @@ class CovarianceSpec:
             return np.full(d, float(self.data))
         raise ValueError("full covariance has no per-feature variance vector")
 
-    def matrix(self, d: int) -> np.ndarray:
-        if self.kind == FULL:
-            return self.data
-        return np.diag(self.variances(d))
-
 
 @dataclass(frozen=True, eq=False)
 class GaussianComponent:
@@ -519,10 +514,11 @@ class CfResult:
     `counterfactual` lives in the space the solver ran in (the model's
     internal space); `counterfactual_original` is the same point mapped
     back to original units, with frozen features copied bit-exact from the
-    factual. `lam` is the scalar multiplier for Gaussian solves and None
-    for the closed-form centroid case. `elapsed` is set by `explain_many`
+    factual. `lam` is the pair's scalar multiplier, for centroid and
+    Gaussian pairs alike (None without a point or when degenerate), and
+    `diagnostics` says how the solve ran. `elapsed` is set by `explain_many`
     alone, in seconds: the time its group of requests (one source, target
-    and mask) spent in constraint construction and the solve, divided by
+    and mask) spent in the pair plan's build and the solve, divided by
     the group's size. A solver called directly leaves it at 0.0.
     """
 
@@ -538,10 +534,6 @@ class CfResult:
     tolerant_member: "bool | None" = None
     counterfactual_original: "np.ndarray | None" = None
     diagnostics: "dict | None" = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == STATUS_OK
 
     @property
     def solved(self) -> bool:

@@ -1,4 +1,4 @@
-"""End-to-end counterfactual service: source detection, solver dispatch,
+"""End-to-end counterfactual service: source detection, pair plans,
 membership verdicts and best-of-targets selection."""
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .core import (
     score_matrix,
 )
 from .gaussian_cf import GaussianPairPlan, solve_gaussian_rows
-from .kmeans_cf import build_constraint, solve_kmeans_cf
 
 DEFAULT_EPSILON = 1e-5
 # Assignment-score gap under which a point counts as a boundary tie. At
@@ -69,28 +68,44 @@ def explain(model: ClusterModel, request: CfRequest) -> CfResult:
     return explain_many(model, [request])[0]
 
 
+def _pair_plan(model: ClusterModel, source: int, target: int, mask: Mask) -> GaussianPairPlan:
+    """The pair plan of clusters (source, target): two k-means centers are
+    the identity-precision case of a Gaussian pair."""
+    if model.kind == KMEANS:
+        return GaussianPairPlan.for_centers(model.centers[source], model.centers[target], mask)
+    return GaussianPairPlan(model.components[source], model.components[target], mask)
+
+
 def explain_many(model: ClusterModel, requests) -> "list[CfResult]":
     """Counterfactuals for a batch of requests, in request order.
 
     Each factual arrives in original units; solving happens in the model's
     internal space and each result carries both representations. Frozen
     features keep the factual's bits in both spaces. This is the one entry
-    point to the solvers and the one place that times them: every request
-    is validated before the first solve, the factuals are mapped and their
-    sources detected together, and the requests that share a (source,
-    target, mask) share one constraint build. A Gaussian group builds one
-    `GaussianPairPlan` and solves all its rows against it; a k-means group
-    projects each row in closed form. `elapsed` is the group's build and
-    solve time divided by its size, without I/O or verdicts. The verdicts
-    and the map back to original units run once over all results.
+    point to the solver and the one place that times it: every request is
+    validated before the first solve, each distinct factual is mapped and
+    its source detected once, and the requests that share a (source,
+    target, mask) share one `GaussianPairPlan` (a k-means pair is its
+    identity-precision case) and one `solve_gaussian_rows` call.
+    `elapsed` is the group's build and solve time divided by its size,
+    without I/O or verdicts. The verdicts and the map back to original
+    units run once over all results.
     """
     requests = list(requests)
     masks = [request.validate_against(model) for request in requests]
     if not requests:
         return []
-    y_orig = np.array([request.factual for request in requests])
-    y = np.asarray(model.to_internal(y_orig), dtype=np.float64)
+    # Mapping and scoring are row by row, so a factual shared by several
+    # requests (a best-of-targets call, a sweep) is mapped and scored once.
+    index, distinct, row_of = {}, [], []
+    for request in requests:
+        row_of.append(index.setdefault(request.factual.tobytes(), len(distinct)))
+        if row_of[-1] == len(distinct):
+            distinct.append(request.factual)
+    y = np.asarray(model.to_internal(np.array(distinct)), dtype=np.float64)
     detected = score_matrix(model, y, per_row=True).argmax(axis=1).tolist()
+    if len(distinct) < len(requests):
+        y, detected = y[row_of], [detected[j] for j in row_of]
 
     groups = {}
     for i, (request, mask, found) in enumerate(zip(requests, masks, detected)):
@@ -107,18 +122,11 @@ def explain_many(model: ClusterModel, requests) -> "list[CfResult]":
 
     solved = [None] * len(requests)  # (result, source, elapsed)
     for (source, target, _), idx in groups.items():
-        mask = masks[idx[0]]
-        epsilons = [requests[i].epsilon for i in idx]
         t0 = time.perf_counter_ns()
-        if model.kind == KMEANS:
-            m_s, m_t = model.centers[source], model.centers[target]
-            group = [
-                solve_kmeans_cf(y[i], build_constraint(m_s, m_t, eps, mask), mask)
-                for i, eps in zip(idx, epsilons)
-            ]
-        else:
-            plan = GaussianPairPlan(model.components[source], model.components[target], mask)
-            group = solve_gaussian_rows(plan, y if len(idx) == len(y) else y[idx], epsilons)
+        plan = _pair_plan(model, source, target, masks[idx[0]])
+        group = solve_gaussian_rows(
+            plan, y if len(idx) == len(y) else y[idx], [requests[i].epsilon for i in idx]
+        )
         share = (time.perf_counter_ns() - t0) * 1e-9 / len(idx)
         for i, result in zip(idx, group):
             solved[i] = (result, source, share)
@@ -134,7 +142,7 @@ def explain_many(model: ClusterModel, requests) -> "list[CfResult]":
         for j, i in enumerate(placed):
             fixed = masks[i].fixed
             if fixed.size:
-                z_orig[j, fixed] = y_orig[i, fixed]
+                z_orig[j, fixed] = requests[i].factual[fixed]
             verdicts[i] = (strict[j], tolerant[j], z_orig[j])
     out = []
     for i, (result, source, share) in enumerate(solved):

@@ -1,4 +1,5 @@
-"""Counterfactual generation for Gaussian cluster pairs.
+"""Counterfactual generation for cluster pairs: Gaussian pairs and, as
+their identity-precision case, k-means center pairs.
 
 For a source component (m_s, S_s, pi_s) and target component (m_t, S_t,
 pi_t), a counterfactual z with plausibility factor eps must satisfy
@@ -7,7 +8,9 @@ pi_t), a counterfactual z with plausibility factor eps must satisfy
     c_a  = log|S_t| - log|S_s| - 2 log(pi_t / pi_s) + 2 log(1 + eps)
 
 which states that the target's weighted density exceeds the source's by
-the factor (1 + eps); eps = 0 is the assignment boundary of the pair.
+the factor (1 + eps); eps = 0 is the assignment boundary of the pair. A
+pair of k-means centers is the case S_s = S_t = I, c_a = eps |m_s - m_t|^2:
+the centers' bisecting plane, shifted into the target by that margin.
 Minimizing the squared distance to the factual y over the free
 coordinates F subject to g(z) = 0 yields a one-parameter family of
 stationary candidates
@@ -29,23 +32,28 @@ from lam = 0 toward the side where g changes sign. When g keeps its sign
 up to a pole whose coefficients a_i vanish (or are too small to resolve),
 the minimizer sits on that pole (the trust-region "hard case"); when it
 keeps its sign to an open end with no linear term left, no
-counterfactual exists.
+counterfactual exists. When D_FF vanishes (every center pair, and
+Gaussian pairs whose free-block precisions agree) g is affine in the
+step, g(y + s) = g(y) + 2 a.s, and the minimizer is the closed form
+lam = -g(y) / (2 |a|^2), s = lam * a.
 
 Only a and g(y) depend on the factual, and only c_a on eps. A
 `GaussianPairPlan` holds the rest for one (source, target, mask): the
 eigenbasis of D (the identity when neither covariance is full), e, the
 multiplier interval and the pole data of each side. `solve_gaussian_rows`
-then solves many factuals and eps values against one plan: a and g(y)
-for all rows from row-wise products, the side, factual and hard-case
-tests over all rows at once, one scalar root per row, and the
-confirmation over all rows. a comes from the half gradient taken around
-the source mean, h = D (y - m_s) + P_t (m_s - m_t), and g(y) from the
-whitened differences |W_t (y - m_t)|^2 - |W_s (y - m_s)|^2 + c_a; when
-the two precisions are equal the squares cancel exactly and g(y) is the
-affine 2 h.(y - m_s) + (m_s - m_t)' P_t (m_s - m_t) + c_a, so a far
-factual keeps its precision. The confirmation evaluates the exact
-expansion g(y) + 2 a.s + s' diag(e) s in the solve's own coordinates
-instead of subtracting two large Mahalanobis terms at the candidate.
+then solves many factuals and eps values against one plan. An affine
+plan takes the closed form row by row, with one-row products. Otherwise
+a and g(y) come for all rows from row-wise products, the side, factual
+and hard-case tests run over all rows at once, one scalar root per row,
+and the confirmation over all rows. a comes from the half gradient
+taken around the source mean, h = D (y - m_s) + P_t (m_s - m_t), and
+g(y) from the whitened differences |W_t (y - m_t)|^2 - |W_s (y - m_s)|^2
++ c_a; when the two precisions are equal the squares cancel exactly and
+g(y) is the affine 2 h.(y - m_s) + (m_s - m_t)' P_t (m_s - m_t) + c_a,
+so a far factual, or a pair far from the origin, keeps its precision.
+The confirmation evaluates the exact expansion g(y) + 2 a.s +
+s' diag(e) s in the solve's own coordinates instead of subtracting two
+large Mahalanobis terms at the candidate.
 """
 
 from __future__ import annotations
@@ -111,36 +119,44 @@ class _Side:
             self.alpha, self.beta = np.ones_like(e), -sign * e
             self.lam0, self.kappa = 0.0, sign
             abs_e = np.abs(e[~null])
-            self.min_abs_e = float(abs_e.min()) if abs_e.size else math.inf
+            self.min_abs_e = float(abs_e.min())
             self.inv_abs_e = np.zeros_like(e)
             self.inv_abs_e[~null] = 1.0 / abs_e
 
 
 class GaussianPairPlan:
     """The factual- and eps-independent part of the pair's multiplier
-    equation, for one (source, target, mask): one build branch, whose only
+    equation, for one (source, target, mask). Equal precisions give D = 0:
+    the plan is affine and nothing is decomposed. Otherwise the only
     choice is the eigenbasis of D_FF (`eigh` when either covariance is
     full, the identity otherwise).
+
+    `GaussianPairPlan(source, target, mask)` is the plan of two Gaussian
+    components, `GaussianPairPlan.for_centers(m_s, m_t, mask)` that of two
+    k-means centers, the identity-precision case (see the module
+    docstring). Nothing after construction depends on which built it.
 
     The inputs are trusted: `explain_many` builds a plan only after
     `CfRequest.validate_against` has checked each request. A plan lives
     for one call; it is not shared across calls. Its public surface is
-    `source`, `target`, `mask`, `affine`, `interval`, `c_alpha(eps)` and
-    `terms(rows, epsilons)`.
+    `mask`, `affine`, `interval`, `c_alpha(eps)`, `terms(rows, epsilons)`
+    and `row_terms(y, epsilon)`.
     """
 
     def __init__(self, source: GaussianComponent, target: GaussianComponent, mask: Mask):
-        self.source = source
-        self.target = target
-        self.mask = mask
-        self._c_base = (
-            target.log_det
-            - source.log_det
-            - 2.0 * (math.log(target.prior) - math.log(source.prior))
-        )
-        free = mask.free
+        log_prior_ratio = math.log(target.prior) - math.log(source.prior)
+        self._c_base = target.log_det - source.log_det - 2.0 * log_prior_ratio
+        self._margin_weight, self._margin = 2.0, math.log1p
         p_s, p_t = _precisions(source, target)
         p_diff = p_t - p_s
+        delta = source.mean - target.mean
+        self._set_shared(source.mean, delta, _apply(p_t, delta), mask, not np.count_nonzero(p_diff))
+        if self._equal:
+            return
+        self._m_t = target.mean
+        self._w_s, self._w_t = source.whitening, target.whitening
+        self._d = p_diff
+        free = mask.free
         if p_diff.ndim == 2:
             dmat = p_diff[free][:, free]
             evals, basis = np.linalg.eigh((dmat + dmat.T) / 2.0)
@@ -152,46 +168,74 @@ class GaussianPairPlan:
         self._e = evals * (np.abs(evals) > EIG_ZERO)
         self._null = self._e == 0.0
         self._null_weight = self._null.astype(np.float64)
-        self.affine = not self._e.any()
         # The multiplier interval where I - lam * D_FF is positive
         # definite; an open end is None.
         values = self._e.tolist()
         self._e_min, self._e_max = min(values, default=0.0), max(values, default=0.0)
+        self.affine = self._e_min == self._e_max == 0.0
         self.interval = [
             1.0 / self._e_min if self._e_min < 0.0 else None,
             1.0 / self._e_max if self._e_max > 0.0 else None,
         ]
         self._sides = {}
 
-        # h = P_t (y - m_t) - P_s (y - m_s) around the source mean: with
-        # u = y - m_s and delta = m_s - m_t, h = D u + P_t delta. For equal
-        # precisions D is exactly zero and g(y) = 2 h.u + delta'P_t delta
-        # + c_alpha (`_g_equal` holds the constant before c_alpha).
-        delta = source.mean - target.mean
-        self._d = p_diff
-        self._h_base = _apply(p_t, delta)
-        self._equal = not p_diff.any()
-        self._g_equal = float(delta @ self._h_base)
+    @classmethod
+    def for_centers(cls, m_s: np.ndarray, m_t: np.ndarray, mask: Mask) -> "GaussianPairPlan":
+        """The plan of the center pair (m_s, m_t): identity precisions, so
+        h = m_s - m_t, and c_alpha(eps) = eps |m_s - m_t|^2."""
+        plan = cls.__new__(cls)
+        delta = m_s - m_t
+        plan._set_shared(m_s, delta, delta, mask, True)
+        plan._c_base = 0.0
+        plan._margin_weight, plan._margin = plan._g_equal, float
+        return plan
+
+    def _set_shared(self, m_s, delta, h_base, mask, equal: bool):
+        """The state both constructors set. The half gradient is
+        h = D u + P_t delta (`_h_base`) with u = y - m_s, delta = m_s - m_t.
+        For equal precisions (D = 0) h is every row's a and
+        g(y) = 2 h.u + delta'P_t delta + c_alpha."""
+        self.mask = mask
+        self._m_s = m_s
+        self._h_base = h_base
+        self._equal = equal
+        if equal:
+            self.affine = True
+            self.interval = [None, None]
+            self._basis = None
+            self._a_equal = h_base[mask.free]
+            self._h_twice = 2.0 * h_base
+            self._g_equal = float(delta @ h_base)
 
     def c_alpha(self, epsilon: float) -> float:
-        return self._c_base + 2.0 * math.log1p(epsilon)
+        """c_base + w * f(eps): w = 2 and f = log1p for a Gaussian pair,
+        w = |m_s - m_t|^2 and f the identity for a center pair."""
+        return self._c_base + self._margin_weight * self._margin(epsilon)
 
     def terms(self, rows: np.ndarray, epsilons) -> "tuple[np.ndarray, np.ndarray]":
         """(a, g(y)) for each row of `rows` (N x d, internal space), row i
         at `epsilons[i]`: the half gradient over the free block in the
         eigenbasis (N x |F|) and the constraint value (N). g(y) is the
         difference of the whitened squared distances, as `mahalanobis_sq`
-        takes them, or its exact affine form when the precisions are
-        equal."""
-        u = rows - self.source.mean
+        takes them, or, for equal precisions, `row_terms` row by row."""
+        if self._equal:
+            g = [self.row_terms(y, eps)[1] for y, eps in zip(rows, epsilons)]
+            return np.repeat(self._a_equal[None, :], len(g), axis=0), np.array(g)
+        u = rows - self._m_s
         h = _apply(self._d, u) + self._h_base
         a = self._to_eigen(h.take(self.mask.free, axis=1))
-        if self._equal:
-            g = 2.0 * np.vecdot(u, self._h_base) + self._g_equal
-        else:
-            q_t = _whitened_sq(self.target.whitening, rows - self.target.mean)
-            g = q_t - _whitened_sq(self.source.whitening, u)
-        return a, g + [self.c_alpha(eps) for eps in epsilons]
+        g = _whitened_sq(self._w_t, rows - self._m_t) - _whitened_sq(self._w_s, u)
+        return a, g + np.array([self.c_alpha(eps) for eps in epsilons])
+
+    def row_terms(self, y: np.ndarray, epsilon: float) -> "tuple[np.ndarray, float]":
+        """(a, g(y)) of one factual y at `epsilon`, as `terms` gives them;
+        for equal precisions a is constant and g(y) is the exact affine
+        form, with one-row products."""
+        if not self._equal:
+            a, g = self.terms(y[None, :], [epsilon])
+            return a[0], float(g[0])
+        g_const = self._g_equal + self.c_alpha(epsilon)
+        return self._a_equal, float((y - self._m_s).dot(self._h_twice)) + g_const
 
     def _to_eigen(self, x: np.ndarray) -> np.ndarray:
         """Rows of free-block vectors in eigen-coordinates: x_i @ B."""
@@ -341,9 +385,11 @@ def solve_gaussian_rows(plan: GaussianPairPlan, rows, epsilons) -> "list[CfResul
     """Nearest point to each factual row on its g(z) = 0 over the free
     features; row i is solved at `epsilons[i]`.
 
-    The multiplier is solved on the interval where I - lam * D_FF is
-    positive definite, which holds the global minimizer (see the module
-    docstring). Outcomes, per row:
+    An affine plan (every center pair, and Gaussian pairs whose free-block
+    precisions agree) takes the closed form lam = -g(y) / (2 |a|^2),
+    s = lam * a, row by row. Otherwise the multiplier is solved on the
+    interval where I - lam * D_FF is positive definite, which holds the
+    global minimizer (see the module docstring). Outcomes, per row:
 
     - `ok`: the minimizer with its multiplier `lam`, confirmed by the
       expansion of g in the solve's coordinates within
@@ -359,9 +405,11 @@ def solve_gaussian_rows(plan: GaussianPairPlan, rows, epsilons) -> "list[CfResul
 
     Every result carries `diagnostics`: the solver `path` (`factual`,
     `interval` or `hard_case` for `ok`), the multiplier `interval` (None
-    for an open end) and the Newton `iterations`.
+    for an open end) and the Newton `iterations` (0 for the closed form).
     """
     rows = np.asarray(rows, dtype=np.float64)
+    if plan.affine:
+        return [_closed_form(plan, y, eps) for y, eps in zip(rows, epsilons)]
     scale = [1.0 + abs(plan.c_alpha(eps)) for eps in epsilons]
     g_ok_tol = [RESIDUAL_TOL_FACTOR * s for s in scale]
     a, g_y = plan.terms(rows, epsilons)
@@ -416,12 +464,7 @@ def solve_gaussian_rows(plan: GaussianPairPlan, rows, epsilons) -> "list[CfResul
     solved = []
     for i, diagnostics in enumerate(all_diagnostics):
         if at_factual[i]:
-            status = STATUS_OK if has_linear[i] or not plan.affine else STATUS_DEGENERATE_IDENTITY
-            results[i] = CfResult(
-                status=status, counterfactual=rows[i].copy(), distance_sq=0.0,
-                lam=0.0 if status == STATUS_OK else None, residual=g_list[i],
-                diagnostics=diagnostics,
-            )
+            results[i] = _at_factual(rows[i], g_list[i], diagnostics, True)
             continue
         sign = -1.0 if positive[i] else 1.0
         side = plan.side(sign)
@@ -446,10 +489,7 @@ def solve_gaussian_rows(plan: GaussianPairPlan, rows, epsilons) -> "list[CfResul
                         if abs(g_limit[i]) > g_ok_tol[i]
                         else STATUS_NO_ROOT_FOUND
                     )
-                    results[i] = CfResult(
-                        status=status, counterfactual=None, distance_sq=None,
-                        residual=g_list[i], diagnostics=diagnostics,
-                    )
+                    results[i] = _no_point(status, g_list[i], diagnostics)
                     continue
                 hi = hi_flat[i]
             lo, x0, lo_positive = 0.0, 0.0, positive[i]
@@ -464,7 +504,8 @@ def solve_gaussian_rows(plan: GaussianPairPlan, rows, epsilons) -> "list[CfResul
 
     # Confirm, place and measure every candidate at once. The expansion
     # g(y + B s) = g(y) + 2 a.s + s' diag(e) s is exact for the
-    # eigenvalues of D_FF before small ones were zeroed.
+    # eigenvalues of D_FF before small ones were zeroed; the distance is
+    # taken from the placed point.
     residual = (
         g_y + 2.0 * np.vecdot(a, steps) + np.vecdot(steps * steps, plan._evals)
     ).tolist()
@@ -476,16 +517,68 @@ def solve_gaussian_rows(plan: GaussianPairPlan, rows, epsilons) -> "list[CfResul
     points = rows.copy()
     points[:, free] = moved
     for i in solved:
-        diagnostics = all_diagnostics[i]
-        if abs(residual[i]) > g_ok_tol[i]:
-            diagnostics["lam"] = lam[i]
-            results[i] = CfResult(
-                status=STATUS_NO_ROOT_FOUND, counterfactual=None, distance_sq=None,
-                residual=residual[i], diagnostics=diagnostics,
-            )
-        else:
-            results[i] = CfResult(
-                status=STATUS_OK, counterfactual=points[i], distance_sq=distance[i],
-                lam=lam[i], residual=residual[i], diagnostics=diagnostics,
-            )
+        results[i] = _confirmed(
+            points[i], distance[i], lam[i], residual[i], g_ok_tol[i], all_diagnostics[i]
+        )
     return results
+
+
+def _closed_form(plan: GaussianPairPlan, y, epsilon: float) -> CfResult:
+    """One factual on an affine plan. g(y + s) = g(y) + 2 a.s, so the
+    nearest root is s = lam * a with lam = -g(y) / (2 |a|^2); without a
+    gradient (2 |a| below EIG_ZERO) g stays at g(y), its own limit. The
+    candidate is confirmed, placed and measured as the interval path does
+    it for a stack of rows, with one-row products."""
+    a, g = plan.row_terms(y, epsilon)
+    tol = RESIDUAL_TOL_FACTOR * (1.0 + abs(plan.c_alpha(epsilon)))
+    diagnostics = {"path": PATH_FACTUAL, "interval": list(plan.interval), "iterations": 0}
+    a_sq = float(a.dot(a))
+    movable = 2.0 * math.sqrt(a_sq) > EIG_ZERO
+    if abs(g) <= tol:
+        return _at_factual(y, g, diagnostics, movable)
+    if not movable:
+        diagnostics["path"] = PATH_OPEN_END
+        diagnostics["g_limit"] = g
+        return _no_point(STATUS_NO_FEASIBLE_SOLUTION, g, diagnostics)
+    diagnostics["path"] = PATH_INTERVAL
+    lam = -g / (2.0 * a_sq)
+    step = lam * a
+    residual = g + 2.0 * float(a.dot(step))
+    if not plan._equal:
+        residual += float((step * step).dot(plan._evals))
+    free = plan.mask.free
+    y_free = y[free]
+    moved = y_free + plan._to_features(step[None, :])[0]
+    point = y.copy()
+    point[free] = moved
+    dz = moved - y_free
+    return _confirmed(point, float(dz.dot(dz)), lam, residual, tol, diagnostics)
+
+
+def _confirmed(point, distance: float, lam: float, residual: float, tol: float,
+               diagnostics: dict) -> CfResult:
+    """`ok` within the tolerance, else `no_root_found` with `lam` noted."""
+    if abs(residual) > tol:
+        diagnostics["lam"] = lam
+        return _no_point(STATUS_NO_ROOT_FOUND, residual, diagnostics)
+    return CfResult(
+        status=STATUS_OK, counterfactual=point, distance_sq=distance, lam=lam,
+        residual=residual, diagnostics=diagnostics,
+    )
+
+
+def _at_factual(row, g: float, diagnostics: dict, movable: bool) -> CfResult:
+    """The factual itself: `ok` at lam = 0 when the free features can move
+    g, `degenerate_identity` otherwise."""
+    return CfResult(
+        status=STATUS_OK if movable else STATUS_DEGENERATE_IDENTITY,
+        counterfactual=row.copy(), distance_sq=0.0, lam=0.0 if movable else None,
+        residual=g, diagnostics=diagnostics,
+    )
+
+
+def _no_point(status: str, residual: float, diagnostics: dict) -> CfResult:
+    return CfResult(
+        status=status, counterfactual=None, distance_sq=None, residual=residual,
+        diagnostics=diagnostics,
+    )

@@ -59,6 +59,29 @@ def solve_case(case):
     return solve_gaussian_rows(case.plan, case.y[None, :], [case.epsilon])[0]
 
 
+def centroid_plane(m_s, m_t, epsilon, mask):
+    """The pair plane z.v = c of two centers, read through their plan: v is
+    the half gradient of g (`v_free` and `v_fixed` its blocks under the
+    mask), g(0) = -2c and c_alpha(eps) = d_eps = eps |m_s - m_t|^2."""
+    m_s, m_t = np.asarray(m_s, dtype=np.float64), np.asarray(m_t, dtype=np.float64)
+    d = m_s.size
+    plan = GaussianPairPlan.for_centers(m_s, m_t, mask)
+    a, g_zero = GaussianPairPlan.for_centers(m_s, m_t, cf.Mask.all_free(d)).terms(
+        np.zeros((1, d)), [epsilon]
+    )
+    v = a[0].copy()
+    return SimpleNamespace(
+        plan=plan, epsilon=epsilon, v=v, c=float(-g_zero[0] / 2.0), d_eps=plan.c_alpha(epsilon),
+        v_free=plan.terms(np.zeros((1, d)), [epsilon])[0][0].copy(), v_fixed=v[mask.fixed],
+    )
+
+
+def solve_centroid_case(plane, y):
+    """The centroid plan's solve on the one factual y at the plane's epsilon."""
+    return solve_gaussian_rows(plane.plan, np.asarray(y, dtype=np.float64)[None, :],
+                               [plane.epsilon])[0]
+
+
 def two_cluster_gaussian_model(kind=cf.FULL):
     """Fixed, well-separated 2-D pair used by several boundary tests."""
     if kind == cf.FULL:

@@ -13,6 +13,14 @@ import numpy as np
 from clustercf.core import mahalanobis_sq
 
 
+def covariance_matrix(spec, d):
+    """The d x d matrix of a covariance spec: the full matrix, or the
+    diagonal of its per-feature variances."""
+    if spec.kind == "full":
+        return spec.data
+    return np.diag(spec.variances(d))
+
+
 def loop_distance_sq(a, b):
     total = 0.0
     for ai, bi in zip(a, b):
@@ -39,7 +47,7 @@ def loop_score_matrix(model, rows):
     d = rows.shape[1]
     out = np.empty((rows.shape[0], len(model.components)))
     for k, comp in enumerate(model.components):
-        chol = np.linalg.cholesky(comp.covariance.matrix(d))
+        chol = np.linalg.cholesky(covariance_matrix(comp.covariance, d))
         a = np.linalg.solve(chol, (rows - comp.mean).T)
         log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
         out[:, k] = math.log(comp.prior) - 0.5 * (
@@ -200,12 +208,20 @@ def constraint_residual(case, z):
 def mpmath_residual(source, target, epsilon, z, dps=50):
     """(g(z), c_alpha) of a Gaussian pair at the float point z, evaluated in
     `dps`-digit arithmetic from the covariance matrices (LU solves and
-    determinants), so that no float rounding enters."""
+    determinants), so that no float rounding enters. Given two center
+    vectors instead of components, it is the center pair's
+    g(z) = |z - m_t|^2 - |z - m_s|^2 + eps |m_s - m_t|^2."""
     with mpmath.workdps(dps):
         d = len(z)
+        if isinstance(source, np.ndarray):
+            z_mp, s_mp, t_mp = ([mpmath.mpf(float(x)) for x in v] for v in (z, source, target))
+            c_alpha = mpmath.mpf(epsilon) * sum((a - b) ** 2 for a, b in zip(s_mp, t_mp))
+            g = (sum((a - b) ** 2 for a, b in zip(z_mp, t_mp))
+                 - sum((a - b) ** 2 for a, b in zip(z_mp, s_mp)) + c_alpha)
+            return float(g), float(c_alpha)
 
         def quad_and_log_det(comp):
-            cov = mpmath.matrix(comp.covariance.matrix(d).tolist())
+            cov = mpmath.matrix(covariance_matrix(comp.covariance, d).tolist())
             diff = mpmath.matrix([mpmath.mpf(float(a)) - mpmath.mpf(float(b))
                                   for a, b in zip(z, comp.mean)])
             x = mpmath.lu_solve(cov, diff)

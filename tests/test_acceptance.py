@@ -10,10 +10,17 @@ import time
 import numpy as np
 
 import clustercf as cf
-from clustercf.kmeans_cf import build_constraint, solve_kmeans_cf
-from helpers import pair_case, random_mask, random_pair_components, solve_case
+from helpers import (
+    centroid_plane,
+    pair_case,
+    random_mask,
+    random_pair_components,
+    solve_case,
+    solve_centroid_case,
+)
 from oracles import (
     constraint_residual,
+    covariance_matrix,
     expanded_full_lambda_equation,
     global_optimality_certificate,
     level_set_min_distance_2d,
@@ -52,8 +59,8 @@ def test_criterion_1_kmeans_closed_form_vs_oracle():
             mask = random_mask(rng, d)
             y = rng.normal(scale=2.0, size=d)
             epsilon = eps_grid[i % 3]
-            con = build_constraint(m_s, m_t, epsilon, mask)
-            res = solve_kmeans_cf(y, con, mask)
+            con = centroid_plane(m_s, m_t, epsilon, mask)
+            res = solve_centroid_case(con, y)
             if res.status != cf.STATUS_OK:
                 continue
             c_free = con.c - float(y[mask.fixed] @ con.v_fixed)
@@ -102,7 +109,8 @@ def test_criterion_2_gaussian_constraint_satisfaction():
         # oracle evaluates g at the returned point from the densities.
         assert abs(constraint_residual(prob, res.counterfactual)) <= tol
         cert = global_optimality_certificate(
-            source.mean, source.covariance.matrix(d), target.mean, target.covariance.matrix(d),
+            source.mean, covariance_matrix(source.covariance, d),
+            target.mean, covariance_matrix(target.covariance, d),
             y, res.counterfactual, mask.free,
         )
         assert cert >= -1e-9
@@ -132,12 +140,12 @@ def test_criterion_3_level_set_oracle_2d():
             n_solved += 1
 
             res_fn, _ = pair_residual_fn(
-                source.mean, source.covariance.matrix(2), source.prior,
-                target.mean, target.covariance.matrix(2), target.prior, 0.0,
+                source.mean, covariance_matrix(source.covariance, 2), source.prior,
+                target.mean, covariance_matrix(target.covariance, 2), target.prior, 0.0,
             )
             sigma = math.sqrt(max(
-                float(np.max(np.linalg.eigvalsh(source.covariance.matrix(2)))),
-                float(np.max(np.linalg.eigvalsh(target.covariance.matrix(2)))),
+                float(np.max(np.linalg.eigvalsh(covariance_matrix(source.covariance, 2)))),
+                float(np.max(np.linalg.eigvalsh(covariance_matrix(target.covariance, 2)))),
             ))
             anchors = np.stack([source.mean, target.mean, y, res.counterfactual])
             lo = anchors.min(axis=0) - 4.0 * sigma
@@ -264,8 +272,8 @@ def test_criterion_5_specialization_consistency():
         m_t = rng.normal(size=d) + 2.0
         y = m_s + rng.normal(scale=0.4, size=d)
         mask = random_mask(rng, d)
-        con = build_constraint(m_s, m_t, 0.0, mask)
-        km_res = solve_kmeans_cf(y, con, mask)
+        # The center pair's plan against the unit-spherical components' plan.
+        km_res = solve_centroid_case(centroid_plane(m_s, m_t, 0.0, mask), y)
         g_res = solve_case(
             pair_case(
                 cf.GaussianComponent(mean=m_s, covariance=cf.CovarianceSpec.spherical(1.0), prior=0.5),
@@ -416,7 +424,8 @@ def test_criterion_9_expanded_equation_cross_check():
         mask = random_mask(rng, d)
         epsilon = float(rng.choice([0.0, 0.3, 1.0]))
         prob = pair_case(source, target, y, mask, epsilon)
-        cov_s, cov_t = source.covariance.matrix(d), target.covariance.matrix(d)
+        cov_s = covariance_matrix(source.covariance, d)
+        cov_t = covariance_matrix(target.covariance, d)
         poles = stationary_poles(cov_s, cov_t, mask.free)
         for lam in rng.normal(scale=1.2, size=3):
             # Keep a healthy margin from the poles: this check certifies the
@@ -429,8 +438,8 @@ def test_criterion_9_expanded_equation_cross_check():
                 source.mean, cov_s, target.mean, cov_t, y, mask.free, mask.fixed, float(lam)
             )
             expanded = expanded_full_lambda_equation(
-                source.mean, source.covariance.matrix(d), source.prior,
-                target.mean, target.covariance.matrix(d), target.prior,
+                source.mean, covariance_matrix(source.covariance, d), source.prior,
+                target.mean, covariance_matrix(target.covariance, d), target.prior,
                 y, mask.free, mask.fixed, epsilon, float(lam),
             )
             residual = constraint_residual(prob, z)

@@ -315,7 +315,7 @@ def test_bad_request_exits_2_before_any_solve(tmp_path, three_cluster_files, mon
     def no_solve(*args, **kwargs):
         raise AssertionError("a factual was solved")
 
-    monkeypatch.setattr(explain_module, "solve_kmeans_cf", no_solve)
+    monkeypatch.setattr(explain_module, "solve_gaussian_rows", no_solve)
     out = tmp_path / "out"
     argv = [str(data) if a == "DATA" else a for a in argv]
     code = main(argv[:1] + ["--model", str(model)] + argv[1:] + ["-o", str(out)])

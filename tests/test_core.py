@@ -6,6 +6,7 @@ import pytest
 import clustercf as cf
 from clustercf.core import SCORE_BLOCK_ROWS
 from oracles import (
+    covariance_matrix,
     loop_distance_sq,
     loop_score_matrix,
     make_blobs,
@@ -108,7 +109,7 @@ def test_assign_full_gmm_matches_direct_density_argmax():
         cf.FitConfig(algorithm="gmm", covariance=cf.FULL, n_clusters=2, seed=1, standardize=False),
     )
     means = [c.mean for c in model.components]
-    covs = [c.covariance.matrix(2) for c in model.components]
+    covs = [covariance_matrix(c.covariance, 2) for c in model.components]
     priors = [c.prior for c in model.components]
     for x in rows[rng.choice(rows.shape[0], size=50, replace=False)]:
         assert cf.assign_cluster(model, x) == naive_assignment(means, covs, priors, x)
@@ -135,7 +136,8 @@ def test_kmeans_rule_equals_unit_spherical_equal_prior_gaussian(d):
 def _naive_scores(model, rows):
     return np.array(
         [
-            [math.log(c.prior) + naive_log_density(c.mean, c.covariance.matrix(model.d), x)
+            [math.log(c.prior)
+             + naive_log_density(c.mean, covariance_matrix(c.covariance, model.d), x)
              for c in model.components]
             for x in rows
         ]
@@ -427,3 +429,16 @@ def test_public_api_names_resolve_once():
 def test_retired_names_are_not_public(name):
     assert name not in cf.__all__
     assert not hasattr(cf, name)
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        # Only the tests built dense matrices from a spec; `oracles.covariance_matrix` does.
+        (cf.CovarianceSpec, "matrix"),
+        # Nothing read it; `status == STATUS_OK` says the same.
+        (cf.CfResult, "ok"),
+    ],
+)
+def test_retired_members_are_gone(owner, name):
+    assert not hasattr(owner, name)

@@ -5,8 +5,13 @@ import numpy as np
 import pytest
 
 import clustercf as cf
-from clustercf.kmeans_cf import build_constraint, solve_kmeans_cf
-from helpers import pair_case, solve_case, two_cluster_gaussian_model
+from helpers import (
+    centroid_plane,
+    pair_case,
+    solve_case,
+    solve_centroid_case,
+    two_cluster_gaussian_model,
+)
 from oracles import make_blobs, random_spd
 
 
@@ -223,8 +228,8 @@ def test_explain_times_every_request():
 
 def test_direct_solver_calls_leave_elapsed_at_zero():
     mask = cf.Mask.all_free(2)
-    constraint = build_constraint(np.zeros(2), np.array([2.0, 0.0]), 1e-5, mask)
-    kres = solve_kmeans_cf(np.array([0.0, 0.5]), constraint, mask)
+    kres = solve_centroid_case(centroid_plane(np.zeros(2), np.array([2.0, 0.0]), 1e-5, mask),
+                               np.array([0.0, 0.5]))
     source, target = two_cluster_gaussian_model().components
     gres = solve_case(pair_case(source, target, np.array([0.1, -0.3]), mask, 1e-5))
     assert kres.status == gres.status == cf.STATUS_OK
@@ -237,7 +242,7 @@ def test_explain_best_validates_every_target_before_solving(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("a factual was solved")
 
-    monkeypatch.setattr(explain_module, "solve_kmeans_cf", no_solve)
+    monkeypatch.setattr(explain_module, "solve_gaussian_rows", no_solve)
     model = cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
     with pytest.raises(cf.ValidationError, match="target"):
         cf.explain_best(model, [0.0, 0.5], source=0, candidate_targets=[1, 2, 9])

@@ -132,6 +132,35 @@ def test_one_plan_per_group_and_a_shared_time(monkeypatch):
 
 
 @pytest.mark.parametrize("family", ["kmeans", cf.FULL])
+def test_each_distinct_factual_is_mapped_and_scored_once(monkeypatch, family):
+    scored = []
+    score_matrix = cf.core.score_matrix
+
+    def counting(model, rows, **kwargs):
+        scored.append(np.array(rows, dtype=np.float64, ndmin=2))
+        return score_matrix(model, rows, **kwargs)
+
+    # `assign_cluster` looks the scorer up in core, `explain_many` in explain.
+    monkeypatch.setattr(cf.core, "score_matrix", counting)
+    monkeypatch.setattr(explain_module, "score_matrix", counting)
+    rng = np.random.default_rng(13)
+    model = random_model(rng, family, 3, 8)
+    y = np.asarray(model.to_original(model.means()[2] + 0.3), dtype=np.float64)
+    internal = np.asarray(model.to_internal(y), dtype=np.float64)
+
+    def factual_rows():
+        return sum(int(np.all(rows == internal, axis=1).sum()) for rows in scored)
+
+    # The source is resolved once, then the seven candidates' one factual
+    # is detected once.
+    cf.explain_best(model, y, epsilon=0.3)
+    assert factual_rows() == 1 + 1
+    scored.clear()
+    cf.sweep_epsilon(model, y, 0, None, [0.0, 0.25, 0.5, 1.0, 2.0])
+    assert factual_rows() == 1
+
+
+@pytest.mark.parametrize("family", ["kmeans", cf.FULL])
 @pytest.mark.parametrize("bad", ["target", "source", "mask", "dimension", "detected"])
 def test_invalid_request_anywhere_raises_before_any_solve(monkeypatch, family, bad):
     solves = []
@@ -142,8 +171,8 @@ def test_invalid_request_anywhere_raises_before_any_solve(monkeypatch, family, b
             return solver(*args, **kwargs)
         return wrapper
 
-    for name in ("solve_kmeans_cf", "solve_gaussian_rows"):
-        monkeypatch.setattr(explain_module, name, counting(getattr(explain_module, name)))
+    monkeypatch.setattr(explain_module, "solve_gaussian_rows",
+                        counting(explain_module.solve_gaussian_rows))
     rng = np.random.default_rng(11)
     model = random_model(rng, family, 3, 3)
     requests = random_batch(rng, model, 2, 3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import clustercf as cf
-from oracles import make_blobs
+from oracles import covariance_matrix, make_blobs
 
 
 def blob_dataset(seed=0, centers=((0.0, 0.0), (5.0, 5.0)), sigma=0.3, n_per=150):
@@ -116,7 +116,7 @@ def test_gmm_single_component_closed_form():
     assert np.allclose(comp.mean, rows.mean(axis=0), atol=1e-9)
     centered = rows - rows.mean(axis=0)
     sample_cov = centered.T @ centered / rows.shape[0]
-    assert np.allclose(comp.covariance.matrix(3), sample_cov, rtol=1e-6, atol=1e-9)
+    assert np.allclose(covariance_matrix(comp.covariance, 3), sample_cov, rtol=1e-6, atol=1e-9)
 
 
 def test_gmm_spherical_recovers_isotropic_variance():

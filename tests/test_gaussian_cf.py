@@ -10,15 +10,18 @@ from hypothesis import strategies as st
 
 import clustercf as cf
 from helpers import (
+    centroid_plane,
     pair_case,
     random_covariance,
     random_mask,
     random_pair_components,
     random_pair_problem,
     solve_case,
+    solve_centroid_case,
 )
 from oracles import (
     constraint_residual,
+    covariance_matrix,
     expanded_full_lambda_equation,
     global_optimality_certificate,
     half_gradient,
@@ -39,8 +42,8 @@ def pair_terms(prob):
     """(m_s, S_s, m_t, S_t) of a pair problem, covariances as matrices."""
     d = prob.y.size
     return (
-        prob.source.mean, prob.source.covariance.matrix(d),
-        prob.target.mean, prob.target.covariance.matrix(d),
+        prob.source.mean, covariance_matrix(prob.source.covariance, d),
+        prob.target.mean, covariance_matrix(prob.target.covariance, d),
     )
 
 
@@ -91,8 +94,8 @@ def test_c_alpha_recomputes():
     rng = np.random.default_rng(15)
     prob = random_pair_problem(rng, 3, cf.FULL, epsilon=0.8)
     expected = (
-        math.log(np.linalg.det(prob.target.covariance.matrix(3)))
-        - math.log(np.linalg.det(prob.source.covariance.matrix(3)))
+        math.log(np.linalg.det(covariance_matrix(prob.target.covariance, 3)))
+        - math.log(np.linalg.det(covariance_matrix(prob.source.covariance, 3)))
         - 2.0 * math.log(prob.target.prior / prob.source.prior)
         + 2.0 * math.log(1.8)
     )
@@ -130,8 +133,8 @@ def test_solve_full_2d_matches_level_set_oracle_all_masks():
     source, target = fixed_full_pair()
     y = np.asarray([0.4, -0.2])
     res_fn, _ = pair_residual_fn(
-        source.mean, source.covariance.matrix(2), source.prior,
-        target.mean, target.covariance.matrix(2), target.prior, 0.0,
+        source.mean, covariance_matrix(source.covariance, 2), source.prior,
+        target.mean, covariance_matrix(target.covariance, 2), target.prior, 0.0,
     )
     # Both actionable: 2-D grid scan over a box covering the pair.
     prob = pair_case(source, target, y, cf.Mask.all_free(2), 0.0)
@@ -275,14 +278,17 @@ def test_expanded_equation_matches_residual_formulation():
         y = rng.normal(size=d)
         mask = random_mask(rng, d)
         prob = pair_case(source, target, y, mask, 0.25)
-        poles = stationary_poles(source.covariance.matrix(d), target.covariance.matrix(d), mask.free)
+        poles = stationary_poles(
+            covariance_matrix(source.covariance, d), covariance_matrix(target.covariance, d),
+            mask.free,
+        )
         for lam in rng.normal(scale=1.5, size=4):
             if any(abs(float(lam) - p) <= 1e-12 * (1.0 + abs(p)) for p in poles):
                 continue
             z = stationary_point(*pair_terms(prob), y, mask.free, mask.fixed, float(lam))
             lhs = expanded_full_lambda_equation(
-                source.mean, source.covariance.matrix(d), source.prior,
-                target.mean, target.covariance.matrix(d), target.prior,
+                source.mean, covariance_matrix(source.covariance, d), source.prior,
+                target.mean, covariance_matrix(target.covariance, d), target.prior,
                 y, mask.free, mask.fixed, 0.25, float(lam),
             )
             rhs = constraint_residual(prob, z)
@@ -470,8 +476,8 @@ def test_near_hard_case_matches_level_set_oracle(eps):
         mean=[0.0, 1e-3], covariance=cf.CovarianceSpec.diagonal([4.0, 0.25]), prior=0.5
     )
     res_fn, _ = pair_residual_fn(
-        source.mean, source.covariance.matrix(2), source.prior,
-        target.mean, target.covariance.matrix(2), target.prior, eps,
+        source.mean, covariance_matrix(source.covariance, 2), source.prior,
+        target.mean, covariance_matrix(target.covariance, 2), target.prior, eps,
     )
     results = []
     for y in (np.zeros(2), np.array([1e-9, 0.0])):
@@ -549,7 +555,8 @@ def test_means_far_from_the_origin_keep_their_precision():
     # differences as they were, so each request gives the status and
     # distance of the unmoved one, and the 50-digit residual at the moved
     # point stays within the acceptance tolerance. Every fourth pair shares
-    # one covariance.
+    # one covariance; center pairs, the identity-precision case, are the
+    # last input.
     rng = np.random.default_rng(43)
     shift = 1e5
     solved = 0
@@ -573,3 +580,20 @@ def test_means_far_from_the_origin_keep_their_precision():
         exact, c_alpha = mpmath_residual(*moved, 0.3, far.counterfactual)
         assert abs(exact) <= 1e-8 * (1.0 + abs(c_alpha)), (i, exact)
     assert solved >= 60
+
+    solved = 0
+    for i in range(200):
+        d = int(rng.integers(2, 12))
+        m_s, m_t = rng.normal(scale=1.5, size=(2, d))
+        y = m_s + rng.normal(scale=0.8, size=d)
+        mask = random_mask(rng, d)
+        near = solve_centroid_case(centroid_plane(m_s, m_t, 0.3, mask), y)
+        far = solve_centroid_case(centroid_plane(m_s + shift, m_t + shift, 0.3, mask), y + shift)
+        assert far.status == near.status, (i, far.diagnostics)
+        if far.status != cf.STATUS_OK:
+            continue
+        solved += 1
+        assert far.distance_sq == pytest.approx(near.distance_sq, rel=1e-6, abs=1e-9)
+        exact, c_alpha = mpmath_residual(m_s + shift, m_t + shift, 0.3, far.counterfactual)
+        assert abs(exact) <= 1e-8 * (1.0 + abs(c_alpha)), (i, exact)
+    assert solved >= 150

@@ -13,8 +13,12 @@ counterfactual sits on the pair boundary and rounding decides it.
 Regenerate the fixture, only for an intended change of results, with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which first prints, per field and model kind, how many entries differ
+from the fixture it replaces, so that the change can be reviewed.
 """
 
+import collections
 import json
 import os
 import warnings
@@ -81,7 +85,8 @@ def _factual(rng, model):
 
 
 def golden_cases():
-    """Yield (kind, eps, call) for every seeded request; `call()` runs it."""
+    """Yield (api, model kind, eps, call) for every seeded request; `call()`
+    runs it."""
     rng = np.random.default_rng(SEED)
     for _ in range(N_MODELS):
         model = _model(rng)
@@ -99,13 +104,15 @@ def golden_cases():
                 factual=y, target=target, source=source, mask=_mask(rng, model.d),
                 epsilon=float(rng.choice(EPSILONS)),
             )
-            yield "explain", request.epsilon, (lambda m=model, r=request: cf.explain(m, r))
+            yield "explain", model.kind, request.epsilon, (
+                lambda m=model, r=request: cf.explain(m, r)
+            )
         for _ in range(int(rng.integers(1, 3))):
             y, home = _factual(rng, model)
             mask = _mask(rng, model.d)
             eps = float(rng.choice(EPSILONS))
             source = home if rng.random() < 0.5 else None
-            yield "explain_best", eps, (
+            yield "explain_best", model.kind, eps, (
                 lambda m=model, y=y, k=mask, e=eps, s=source: cf.explain_best(
                     m, y, mask=k, epsilon=e, source=s
                 )
@@ -141,24 +148,34 @@ def _close(a, b) -> bool:
     return float(np.linalg.norm(a - b)) <= REL_TOL * max(np.linalg.norm(a), np.linalg.norm(b))
 
 
-def test_golden_parity():
+def load_expected():
     with open(FIXTURE, encoding="utf-8") as fh:
         stored = json.load(fh)["cases"]
-    expected = [c if isinstance(c, dict) else dict(zip(FIELDS, c)) for c in stored]
+    return [c if isinstance(c, dict) else dict(zip(FIELDS, c)) for c in stored]
+
+
+def mismatched_fields(got: dict, want: dict, eps: float) -> list:
+    """The fields of one outcome that differ from the recorded one."""
+    exact = ["error", "status", "source", "target", "tolerant"]
+    if eps != 0.0:
+        exact.append("strict")
+    bad = [key for key in exact if got.get(key) != want.get(key)]
+    close = ("distance_sq", "lam", "cf")
+    return bad + [key for key in close if not _close(got.get(key), want.get(key))]
+
+
+def test_golden_parity():
+    expected = load_expected()
     cases = list(golden_cases())
     assert len(cases) == len(expected)
     kinds = {"explain": 0, "explain_best": 0}
     mismatches = []
-    for i, ((kind, eps, call), want) in enumerate(zip(cases, expected)):
-        kinds[kind] += 1
+    for i, ((api, _, eps, call), want) in enumerate(zip(cases, expected)):
+        kinds[api] += 1
         got = record(call)
-        exact = ["error", "status", "source", "target", "tolerant"]
-        if eps != 0.0:
-            exact.append("strict")
-        bad = [key for key in exact if got.get(key) != want.get(key)]
-        bad += [key for key in ("distance_sq", "lam", "cf") if not _close(got.get(key), want.get(key))]
+        bad = mismatched_fields(got, want, eps)
         if bad:
-            mismatches.append((i, kind, bad, got, want))
+            mismatches.append((i, api, bad, got, want))
     assert not mismatches, mismatches[:5]
     assert kinds["explain"] >= 500 and kinds["explain_best"] >= 50
     statuses = {w.get("status", w.get("error")) for w in expected}
@@ -166,10 +183,20 @@ def test_golden_parity():
 
 
 if __name__ == "__main__":
+    expected = load_expected() if os.path.exists(FIXTURE) else []
+    cases = list(golden_cases())
     out = []
-    for _, _, call in golden_cases():
+    changed = collections.Counter()
+    for i, (_, model_kind, eps, call) in enumerate(cases):
         got = record(call)
         out.append(got if "error" in got else [got[key] for key in FIELDS])
+        if len(expected) == len(cases):
+            changed.update((key, model_kind) for key in mismatched_fields(got, expected[i], eps))
+    if len(expected) != len(cases):
+        print(f"the old fixture has {len(expected)} cases, not {len(cases)}: no field-wise diff")
+    print(f"{sum(changed.values())} changed entries against the old fixture")
+    for (key, model_kind), count in sorted(changed.items()):
+        print(f"  {key:12s} {model_kind:9s} {count}")
     os.makedirs(os.path.dirname(FIXTURE), exist_ok=True)
     with open(FIXTURE, "w", encoding="utf-8") as fh:
         json.dump({"seed": SEED, "cases": out}, fh, separators=(",", ":"), allow_nan=False)

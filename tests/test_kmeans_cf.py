@@ -4,9 +4,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clustercf as cf
-from clustercf.kmeans_cf import build_constraint, solve_kmeans_cf
-from helpers import random_mask
+from helpers import centroid_plane, random_mask, solve_centroid_case
 from oracles import lstsq_plane_distance_sq, project_onto_plane, sampled_plane_min_distance_sq
+
+# A center pair is the identity-precision case of a Gaussian pair: its plan
+# is affine and the solve takes the closed-form projection onto the plane
+# z.v = c. `centroid_plane` reads (v, c, d_eps) back through the plan.
 
 # The center pair of the hand-checked cases.
 M_S = np.array([0.0, 0.0])
@@ -14,14 +17,14 @@ M_T = np.array([2.0, 0.0])
 
 
 def test_build_constraint_eps_zero():
-    con = build_constraint(M_S, M_T, 0.0, cf.Mask.all_free(2))
+    con = centroid_plane(M_S, M_T, 0.0, cf.Mask.all_free(2))
     assert con.v.tolist() == [-2.0, 0.0]
     assert con.c == -2.0
     assert con.d_eps == 0.0
 
 
 def test_build_constraint_eps_half():
-    con = build_constraint(M_S, M_T, 0.5, cf.Mask.all_free(2))
+    con = centroid_plane(M_S, M_T, 0.5, cf.Mask.all_free(2))
     assert con.d_eps == 2.0
     assert con.c == -3.0
 
@@ -30,7 +33,7 @@ def test_constraint_recomputes_from_centers():
     rng = np.random.default_rng(2)
     m_s, m_t = rng.normal(size=(2, 6))
     eps = 0.7
-    con = build_constraint(m_s, m_t, eps, cf.Mask.all_free(6))
+    con = centroid_plane(m_s, m_t, eps, cf.Mask.all_free(6))
     d_eps = eps * float(np.sum((m_t - m_s) ** 2))
     c = (float(m_s @ m_s) - float(m_t @ m_t) - d_eps) / 2.0
     assert con.c == pytest.approx(c, rel=1e-12)
@@ -41,7 +44,7 @@ def test_plane_membership_equals_distance_identity():
     # z . v = c holds exactly when |z-m_s|^2 = |z-m_t|^2 + d_eps.
     rng = np.random.default_rng(8)
     m_s, m_t = rng.normal(size=(2, 5))
-    con = build_constraint(m_s, m_t, 0.4, cf.Mask.all_free(5))
+    con = centroid_plane(m_s, m_t, 0.4, cf.Mask.all_free(5))
     for _ in range(20):
         z = project_onto_plane(rng.normal(scale=3.0, size=5), con.v, con.c)
         lhs = float(np.sum((z - m_s) ** 2))
@@ -51,8 +54,8 @@ def test_plane_membership_equals_distance_identity():
 
 def test_midpoint_projection():
     mask = cf.Mask.all_free(2)
-    con = build_constraint(M_S, M_T, 0.0, mask)
-    res = solve_kmeans_cf(np.array([0.0, 0.0]), con, mask)
+    con = centroid_plane(M_S, M_T, 0.0, mask)
+    res = solve_centroid_case(con, np.array([0.0, 0.0]))
     assert res.status == cf.STATUS_OK
     assert res.counterfactual.tolist() == [1.0, 0.0]
     assert res.distance_sq == 1.0
@@ -60,16 +63,16 @@ def test_midpoint_projection():
 
 def test_horizontal_only_mask():
     mask = cf.Mask.from_string("1,0")
-    con = build_constraint(M_S, M_T, 0.5, mask)
-    res = solve_kmeans_cf(np.array([0.0, 3.0]), con, mask)
+    con = centroid_plane(M_S, M_T, 0.5, mask)
+    res = solve_centroid_case(con, np.array([0.0, 3.0]))
     assert res.status == cf.STATUS_OK
     assert res.counterfactual.tolist() == [1.5, 3.0]
 
 
 def test_vertical_only_mask_is_infeasible():
     mask = cf.Mask.from_string("0,1")
-    con = build_constraint(M_S, M_T, 0.0, mask)
-    res = solve_kmeans_cf(np.array([0.0, 3.0]), con, mask)
+    con = centroid_plane(M_S, M_T, 0.0, mask)
+    res = solve_centroid_case(con, np.array([0.0, 3.0]))
     assert res.status == cf.STATUS_NO_FEASIBLE_SOLUTION
     assert res.counterfactual is None
 
@@ -77,8 +80,8 @@ def test_vertical_only_mask_is_infeasible():
 def test_degenerate_identity_when_factual_already_satisfies():
     # v = (-2, 0), c = -2; fixing x at 1 makes the fixed part meet c exactly.
     mask = cf.Mask.from_string("0,1")
-    con = build_constraint(M_S, M_T, 0.0, mask)
-    res = solve_kmeans_cf(np.array([1.0, 3.0]), con, mask)
+    con = centroid_plane(M_S, M_T, 0.0, mask)
+    res = solve_centroid_case(con, np.array([1.0, 3.0]))
     assert res.status == cf.STATUS_DEGENERATE_IDENTITY
     assert res.counterfactual.tolist() == [1.0, 3.0]
     assert res.distance_sq == 0.0
@@ -92,8 +95,8 @@ def test_random_instances_match_projection_oracle(epsilon):
         m_s, m_t = rng.normal(scale=1.5, size=(2, d))
         mask = random_mask(rng, d)
         y = rng.normal(scale=2.0, size=d)
-        con = build_constraint(m_s, m_t, epsilon, mask)
-        res = solve_kmeans_cf(y, con, mask)
+        con = centroid_plane(m_s, m_t, epsilon, mask)
+        res = solve_centroid_case(con, y)
         if res.status != cf.STATUS_OK:
             continue
         c_free = con.c - float(y[mask.fixed] @ con.v_fixed)
@@ -109,8 +112,8 @@ def test_full_mask_equals_unmasked_formula():
     m_s, m_t = rng.normal(size=(2, d))
     y = rng.normal(size=d)
     mask = cf.Mask.all_free(d)
-    con = build_constraint(m_s, m_t, 0.3, mask)
-    res = solve_kmeans_cf(y, con, mask)
+    con = centroid_plane(m_s, m_t, 0.3, mask)
+    res = solve_centroid_case(con, y)
     v = m_s - m_t
     c = (float(m_s @ m_s) - float(m_t @ m_t) - 0.3 * float(v @ v)) / 2.0
     z_direct = y - ((float(y @ v) - c) / float(v @ v)) * v
@@ -124,8 +127,8 @@ def test_eps_zero_solution_is_equidistant():
         m_s, m_t = rng.normal(size=(2, d))
         y = m_s + rng.normal(scale=0.3, size=d)
         mask = cf.Mask.all_free(d)
-        con = build_constraint(m_s, m_t, 0.0, mask)
-        z = solve_kmeans_cf(y, con, mask).counterfactual
+        con = centroid_plane(m_s, m_t, 0.0, mask)
+        z = solve_centroid_case(con, y).counterfactual
         lhs = float(np.sum((z - m_s) ** 2))
         rhs = float(np.sum((z - m_t) ** 2))
         assert lhs == pytest.approx(rhs, rel=1e-8)
@@ -139,8 +142,8 @@ def test_distance_monotone_in_epsilon():
     mask = cf.Mask.from_bits([1, 1, 0, 1, 1])
     prev = -1.0
     for eps in [0.0, 0.1, 0.25, 0.5, 1.0, 2.0]:
-        con = build_constraint(m_s, m_t, eps, mask)
-        res = solve_kmeans_cf(y, con, mask)
+        con = centroid_plane(m_s, m_t, eps, mask)
+        res = solve_centroid_case(con, y)
         assert res.status == cf.STATUS_OK
         assert res.distance_sq >= prev - 1e-12
         prev = res.distance_sq
@@ -158,8 +161,8 @@ def test_solution_properties_random(seed, d, eps_ix):
         return
     mask = random_mask(rng, d)
     y = rng.normal(scale=2.0, size=d)
-    con = build_constraint(m_s, m_t, epsilon, mask)
-    res = solve_kmeans_cf(y, con, mask)
+    con = centroid_plane(m_s, m_t, epsilon, mask)
+    res = solve_centroid_case(con, y)
     if res.status != cf.STATUS_OK:
         return
     z = res.counterfactual
