@@ -205,6 +205,7 @@ class GaussianPairPlan:
             self._basis = None
             self._a_equal = h_base[mask.free]
             self._h_twice = 2.0 * h_base
+            self._h_norm = math.sqrt(self._h_twice.dot(self._h_twice))
             self._g_equal = float(delta @ h_base)
 
     def c_alpha(self, epsilon: float) -> float:
@@ -212,30 +213,32 @@ class GaussianPairPlan:
         w = |m_s - m_t|^2 and f the identity for a center pair."""
         return self._c_base + self._margin_weight * self._margin(epsilon)
 
-    def terms(self, rows: np.ndarray, epsilons) -> "tuple[np.ndarray, np.ndarray]":
-        """(a, g(y)) for each row of `rows` (N x d, internal space), row i
-        at `epsilons[i]`: the half gradient over the free block in the
-        eigenbasis (N x |F|) and the constraint value (N). g(y) is the
-        difference of the whitened squared distances, as `mahalanobis_sq`
-        takes them, or, for equal precisions, `row_terms` row by row."""
-        if self._equal:
-            g = [self.row_terms(y, eps)[1] for y, eps in zip(rows, epsilons)]
-            return np.repeat(self._a_equal[None, :], len(g), axis=0), np.array(g)
+    def terms(self, rows: np.ndarray, epsilons) -> "tuple[np.ndarray, np.ndarray, list]":
+        """(a, g(y), scale) for each row of `rows` (N x d, internal space),
+        row i at `epsilons[i]`, on a plan with unequal precisions (equal ones
+        go through `row_terms`): the half gradient over the free block in
+        the eigenbasis (N x |F|), g(y) from the whitened squared distances
+        as `mahalanobis_sq` takes them, and the tolerance scale 1 + |c_alpha|."""
         u = rows - self._m_s
         h = _apply(self._d, u) + self._h_base
         a = self._to_eigen(h.take(self.mask.free, axis=1))
         g = _whitened_sq(self._w_t, rows - self._m_t) - _whitened_sq(self._w_s, u)
-        return a, g + np.array([self.c_alpha(eps) for eps in epsilons])
+        c_alpha = [self.c_alpha(eps) for eps in epsilons]
+        return a, g + np.array(c_alpha), [1.0 + abs(c) for c in c_alpha]
 
-    def row_terms(self, y: np.ndarray, epsilon: float) -> "tuple[np.ndarray, float]":
-        """(a, g(y)) of one factual y at `epsilon`, as `terms` gives them;
-        for equal precisions a is constant and g(y) is the exact affine
-        form, with one-row products."""
+    def row_terms(self, y: np.ndarray, epsilon: float) -> "tuple[np.ndarray, float, float]":
+        """(a, g(y), scale) of one factual y, as `terms` gives them. For equal
+        precisions, with one-row products: a is constant, g(y) the affine
+        2 h.u + delta'P_t delta + c_alpha (u = y - m_s) and scale the size of
+        its terms, 1 + |c_alpha| + delta'P_t delta + |2h| |u|, in the data's
+        squared units for a center pair, as g(y)'s rounding is."""
         if not self._equal:
-            a, g = self.terms(y[None, :], [epsilon])
-            return a[0], float(g[0])
-        g_const = self._g_equal + self.c_alpha(epsilon)
-        return self._a_equal, float((y - self._m_s).dot(self._h_twice)) + g_const
+            a, g, scale = self.terms(y[None, :], [epsilon])
+            return a[0], float(g[0]), scale[0]
+        c_alpha, u = self.c_alpha(epsilon), y - self._m_s
+        g = float(u.dot(self._h_twice)) + self._g_equal + c_alpha
+        scale = 1.0 + abs(c_alpha) + self._g_equal + self._h_norm * math.sqrt(u.dot(u))
+        return self._a_equal, g, scale
 
     def _to_eigen(self, x: np.ndarray) -> np.ndarray:
         """Rows of free-block vectors in eigen-coordinates: x_i @ B."""
@@ -392,9 +395,9 @@ def solve_gaussian_rows(plan: GaussianPairPlan, rows, epsilons) -> "list[CfResul
     global minimizer (see the module docstring). Outcomes, per row:
 
     - `ok`: the minimizer with its multiplier `lam`, confirmed by the
-      expansion of g in the solve's coordinates within
-      1e-8 * (1 + |c_alpha|). The factual itself is returned, at lam = 0,
-      when it already meets that tolerance.
+      expansion of g in the solve's coordinates within 1e-8 * scale (see
+      `terms`). The factual itself is returned, at lam = 0, when it
+      already meets that tolerance.
     - `degenerate_identity`: the free features cannot change g (none are
       free, or D_FF and the gradient vanish) and the factual satisfies it.
     - `no_feasible_solution`: g keeps the factual's sign, beyond the
@@ -410,9 +413,8 @@ def solve_gaussian_rows(plan: GaussianPairPlan, rows, epsilons) -> "list[CfResul
     rows = np.asarray(rows, dtype=np.float64)
     if plan.affine:
         return [_closed_form(plan, y, eps) for y, eps in zip(rows, epsilons)]
-    scale = [1.0 + abs(plan.c_alpha(eps)) for eps in epsilons]
+    a, g_y, scale = plan.terms(rows, epsilons)
     g_ok_tol = [RESIDUAL_TOL_FACTOR * s for s in scale]
-    a, g_y = plan.terms(rows, epsilons)
     a2 = a * a
     g_list = g_y.tolist()
     # g's slope in lam on the null space of D_FF is 2 |a_null|^2; a
@@ -529,8 +531,8 @@ def _closed_form(plan: GaussianPairPlan, y, epsilon: float) -> CfResult:
     gradient (2 |a| below EIG_ZERO) g stays at g(y), its own limit. The
     candidate is confirmed, placed and measured as the interval path does
     it for a stack of rows, with one-row products."""
-    a, g = plan.row_terms(y, epsilon)
-    tol = RESIDUAL_TOL_FACTOR * (1.0 + abs(plan.c_alpha(epsilon)))
+    a, g, scale = plan.row_terms(y, epsilon)
+    tol = RESIDUAL_TOL_FACTOR * scale
     diagnostics = {"path": PATH_FACTUAL, "interval": list(plan.interval), "iterations": 0}
     a_sq = float(a.dot(a))
     movable = 2.0 * math.sqrt(a_sq) > EIG_ZERO

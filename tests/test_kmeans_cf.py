@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 
 import clustercf as cf
 from helpers import centroid_plane, random_mask, solve_centroid_case
-from oracles import lstsq_plane_distance_sq, project_onto_plane, sampled_plane_min_distance_sq
+from oracles import (
+    lstsq_plane_distance_sq,
+    mpmath_residual,
+    project_onto_plane,
+    sampled_plane_min_distance_sq,
+)
 
 # A center pair is the identity-precision case of a Gaussian pair: its plan
 # is affine and the solve takes the closed-form projection onto the plane
@@ -97,8 +102,7 @@ def test_random_instances_match_projection_oracle(epsilon):
         y = rng.normal(scale=2.0, size=d)
         con = centroid_plane(m_s, m_t, epsilon, mask)
         res = solve_centroid_case(con, y)
-        if res.status != cf.STATUS_OK:
-            continue
+        assert res.status == cf.STATUS_OK
         c_free = con.c - float(y[mask.fixed] @ con.v_fixed)
         oracle_d2, _ = lstsq_plane_distance_sq(y[mask.free], con.v_free, c_free)
         assert res.distance_sq == pytest.approx(oracle_d2, abs=1e-6)
@@ -163,8 +167,7 @@ def test_solution_properties_random(seed, d, eps_ix):
     y = rng.normal(scale=2.0, size=d)
     con = centroid_plane(m_s, m_t, epsilon, mask)
     res = solve_centroid_case(con, y)
-    if res.status != cf.STATUS_OK:
-        return
+    assert res.status == cf.STATUS_OK
     z = res.counterfactual
     # Frozen features keep the factual's bits.
     assert np.array_equal(z[mask.fixed], y[mask.fixed])
@@ -185,3 +188,41 @@ def test_solution_properties_random(seed, d, eps_ix):
         )
         other_d2 = float(np.sum((other - y[mask.free]) ** 2))
         assert other_d2 >= res.distance_sq - 1e-12 * (1.0 + res.distance_sq)
+
+
+@pytest.mark.filterwarnings("ignore::clustercf.SourceMismatchWarning")
+def test_raw_units_far_apart_are_solved_and_judged_at_their_scale():
+    # A model in raw units (no standardization) with centers and factuals
+    # some 1e4 apart: g's terms are near |m_s - m_t|^2 ~ 1e8, so a
+    # tolerance of 1e-8 * (1 + |c_alpha|), a flat 1e-8 at eps = 0, lies
+    # below g's own rounding. Every request is solved, the 50-digit
+    # residual at the returned point is within 1e-8 times the size of g's
+    # terms, and a frozen factual on the boundary is the factual itself
+    # while one 1e-3 off it has no counterfactual.
+    rng = np.random.default_rng(47)
+    for _ in range(60):
+        d = int(rng.integers(2, 12))
+        centers = rng.normal(scale=1e4, size=(2, d))
+        model = cf.ClusterModel(kind=cf.KMEANS, centers=centers)
+        m_s, m_t = centers
+        y = m_s + rng.normal(scale=3e3, size=d)
+        res = cf.explain(model, cf.CfRequest(factual=y, target=1, source=0,
+                                             mask=random_mask(rng, d), epsilon=0.0))
+        assert res.status == cf.STATUS_OK, res.diagnostics
+        v = m_s - m_t
+        scale = 1.0 + float(v @ v) + 2.0 * float(np.abs(v) @ np.abs(y - m_s))
+        exact, _ = mpmath_residual(m_s, m_t, 0.0, res.counterfactual)
+        assert abs(exact) <= 1e-8 * scale, exact
+
+        w = rng.normal(scale=3e3, size=d)
+        w -= (w @ v) / (v @ v) * v
+        frozen = cf.Mask(np.zeros(d, dtype=bool))
+        on_boundary = (m_s + m_t) / 2.0 + w
+        res = cf.explain(model, cf.CfRequest(factual=on_boundary, target=1, source=0,
+                                             mask=frozen, epsilon=0.0))
+        assert res.status == cf.STATUS_DEGENERATE_IDENTITY
+        assert np.array_equal(res.counterfactual, on_boundary)
+        off = on_boundary + 1e-3 * v / np.linalg.norm(v)
+        res = cf.explain(model, cf.CfRequest(factual=off, target=1, source=0,
+                                             mask=frozen, epsilon=0.0))
+        assert res.status == cf.STATUS_NO_FEASIBLE_SOLUTION
