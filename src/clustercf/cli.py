@@ -10,6 +10,7 @@ can branch on the code and parse the line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -58,11 +59,18 @@ def _parse_floats(text: str, what: str) -> list:
         raise UsageError(f"could not parse {what} {text!r} as comma-separated numbers") from None
 
 
-def _parse_mask(text: str, d: int) -> Mask:
+@contextlib.contextmanager
+def _usage_errors():
+    """A request or argument that fails its own check is a usage error."""
     try:
-        mask = Mask.from_string(text)
-    except ValidationError as exc:
+        yield
+    except (ValidationError, DimensionMismatchError) as exc:
         raise UsageError(str(exc)) from None
+
+
+def _parse_mask(text: str, d: int) -> Mask:
+    with _usage_errors():
+        mask = Mask.from_string(text)
     if mask.d != d:
         raise UsageError(f"mask has {mask.d} bits but the model has {d} features")
     return mask
@@ -125,17 +133,18 @@ def _file_sha256(path) -> str:
 def cmd_fit(args) -> int:
     if args.k < 2:
         raise UsageError("--k must be at least 2 (counterfactuals need a cluster pair)")
+    with _usage_errors():
+        config = FitConfig(
+            algorithm=args.algo,
+            covariance=_COV_ALIASES[args.cov],
+            n_clusters=args.k,
+            max_iter=args.max_iter,
+            rel_tol=args.rel_tol,
+            seed=args.seed,
+            restarts=args.restarts,
+            standardize=not args.no_standardize,
+        )
     data = load_dataset(args.data, label_column=args.label_col)
-    config = FitConfig(
-        algorithm=args.algo,
-        covariance=_COV_ALIASES[args.cov],
-        n_clusters=args.k,
-        max_iter=args.max_iter,
-        rel_tol=args.rel_tol,
-        seed=args.seed,
-        restarts=args.restarts,
-        standardize=not args.no_standardize,
-    )
     model, info = fit(data, config)
     provenance = {
         "algorithm": config.algorithm,
@@ -172,20 +181,17 @@ def cmd_fit(args) -> int:
 def cmd_explain(args) -> int:
     model = load_model(args.model)
     y = _load_factual(args)
-    if y.size != model.d:
-        raise UsageError(f"factual has {y.size} features but the model expects {model.d}")
     mask = _parse_mask(args.mask, model.d) if args.mask is not None else None
 
     if args.target == "best":
         try:
-            result = explain_best(model, y, mask=mask, epsilon=args.epsilon, source=args.source)
+            with _usage_errors():
+                result = explain_best(model, y, mask=mask, epsilon=args.epsilon, source=args.source)
         except AllTargetsFailedError as exc:
             out = {"status": "all_targets_failed", "statuses": exc.statuses}
             _write_json(args.output, out)
             print(json.dumps(out))
             return EXIT_SOLVE
-        except (ValidationError, DimensionMismatchError) as exc:
-            raise UsageError(str(exc)) from None
         out = _result_dict(result, args.epsilon, mask)
         out["chosen_target"] = result.target
     else:
@@ -193,13 +199,11 @@ def cmd_explain(args) -> int:
             target = int(args.target)
         except ValueError:
             raise UsageError(f"--target must be an integer or 'best', got {args.target!r}") from None
-        try:
+        with _usage_errors():
             request = CfRequest(
                 factual=y, target=target, source=args.source, mask=mask, epsilon=args.epsilon
             )
             result = explain(model, request)
-        except (ValidationError, DimensionMismatchError) as exc:
-            raise UsageError(str(exc)) from None
         out = _result_dict(result, args.epsilon, mask)
     out["factual"] = y.tolist()
     _write_json(args.output, out)
@@ -220,14 +224,10 @@ def cmd_explain(args) -> int:
 def cmd_sweep(args) -> int:
     model = load_model(args.model)
     y = _load_factual(args)
-    if y.size != model.d:
-        raise UsageError(f"factual has {y.size} features but the model expects {model.d}")
     mask = _parse_mask(args.mask, model.d) if args.mask is not None else None
     epsilons = _parse_floats(args.epsilons, "--epsilons")
-    try:
+    with _usage_errors():
         points = sweep_epsilon(model, y, args.target, mask, epsilons, source=args.source)
-    except (ValidationError, DimensionMismatchError) as exc:
-        raise UsageError(str(exc)) from None
 
     results_path = f"{args.output}.results.json"
     deltas_path = f"{args.output}.deltas.csv"
@@ -274,7 +274,7 @@ def cmd_eval(args) -> int:
         if not sep or not name or not path:
             raise UsageError(f"--baseline expects NAME=PATH, got {spec_text!r}")
         baselines.append((name, path))
-    try:
+    with _usage_errors():
         config = EvalConfig(
             source=args.source,
             target=args.target,
@@ -285,8 +285,6 @@ def cmd_eval(args) -> int:
             external_baselines=tuple(baselines),
         )
         config.validate_against(model)
-    except ValidationError as exc:
-        raise UsageError(str(exc)) from None
     report = run_eval(model, data, config)
 
     report_path = f"{args.output}.report.json"

@@ -223,14 +223,26 @@ class GaussianComponent:
         return self._precision
 
 
+def whitened_sq(w: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """|W x|^2 for each row x of `diff` (N x d), W a whitening factor (d x d,
+    or a vector for an element-wise scaling), with one product per row, so
+    a row's value does not depend on the rows beside it."""
+    white = np.matmul(w, diff[:, :, None])[:, :, 0] if w.ndim == 2 else diff * w
+    return np.vecdot(white, white)
+
+
+def sq_distances(rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """|x - c|^2 for each row x of `rows` (N x d) and each center c of
+    `centers` (M x d), as an N x M matrix."""
+    diff = rows[:, None, :] - centers[None, :, :]
+    return np.sum(diff * diff, axis=2)
+
+
 def mahalanobis_sq(component: GaussianComponent, x: np.ndarray) -> float:
     """(x - m)' S^-1 (x - m) for one vector, as |W (x - m)|^2 with the
-    component's whitening factor W (a matrix product for full covariances,
-    an element-wise scaling otherwise)."""
+    component's whitening factor W (`whitened_sq` of one row)."""
     diff = np.asarray(x, dtype=np.float64) - component.mean
-    w = component.whitening
-    white = w @ diff if w.ndim == 2 else w * diff
-    return float(white @ white)
+    return float(whitened_sq(component.whitening, diff[None, :])[0])
 
 
 def log_density(component: GaussianComponent, x: np.ndarray) -> float:
@@ -323,8 +335,7 @@ class ClusterModel:
             object.__setattr__(self, "_whitening", _readonly(np.stack(whitening)))
             object.__setattr__(self, "_score_const", _readonly(np.array(const)))
         means = self.means()
-        diff = means[:, None, :] - means[None, :, :]
-        close = np.triu(np.sum(diff * diff, axis=2) <= MIN_CENTER_SEPARATION_SQ, k=1)
+        close = np.triu(sq_distances(means, means) <= MIN_CENTER_SEPARATION_SQ, k=1)
         if close.any():
             i, j = np.argwhere(close)[0]
             raise ValidationError(
@@ -351,6 +362,12 @@ class ClusterModel:
         """Raise ValidationError at `path` unless k is a cluster id."""
         if not (0 <= k < self.n_clusters):
             raise ValidationError(path, f"cluster id {k} out of range [0, {self.n_clusters})")
+
+    def check_point(self, x: np.ndarray, path: str) -> None:
+        """Raise DimensionMismatchError naming `path` unless x is one point
+        of the model's d features."""
+        if x.shape != (self.d,):
+            raise DimensionMismatchError(f"{path} has shape {x.shape}, model expects ({self.d},)")
 
     def to_internal(self, x: np.ndarray) -> np.ndarray:
         if self.standardization is None:
@@ -383,8 +400,7 @@ def score_matrix(model: ClusterModel, rows: np.ndarray, *, per_row: bool = False
             f"rows have dimension {rows.shape[1]}, model expects {model.d}"
         )
     if model.kind == KMEANS:
-        diff = rows[:, None, :] - model.centers[None, :, :]
-        return -np.sum(diff * diff, axis=2)
+        return -sq_distances(rows, model.centers)
     means, whitening, const = model._means, model._whitening, model._score_const
     out = np.empty((rows.shape[0], model.n_clusters))
     for start in range(0, rows.shape[0], SCORE_BLOCK_ROWS):
@@ -403,13 +419,8 @@ def score_matrix(model: ClusterModel, rows: np.ndarray, *, per_row: bool = False
 
 def assign_cluster(model: ClusterModel, x: np.ndarray) -> int:
     """Cluster of x under the assignment rule; exact ties go to the lowest id."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValidationError("x", "expected a single vector")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("x", "contains NaN or infinite entries")
-    scores = score_matrix(model, x[None, :])[0]
-    return int(np.argmax(scores))
+    x = as_vector(x, name="x")
+    return int(np.argmax(score_matrix(model, x[None, :])[0]))
 
 
 def distance_sq(a: np.ndarray, b: np.ndarray) -> float:
@@ -491,10 +502,7 @@ class CfRequest:
         """Check the request against the model and return its mask (all
         free when the request has none). This is the one validation of a
         request; the solvers behind `explain_many` trust what it passed."""
-        if self.factual.size != model.d:
-            raise DimensionMismatchError(
-                f"factual has dimension {self.factual.size}, model expects {model.d}"
-            )
+        model.check_point(self.factual, "factual")
         model.check_cluster(self.target, "target")
         if self.source is not None:
             model.check_cluster(self.source, "source")
@@ -509,31 +517,31 @@ class CfRequest:
 
 @dataclass(frozen=True, eq=False)
 class CfResult:
-    """Outcome of one counterfactual solve.
+    """Outcome of one counterfactual request, built by `explain_many` alone;
+    every field is set (None where it does not apply).
 
     `counterfactual` lives in the space the solver ran in (the model's
     internal space); `counterfactual_original` is the same point mapped
     back to original units, with frozen features copied bit-exact from the
     factual. `lam` is the pair's scalar multiplier, for centroid and
     Gaussian pairs alike (None without a point or when degenerate), and
-    `diagnostics` says how the solve ran. `elapsed` is set by `explain_many`
-    alone, in seconds: the time its group of requests (one source, target
-    and mask) spent in the pair plan's build and the solve, divided by
-    the group's size. A solver called directly leaves it at 0.0.
+    `diagnostics` says how the solve ran. `elapsed` is in seconds: the
+    time the request's group (one source, target and mask) spent in the
+    pair plan's build and the solve, divided by the group's size.
     """
 
     status: str
     counterfactual: "np.ndarray | None"
     distance_sq: "float | None"
-    lam: "float | None" = None
-    residual: "float | None" = None
-    elapsed: float = 0.0
-    source: "int | None" = None
-    target: "int | None" = None
-    strict_member: "bool | None" = None
-    tolerant_member: "bool | None" = None
-    counterfactual_original: "np.ndarray | None" = None
-    diagnostics: "dict | None" = None
+    lam: "float | None"
+    residual: float
+    elapsed: float
+    source: int
+    target: int
+    strict_member: "bool | None"
+    tolerant_member: "bool | None"
+    counterfactual_original: "np.ndarray | None"
+    diagnostics: dict
 
     @property
     def solved(self) -> bool:

@@ -11,9 +11,8 @@ monotonic clock around each solve and exclude model loading and I/O.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .core import (
 )
 from .explain import explain_many, membership_verdict
 from .fit import Dataset
-from .model_io import DataError, canonical_json
+from .model_io import DataError, canonical_json, read_json
 
 REPORT_SCHEMA_VERSION = 1
 RNG_ALGORITHM = "PCG64"
@@ -341,24 +340,40 @@ def sweep_epsilon(
 
 
 def report_to_dict(report: EvalReport) -> dict:
-    out = asdict(report)
-    return out
+    return asdict(report)
+
+
+def _build(cls, obj, path: str):
+    """cls(**obj) for a dataclass `cls`; DataError naming `path` and the
+    field when obj is not an object, has an unknown field or lacks one."""
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: expected an object")
+    try:
+        return cls(**obj)
+    except TypeError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _records(cls, values, path: str) -> list:
+    if not isinstance(values, list):
+        raise DataError(f"{path}: expected an array")
+    return [_build(cls, v, f"{path}[{i}]") for i, v in enumerate(values)]
 
 
 def report_from_dict(obj: dict) -> EvalReport:
+    if not isinstance(obj, dict):
+        raise DataError("report: expected an object")
     if obj.get("schema_version") != REPORT_SCHEMA_VERSION:
         raise DataError(f"unsupported report schema_version {obj.get('schema_version')!r}")
-    records = [FactualRecord(**r) for r in obj["records"]]
-    baselines = {
-        name: [BaselineRecord(**rec) for rec in recs]
-        for name, recs in obj.get("baselines", {}).items()
-    }
-    known = {f for f in EvalReport.__dataclass_fields__}
-    extras = set(obj) - known
-    if extras:
-        raise DataError(f"unknown report fields {sorted(extras)}")
-    kwargs = {k: v for k, v in obj.items() if k not in ("records", "baselines")}
-    return EvalReport(records=records, baselines=baselines, **kwargs)
+    baselines = obj.get("baselines", {})
+    if not isinstance(baselines, dict):
+        raise DataError("baselines: expected an object")
+    return _build(EvalReport, {
+        **obj,
+        "records": _records(FactualRecord, obj.get("records"), "records"),
+        "baselines": {name: _records(BaselineRecord, recs, f"baselines.{name}")
+                      for name, recs in baselines.items()},
+    }, "report")
 
 
 def write_report_json(report: EvalReport, path) -> None:
@@ -367,8 +382,7 @@ def write_report_json(report: EvalReport, path) -> None:
 
 
 def read_report_json(path) -> EvalReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        return report_from_dict(json.load(fh))
+    return report_from_dict(read_json(path, "report"))
 
 
 def write_records_csv(report: EvalReport, path) -> None:

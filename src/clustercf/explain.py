@@ -17,9 +17,9 @@ from .core import (
     CfResult,
     ClusterCfError,
     ClusterModel,
-    DimensionMismatchError,
     Mask,
     ValidationError,
+    as_vector,
     assign_cluster,
     log_density,
     score_matrix,
@@ -120,7 +120,7 @@ def explain_many(model: ClusterModel, requests) -> "list[CfResult]":
             )
         groups.setdefault((source, request.target, mask.bits.tobytes()), []).append(i)
 
-    solved = [None] * len(requests)  # (result, source, elapsed)
+    solved = [None] * len(requests)  # (row outcome, source, elapsed)
     for (source, target, _), idx in groups.items():
         t0 = time.perf_counter_ns()
         plan = _pair_plan(model, source, target, masks[idx[0]])
@@ -128,13 +128,13 @@ def explain_many(model: ClusterModel, requests) -> "list[CfResult]":
             plan, y if len(idx) == len(y) else y[idx], [requests[i].epsilon for i in idx]
         )
         share = (time.perf_counter_ns() - t0) * 1e-9 / len(idx)
-        for i, result in zip(idx, group):
-            solved[i] = (result, source, share)
+        for i, outcome in zip(idx, group):
+            solved[i] = (outcome, source, share)
 
-    # Verdicts and the map back to original units, once for every result
-    # with a point.
-    placed = [i for i, (result, _, _) in enumerate(solved) if result.counterfactual is not None]
-    verdicts = {}
+    # Verdicts and the map back to original units, once over the stacked
+    # points; each result's internal point is its row of that stack.
+    placed = [i for i, (outcome, _, _) in enumerate(solved) if outcome.counterfactual is not None]
+    points = {}
     if placed:
         z = np.array([solved[i][0].counterfactual for i in placed])
         strict, tolerant = membership_verdict(model, z, [requests[i].target for i in placed])
@@ -143,23 +143,15 @@ def explain_many(model: ClusterModel, requests) -> "list[CfResult]":
             fixed = masks[i].fixed
             if fixed.size:
                 z_orig[j, fixed] = requests[i].factual[fixed]
-            verdicts[i] = (strict[j], tolerant[j], z_orig[j])
+            points[i] = (z[j], strict[j], tolerant[j], z_orig[j])
     out = []
-    for i, (result, source, share) in enumerate(solved):
-        strict_i, tolerant_i, z_orig_i = verdicts.get(i, (None, None, None))
+    for i, (outcome, source, share) in enumerate(solved):
+        z_i, strict_i, tolerant_i, z_orig_i = points.get(i, (None, None, None, None))
         out.append(CfResult(
-            status=result.status,
-            counterfactual=result.counterfactual,
-            distance_sq=result.distance_sq,
-            lam=result.lam,
-            residual=result.residual,
-            elapsed=share,
-            source=source,
-            target=requests[i].target,
-            strict_member=strict_i,
-            tolerant_member=tolerant_i,
-            counterfactual_original=z_orig_i,
-            diagnostics=result.diagnostics,
+            status=outcome.status, counterfactual=z_i, distance_sq=outcome.distance_sq,
+            lam=outcome.lam, residual=outcome.residual, elapsed=share, source=source,
+            target=requests[i].target, strict_member=strict_i, tolerant_member=tolerant_i,
+            counterfactual_original=z_orig_i, diagnostics=outcome.diagnostics,
         ))
     return out
 
@@ -181,7 +173,9 @@ def explain_best(
     every request before it solves. Raises AllTargetsFailedError with the
     per-target statuses when nothing solves.
     """
-    y_arr = np.asarray(y, dtype=np.float64)
+    # The factual is checked as its requests will be, before it is mapped.
+    y_arr = as_vector(y, name="factual")
+    model.check_point(y_arr, "factual")
     resolved_source = (
         source if source is not None else assign_cluster(model, model.to_internal(y_arr))
     )
@@ -193,9 +187,6 @@ def explain_best(
             raise ValidationError("candidate_targets", "must exclude the source cluster")
     if not candidate_targets:
         raise ValidationError("candidate_targets", "no candidate target clusters")
-
-    for target in candidate_targets:
-        model.check_cluster(target, "target")
     if mask is None:
         mask = Mask.all_free(model.d)
 
@@ -229,8 +220,7 @@ def plausibility_check(model: ClusterModel, z, target: int, delta: float) -> boo
         raise ValidationError("delta", "must be finite and >= 0")
     model.check_cluster(target, "target")
     z = np.asarray(z, dtype=np.float64)
-    if z.shape != (model.d,):
-        raise DimensionMismatchError(f"z has shape {z.shape}, model expects ({model.d},)")
+    model.check_point(z, "z")
     if model.kind == KMEANS:
         diff = z - model.centers[target]
         log_p = -0.5 * (float(diff @ diff) + model.d * LOG_2PI)

@@ -26,6 +26,7 @@ from .core import (
     Standardization,
     ValidationError,
     score_matrix,
+    sq_distances,
 )
 
 
@@ -127,7 +128,7 @@ def _kmeans_pp(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     centers = np.empty((k, x.shape[1]))
     first = int(rng.integers(n))
     centers[0] = x[first]
-    d2 = np.sum((x - centers[0]) ** 2, axis=1)
+    d2 = sq_distances(x, centers[:1])[:, 0]
     for i in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
@@ -135,13 +136,8 @@ def _kmeans_pp(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centers[i] = x[idx]
-        d2 = np.minimum(d2, np.sum((x - centers[i]) ** 2, axis=1))
+        d2 = np.minimum(d2, sq_distances(x, centers[i : i + 1])[:, 0])
     return centers
-
-
-def _pairwise_d2(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = x[:, None, :] - centers[None, :, :]
-    return np.sum(diff * diff, axis=2)
 
 
 def _lloyd(x, centers, max_iter, rel_tol):
@@ -152,7 +148,7 @@ def _lloyd(x, centers, max_iter, rel_tol):
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
-        d2 = _pairwise_d2(x, centers)
+        d2 = sq_distances(x, centers)
         labels = np.argmin(d2, axis=1)
         point_d2 = d2[np.arange(x.shape[0]), labels]
         # Re-seed empty clusters at the point currently worst served.
@@ -174,7 +170,7 @@ def _lloyd(x, centers, max_iter, rel_tol):
         ):
             break
         prev_inertia = inertia
-    d2 = _pairwise_d2(x, centers)
+    d2 = sq_distances(x, centers)
     history.append(float(np.min(d2, axis=1).sum()))
     return centers, iterations, tuple(history)
 
@@ -256,7 +252,7 @@ def _m_step(x, resp, covariance_kind) -> ClusterModel:
 def _em(x, centers, covariance_kind, max_iter, rel_tol):
     """EM from a hard assignment to the given centers; returns (model,
     iterations, log-likelihood history)."""
-    labels = np.argmin(_pairwise_d2(x, centers), axis=1)
+    labels = np.argmin(sq_distances(x, centers), axis=1)
     resp = np.zeros((x.shape[0], centers.shape[0]))
     resp[np.arange(x.shape[0]), labels] = 1.0
 

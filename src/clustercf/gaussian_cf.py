@@ -41,7 +41,8 @@ Only a and g(y) depend on the factual, and only c_a on eps. A
 `GaussianPairPlan` holds the rest for one (source, target, mask): the
 eigenbasis of D (the identity when neither covariance is full), e, the
 multiplier interval and the pole data of each side. `solve_gaussian_rows`
-then solves many factuals and eps values against one plan. An affine
+then solves many factuals and eps values against one plan, one
+`RowOutcome` per row, which `explain_many` makes a `CfResult`. An affine
 plan takes the closed form row by row, with one-row products. Otherwise
 a and g(y) come for all rows from row-wise products, the side, factual
 and hard-case tests run over all rows at once, one scalar root per row,
@@ -59,6 +60,7 @@ large Mahalanobis terms at the candidate.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,9 +70,9 @@ from .core import (
     STATUS_NO_FEASIBLE_SOLUTION,
     STATUS_NO_ROOT_FOUND,
     STATUS_OK,
-    CfResult,
     GaussianComponent,
     Mask,
+    whitened_sq,
 )
 
 # Acceptance tolerance for a root, in the constraint's natural scale.
@@ -218,11 +220,12 @@ class GaussianPairPlan:
         row i at `epsilons[i]`, on a plan with unequal precisions (equal ones
         go through `row_terms`): the half gradient over the free block in
         the eigenbasis (N x |F|), g(y) from the whitened squared distances
-        as `mahalanobis_sq` takes them, and the tolerance scale 1 + |c_alpha|."""
+        (`whitened_sq`, the kernel of `mahalanobis_sq`), and the tolerance
+        scale 1 + |c_alpha|."""
         u = rows - self._m_s
         h = _apply(self._d, u) + self._h_base
         a = self._to_eigen(h.take(self.mask.free, axis=1))
-        g = _whitened_sq(self._w_t, rows - self._m_t) - _whitened_sq(self._w_s, u)
+        g = whitened_sq(self._w_t, rows - self._m_t) - whitened_sq(self._w_s, u)
         c_alpha = [self.c_alpha(eps) for eps in epsilons]
         return a, g + np.array(c_alpha), [1.0 + abs(c) for c in c_alpha]
 
@@ -282,14 +285,6 @@ def _row_products(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     does not depend on the other rows of the batch (a blocked matrix
     product may round a row differently with other rows beside it)."""
     return np.matmul(x[:, None, :], m)[:, 0, :]
-
-
-def _whitened_sq(w: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """|W (x - m)|^2 for each row x - m of `diff`, with the products
-    `mahalanobis_sq` takes for one vector (a matrix-vector product and a
-    dot product per row), so each row gets the same bits."""
-    white = np.matmul(w, diff[:, :, None])[:, :, 0] if w.ndim == 2 else diff * w
-    return np.vecdot(white, white)
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +379,22 @@ def _hard_case(sec: _Secular, block: np.ndarray, e_k: float) -> np.ndarray:
     return step
 
 
-def solve_gaussian_rows(plan: GaussianPairPlan, rows, epsilons) -> "list[CfResult]":
+class RowOutcome(NamedTuple):
+    """One row's solve: the fields of `CfResult` that the solver sets, by
+    the same names; `explain_many` adds the rest when it builds the result."""
+
+    status: str
+    counterfactual: "np.ndarray | None"
+    distance_sq: "float | None"
+    lam: "float | None"
+    residual: float
+    diagnostics: dict
+
+
+def solve_gaussian_rows(plan: GaussianPairPlan, rows, epsilons) -> "list[RowOutcome]":
     """Nearest point to each factual row on its g(z) = 0 over the free
-    features; row i is solved at `epsilons[i]`.
+    features, as one `RowOutcome` per row; row i is solved at
+    `epsilons[i]`.
 
     An affine plan (every center pair, and Gaussian pairs whose free-block
     precisions agree) takes the closed form lam = -g(y) / (2 |a|^2),
@@ -396,8 +404,8 @@ def solve_gaussian_rows(plan: GaussianPairPlan, rows, epsilons) -> "list[CfResul
 
     - `ok`: the minimizer with its multiplier `lam`, confirmed by the
       expansion of g in the solve's coordinates within 1e-8 * scale (see
-      `terms`). The factual itself is returned, at lam = 0, when it
-      already meets that tolerance.
+      `terms`). The factual itself (the row of `rows`, not a copy) is
+      returned, at lam = 0, when it already meets that tolerance.
     - `degenerate_identity`: the free features cannot change g (none are
       free, or D_FF and the gradient vanish) and the factual satisfies it.
     - `no_feasible_solution`: g keeps the factual's sign, beyond the
@@ -406,9 +414,10 @@ def solve_gaussian_rows(plan: GaussianPairPlan, rows, epsilons) -> "list[CfResul
       `diagnostics["g_limit"]`, is the extremum of g over the free block.
     - `no_root_found`: the candidate failed the confirmation.
 
-    Every result carries `diagnostics`: the solver `path` (`factual`,
-    `interval` or `hard_case` for `ok`), the multiplier `interval` (None
-    for an open end) and the Newton `iterations` (0 for the closed form).
+    Every outcome carries `residual` and `diagnostics`: the solver `path`
+    (`factual`, `interval` or `hard_case` for `ok`), the multiplier
+    `interval` (None for an open end) and the Newton `iterations` (0 for
+    the closed form).
     """
     rows = np.asarray(rows, dtype=np.float64)
     if plan.affine:
@@ -457,7 +466,7 @@ def solve_gaussian_rows(plan: GaussianPairPlan, rows, epsilons) -> "list[CfResul
         edge[sign] = (hi_linear, g_limit, hi_flat)
 
     n = rows.shape[0]
-    results = [None] * n
+    outcomes = [None] * n
     all_diagnostics = [
         {"path": PATH_FACTUAL, "interval": list(plan.interval), "iterations": 0} for _ in range(n)
     ]
@@ -466,7 +475,7 @@ def solve_gaussian_rows(plan: GaussianPairPlan, rows, epsilons) -> "list[CfResul
     solved = []
     for i, diagnostics in enumerate(all_diagnostics):
         if at_factual[i]:
-            results[i] = _at_factual(rows[i], g_list[i], diagnostics, True)
+            outcomes[i] = RowOutcome(STATUS_OK, rows[i], 0.0, 0.0, g_list[i], diagnostics)
             continue
         sign = -1.0 if positive[i] else 1.0
         side = plan.side(sign)
@@ -491,7 +500,7 @@ def solve_gaussian_rows(plan: GaussianPairPlan, rows, epsilons) -> "list[CfResul
                         if abs(g_limit[i]) > g_ok_tol[i]
                         else STATUS_NO_ROOT_FOUND
                     )
-                    results[i] = _no_point(status, g_list[i], diagnostics)
+                    outcomes[i] = RowOutcome(status, None, None, None, g_list[i], diagnostics)
                     continue
                 hi = hi_flat[i]
             lo, x0, lo_positive = 0.0, 0.0, positive[i]
@@ -501,8 +510,6 @@ def solve_gaussian_rows(plan: GaussianPairPlan, rows, epsilons) -> "list[CfResul
         )
         lam[i], steps[i] = sec.lam(x), sec.step(x)
         solved.append(i)
-    if not solved:
-        return results
 
     # Confirm, place and measure every candidate at once. The expansion
     # g(y + B s) = g(y) + 2 a.s + s' diag(e) s is exact for the
@@ -519,13 +526,13 @@ def solve_gaussian_rows(plan: GaussianPairPlan, rows, epsilons) -> "list[CfResul
     points = rows.copy()
     points[:, free] = moved
     for i in solved:
-        results[i] = _confirmed(
+        outcomes[i] = _confirmed(
             points[i], distance[i], lam[i], residual[i], g_ok_tol[i], all_diagnostics[i]
         )
-    return results
+    return outcomes
 
 
-def _closed_form(plan: GaussianPairPlan, y, epsilon: float) -> CfResult:
+def _closed_form(plan: GaussianPairPlan, y, epsilon: float) -> RowOutcome:
     """One factual on an affine plan. g(y + s) = g(y) + 2 a.s, so the
     nearest root is s = lam * a with lam = -g(y) / (2 |a|^2); without a
     gradient (2 |a| below EIG_ZERO) g stays at g(y), its own limit. The
@@ -537,11 +544,13 @@ def _closed_form(plan: GaussianPairPlan, y, epsilon: float) -> CfResult:
     a_sq = float(a.dot(a))
     movable = 2.0 * math.sqrt(a_sq) > EIG_ZERO
     if abs(g) <= tol:
-        return _at_factual(y, g, diagnostics, movable)
+        if movable:
+            return RowOutcome(STATUS_OK, y, 0.0, 0.0, g, diagnostics)
+        return RowOutcome(STATUS_DEGENERATE_IDENTITY, y, 0.0, None, g, diagnostics)
     if not movable:
         diagnostics["path"] = PATH_OPEN_END
         diagnostics["g_limit"] = g
-        return _no_point(STATUS_NO_FEASIBLE_SOLUTION, g, diagnostics)
+        return RowOutcome(STATUS_NO_FEASIBLE_SOLUTION, None, None, None, g, diagnostics)
     diagnostics["path"] = PATH_INTERVAL
     lam = -g / (2.0 * a_sq)
     step = lam * a
@@ -558,29 +567,9 @@ def _closed_form(plan: GaussianPairPlan, y, epsilon: float) -> CfResult:
 
 
 def _confirmed(point, distance: float, lam: float, residual: float, tol: float,
-               diagnostics: dict) -> CfResult:
+               diagnostics: dict) -> RowOutcome:
     """`ok` within the tolerance, else `no_root_found` with `lam` noted."""
     if abs(residual) > tol:
         diagnostics["lam"] = lam
-        return _no_point(STATUS_NO_ROOT_FOUND, residual, diagnostics)
-    return CfResult(
-        status=STATUS_OK, counterfactual=point, distance_sq=distance, lam=lam,
-        residual=residual, diagnostics=diagnostics,
-    )
-
-
-def _at_factual(row, g: float, diagnostics: dict, movable: bool) -> CfResult:
-    """The factual itself: `ok` at lam = 0 when the free features can move
-    g, `degenerate_identity` otherwise."""
-    return CfResult(
-        status=STATUS_OK if movable else STATUS_DEGENERATE_IDENTITY,
-        counterfactual=row.copy(), distance_sq=0.0, lam=0.0 if movable else None,
-        residual=g, diagnostics=diagnostics,
-    )
-
-
-def _no_point(status: str, residual: float, diagnostics: dict) -> CfResult:
-    return CfResult(
-        status=status, counterfactual=None, distance_sq=None, residual=residual,
-        diagnostics=diagnostics,
-    )
+        return RowOutcome(STATUS_NO_ROOT_FOUND, None, None, None, residual, diagnostics)
+    return RowOutcome(STATUS_OK, point, distance, lam, residual, diagnostics)

@@ -40,7 +40,7 @@ class DataError(ClusterCfError):
 
 
 def _reject_constant(token: str):
-    raise ValidationError("$", f"non-finite JSON number {token!r} is not allowed")
+    raise DataError(f"non-finite JSON number {token!r} is not allowed")
 
 
 def canonical_json(obj: Any) -> str:
@@ -214,16 +214,19 @@ def load_model(path) -> ClusterModel:
 
 
 def load_model_with_provenance(path) -> "tuple[ClusterModel, dict]":
+    return model_from_dict(read_json(path, "model"))
+
+
+def read_json(path, what: str):
+    """The JSON document in the file at `path`, without non-finite numbers.
+    A file that cannot be read or parsed raises DataError naming `what`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return json.loads(fh.read(), parse_constant=_reject_constant)
     except OSError as exc:
-        raise DataError(f"cannot read model file {path}: {exc}") from exc
-    try:
-        obj = json.loads(text, parse_constant=_reject_constant)
+        raise DataError(f"cannot read {what} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise DataError(f"model file {path} is not valid JSON: {exc}") from exc
-    return model_from_dict(obj)
+        raise DataError(f"{what} file {path} is not valid JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,8 @@ def pair_case(source, target, y, mask, epsilon):
 
 
 def solve_case(case):
-    """The plan's batched solve on the one row of a pair case."""
+    """The `RowOutcome` of the plan's batched solve on the one row of a
+    pair case, as the solver returns it."""
     return solve_gaussian_rows(case.plan, case.y[None, :], [case.epsilon])[0]
 
 
@@ -77,7 +78,8 @@ def centroid_plane(m_s, m_t, epsilon, mask):
 
 
 def solve_centroid_case(plane, y):
-    """The centroid plan's solve on the one factual y at the plane's epsilon."""
+    """The `RowOutcome` of the centroid plan's solve on the one factual y
+    at the plane's epsilon, as the solver returns it."""
     return solve_gaussian_rows(plane.plan, np.asarray(y, dtype=np.float64)[None, :],
                                [plane.epsilon])[0]
 

@@ -81,6 +81,15 @@ def test_fit_rejects_k_zero(tmp_path, blob_csv, capsys):
     assert "--k" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--restarts", "--max-iter", "--rel-tol"])
+def test_fit_bad_fit_argument_exits_2(tmp_path, blob_csv, capsys, flag):
+    code = main(["fit", "--algo", "kmeans", "--k", "2", flag, "0", str(blob_csv),
+                 "-o", str(tmp_path / "m.json")])
+    assert code == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_fit_missing_data_file_is_data_error(tmp_path, capsys):
     code = main([
         "fit", "--algo", "kmeans", "--k", "2", str(tmp_path / "nope.csv"),

@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -63,6 +64,48 @@ def test_report_json_round_trip(tmp_path, blob_setup):
     loaded = cf.read_report_json(path)
     assert loaded == report
     assert report_from_dict(report_to_dict(report)) == report
+
+
+def _drop_records(doc):
+    del doc["records"]
+
+
+def _record_not_object(doc):
+    doc["records"][0] = [1, 2]
+
+
+def _record_extra_field(doc):
+    doc["records"][0]["colour"] = "red"
+
+
+def _record_missing_field(doc):
+    del doc["records"][0]["residual"]
+
+
+@pytest.mark.parametrize("corrupt, match", [
+    (_drop_records, r"records: expected an array"),
+    (_record_not_object, r"records\[0\]: expected an object"),
+    (_record_extra_field, r"records\[0\]: .*unexpected keyword argument 'colour'"),
+    (_record_missing_field, r"records\[0\]: .*missing 1 required .*'residual'"),
+], ids=["records_missing", "record_not_object", "record_extra_field", "record_missing_field"])
+def test_read_report_json_names_the_bad_field(tmp_path, blob_setup, corrupt, match):
+    model, data, source, target = blob_setup
+    report = cf.run_eval(model, data, cf.EvalConfig(source=source, target=target, n_factuals=3))
+    doc = report_to_dict(report)
+    corrupt(doc)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(cf.DataError, match=match):
+        cf.read_report_json(path)
+
+
+def test_read_report_json_unreadable_files(tmp_path):
+    with pytest.raises(cf.DataError, match="cannot read report file"):
+        cf.read_report_json(tmp_path / "missing.json")
+    path = tmp_path / "broken.json"
+    path.write_text("{not json")
+    with pytest.raises(cf.DataError, match="not valid JSON"):
+        cf.read_report_json(path)
 
 
 def test_records_csv_layout(tmp_path, blob_setup):

@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 
 import clustercf as cf
-from helpers import (
-    centroid_plane,
-    pair_case,
-    solve_case,
-    solve_centroid_case,
-    two_cluster_gaussian_model,
-)
+from helpers import two_cluster_gaussian_model
 from oracles import make_blobs, random_spd
 
 
@@ -226,16 +220,6 @@ def test_explain_times_every_request():
     assert kres.elapsed > 0.0 and gres.elapsed > 0.0
 
 
-def test_direct_solver_calls_leave_elapsed_at_zero():
-    mask = cf.Mask.all_free(2)
-    kres = solve_centroid_case(centroid_plane(np.zeros(2), np.array([2.0, 0.0]), 1e-5, mask),
-                               np.array([0.0, 0.5]))
-    source, target = two_cluster_gaussian_model().components
-    gres = solve_case(pair_case(source, target, np.array([0.1, -0.3]), mask, 1e-5))
-    assert kres.status == gres.status == cf.STATUS_OK
-    assert kres.elapsed == 0.0 and gres.elapsed == 0.0
-
-
 def test_explain_best_validates_every_target_before_solving(monkeypatch):
     explain_module = importlib.import_module("clustercf.explain")
 
@@ -269,3 +253,18 @@ def test_explain_best_validates_each_candidate_once(monkeypatch):
     assert result.status == cf.STATUS_OK
     assert counts["validate_against"] == 4
     assert counts["all_free"] <= 1
+
+
+@pytest.mark.parametrize("standardized", [False, True])
+@pytest.mark.parametrize("length", [1, 3])
+def test_explain_best_rejects_wrong_length_factual(standardized, length):
+    scaling = cf.Standardization(mean=[1.0, -2.0], std=[2.0, 0.5]) if standardized else None
+    model = cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]],
+                            standardization=scaling)
+    with pytest.raises(cf.DimensionMismatchError, match="factual"):
+        cf.explain_best(model, np.zeros(length))
+
+
+def test_cf_result_needs_every_field():
+    with pytest.raises(TypeError):
+        cf.CfResult(status=cf.STATUS_OK, counterfactual=None, distance_sq=None)
