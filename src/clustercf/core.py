@@ -369,6 +369,12 @@ class ClusterModel:
         if x.shape != (self.d,):
             raise DimensionMismatchError(f"{path} has shape {x.shape}, model expects ({self.d},)")
 
+    def check_rows(self, rows: np.ndarray) -> None:
+        """Raise DimensionMismatchError unless the (N, D) `rows` have the
+        model's d features."""
+        if rows.shape[1] != self.d:
+            raise DimensionMismatchError(f"rows have dimension {rows.shape[1]}, model expects {self.d}")
+
     def to_internal(self, x: np.ndarray) -> np.ndarray:
         if self.standardization is None:
             return np.asarray(x, dtype=np.float64)
@@ -395,10 +401,7 @@ def score_matrix(model: ClusterModel, rows: np.ndarray, *, per_row: bool = False
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim == 1:
         rows = rows[None, :]
-    if rows.shape[1] != model.d:
-        raise DimensionMismatchError(
-            f"rows have dimension {rows.shape[1]}, model expects {model.d}"
-        )
+    model.check_rows(rows)
     if model.kind == KMEANS:
         return -sq_distances(rows, model.centers)
     means, whitening, const = model._means, model._whitening, model._score_const

@@ -10,9 +10,10 @@ monotonic clock around each solve and exclude model loading and I/O.
 
 from __future__ import annotations
 
+import copy
 import csv
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -131,10 +132,12 @@ def compute_aggregates(records) -> dict:
 def run_eval(model: ClusterModel, data: Dataset, config: EvalConfig) -> EvalReport:
     """Sample factuals from the source cluster (without replacement, seeded)
     and explain them toward the target cluster with one `explain_many`
-    call, which shares one constraint build among them. The cluster ids are
-    checked against the model before any factual is solved."""
+    call, which shares one constraint build among them. The cluster ids
+    and the width of `data` are checked against the model before any row
+    is mapped or solved."""
     config.validate_against(model)
     rows = data.rows
+    model.check_rows(rows)
     internal = np.asarray(model.to_internal(rows), dtype=np.float64)
     labels = np.argmax(score_matrix(model, internal), axis=1)
     source_rows = np.flatnonzero(labels == config.source)
@@ -339,8 +342,25 @@ def sweep_epsilon(
 # Report serialization
 
 
+def _record_dict(record) -> dict:
+    """The fields of a record, with a fresh list for each vector."""
+    out = dict(vars(record))
+    for key, value in out.items():
+        if isinstance(value, list):
+            out[key] = list(value)
+    return out
+
+
 def report_to_dict(report: EvalReport) -> dict:
-    return asdict(report)
+    """The report as a JSON-ready dict that shares no container with it."""
+    out = dict(vars(report))
+    out["mask_bits"] = list(report.mask_bits)
+    out["records"] = [_record_dict(r) for r in report.records]
+    out["aggregates"] = copy.deepcopy(report.aggregates)
+    out["baselines"] = {name: [_record_dict(r) for r in recs]
+                        for name, recs in report.baselines.items()}
+    out["comparison"] = copy.deepcopy(report.comparison)
+    return out
 
 
 def _build(cls, obj, path: str):

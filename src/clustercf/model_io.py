@@ -10,6 +10,7 @@ ValidationError with the path of the offending field.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from typing import Any
@@ -260,37 +261,27 @@ def _looks_numeric(cells) -> bool:
     return True
 
 
-def load_dataset(path, label_column: "str | None" = None) -> Dataset:
-    """CSV rows of finite doubles with an optional header line.
+def _csv_rows(text: str) -> "list[list[str]]":
+    """The rows of `text` as the csv module splits them, blank rows left out."""
+    rows = csv.reader(io.StringIO(text, newline=""))
+    return [row for row in rows if any(cell.strip() != "" for cell in row)]
 
-    A header is assumed whenever the first line has any non-numeric cell.
-    `label_column` names a header column to drop from the features and
-    keep as string metadata; rows are 1-based in error messages.
-    """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            raw = [row for row in csv.reader(fh)]
-    except OSError as exc:
-        raise DataError(f"cannot read dataset {path}: {exc}") from exc
-    raw = [row for row in raw if any(cell.strip() != "" for cell in row)]
-    if not raw:
-        raise DataError(f"dataset {path} is empty")
 
-    header = None
-    if not _looks_numeric(raw[0]):
-        header = [cell.strip() for cell in raw[0]]
-        raw = raw[1:]
-        if not raw:
-            raise DataError(f"dataset {path} has a header but no data rows")
+def _plain_lines(text: str) -> "list[str]":
+    """The rows of the quote-free `text`, blank rows left out. Without
+    quotes the csv module ends a row at every CR and LF and splits it at
+    every comma, so a line's comma-split cells are its csv row."""
 
-    label_idx = None
-    if label_column is not None:
-        if header is None:
-            raise DataError("label column requested but the file has no header")
-        if label_column not in header:
-            raise DataError(f"label column {label_column!r} not found in header {header}")
-        label_idx = header.index(label_column)
+    def non_blank(line: str) -> bool:
+        line = line.strip()
+        return line != "" and (line[0] != "," or line.replace(",", "").strip() != "")
 
+    return [line for line in text.replace("\r", "\n").split("\n") if non_blank(line)]
+
+
+def _parse_cells(raw, label_idx: "int | None"):
+    """(values, labels) of the csv rows `raw`, one `float()` per cell; the
+    first bad row or cell raises DataError naming it."""
     width = len(raw[0])
     labels = [] if label_idx is not None else None
     rows = []
@@ -304,6 +295,80 @@ def load_dataset(path, label_column: "str | None" = None) -> Dataset:
                 continue
             values.append(_parse_cell(cell, r, c))
         rows.append(values)
+    return rows, labels
+
+
+def _parse_lines(lines, label_idx: "int | None"):
+    """What `_parse_cells` returns for the quote-free rows `lines`, with
+    every number parsed by one call of numpy's C text reader, or None when
+    the reader refuses a line, a value is not finite or the rows are
+    ragged. The reader converts each token with the routine `float()`
+    uses, so every value it returns has the bits `float()` gives."""
+    width = lines[0].count(",") + 1
+    usecols, cells = None, None
+    if label_idx is not None:
+        cells = [line.split(",") for line in lines]
+        if any(len(row) != width for row in cells):
+            return None
+        usecols = [c for c in range(width) if c != label_idx]
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64,
+                            ndmin=2, usecols=usecols)
+    except ValueError:
+        return None
+    if values.shape != (len(lines), width - (label_idx is not None)):
+        return None
+    if not np.isfinite(values).all():
+        return None
+    labels = None if cells is None else [row[label_idx].strip() for row in cells]
+    return values, labels
+
+
+def load_dataset(path, label_column: "str | None" = None) -> Dataset:
+    """CSV rows of finite doubles with an optional header line.
+
+    A header is assumed whenever the first non-blank row has any
+    non-numeric cell. `label_column` names a header column to drop from
+    the features and keep as string metadata. Every number is parsed as
+    `float()` parses it. Rows of blank cells are skipped; error messages
+    number the non-blank data rows, header excluded, from 1.
+
+    A file without quotes is parsed by numpy's C text reader in one call.
+    The per-cell loop stays for what that reader does not take: quoted
+    cells, values `float()` accepts and the reader refuses (`1_000`,
+    non-ASCII digits), and every bad file, whose first bad row or cell
+    only the loop names.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read dataset {path}: {exc}") from exc
+    plain = '"' not in text
+    raw = _plain_lines(text) if plain else _csv_rows(text)
+    if not raw:
+        raise DataError(f"dataset {path} is empty")
+
+    header = None
+    first = raw[0].split(",") if plain else raw[0]
+    if not _looks_numeric(first):
+        header = [cell.strip() for cell in first]
+        raw = raw[1:]
+        if not raw:
+            raise DataError(f"dataset {path} has a header but no data rows")
+
+    label_idx = None
+    if label_column is not None:
+        if header is None:
+            raise DataError("label column requested but the file has no header")
+        if label_column not in header:
+            raise DataError(f"label column {label_column!r} not found in header {header}")
+        label_idx = header.index(label_column)
+
+    parsed = _parse_lines(raw, label_idx) if plain else None
+    if parsed is None:
+        parsed = _parse_cells([line.split(",") for line in raw] if plain else raw, label_idx)
+    rows, labels = parsed
 
     feature_names = None
     if header is not None:

@@ -244,6 +244,27 @@ def test_eval_reproducible_and_schema_valid(tmp_path, blob_csv, capsys):
     assert summary["success_tolerant"] == 1.0
 
 
+@pytest.mark.parametrize("standardization", [
+    cf.Standardization(mean=[1.0, -1.0], std=[2.0, 0.5]), None,
+], ids=["standardized", "raw"])
+def test_eval_data_of_another_width_is_data_error(tmp_path, standardization, capsys):
+    model_path = tmp_path / "m.json"
+    cf.save_model(
+        cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0], [4.0, 0.0]],
+                        standardization=standardization),
+        model_path,
+    )
+    data = tmp_path / "wide.csv"
+    data.write_text("0.1,0.2,0.3\n3.9,0.1,0.0\n0.2,-0.1,5.0\n")
+    code = main([
+        "eval", "--model", str(model_path), "--n", "2", "--source", "0", "--target", "1",
+        str(data), "-o", str(tmp_path / "e"),
+    ])
+    assert code == 3
+    assert "data error: rows have dimension 3, model expects 2" in capsys.readouterr().err
+    assert not (tmp_path / "e.report.json").exists()
+
+
 def test_eval_with_baseline_adds_comparison(tmp_path, blob_csv, capsys):
     model_path = tmp_path / "m.json"
     # Identity feature space keeps the export / re-ingest round trip

@@ -293,3 +293,41 @@ def test_ingest_baseline_judges_all_rows_with_one_score_call(tmp_path, blob_setu
     for rec in table:
         assert rec.distance_sq == ours[rec.factual_id].distance_sq
         assert rec.member_tolerant == ours[rec.factual_id].tolerant_member
+
+
+@pytest.mark.parametrize("standardize", [True, False], ids=["standardized", "raw"])
+def test_run_eval_rejects_data_of_another_width(standardize):
+    rows, _ = make_blobs(np.random.default_rng(5), [[0.0, 0.0], [6.0, 5.0]], sigma=0.6, n_per=40)
+    model, _ = cf.fit(
+        cf.Dataset(rows=rows),
+        cf.FitConfig(algorithm=cf.KMEANS, n_clusters=2, seed=7, standardize=standardize),
+    )
+    assert (model.standardization is not None) == standardize
+    wide = cf.Dataset(rows=np.hstack([rows, rows[:, :1]]))
+    with pytest.raises(cf.DimensionMismatchError, match="rows have dimension 3, model expects 2"):
+        cf.run_eval(model, wide, cf.EvalConfig(source=0, target=1, n_factuals=5))
+
+
+def test_report_dict_shares_no_container_with_the_report(tmp_path, blob_setup):
+    model, data, source, target = blob_setup
+    report = cf.run_eval(model, data, cf.EvalConfig(source=source, target=target, n_factuals=4))
+    baseline = tmp_path / "baseline.csv"
+    cf.export_baseline_csv(report, baseline)
+    report = cf.attach_baselines(report, model, [("copy", baseline)])
+    path = tmp_path / "report.json"
+    cf.write_report_json(report, path)
+
+    doc = report_to_dict(report)
+    doc["records"][0]["status"] = "changed"
+    doc["records"][0]["factual"][0] = 1e9
+    doc["records"][1]["counterfactual"].append(0.0)
+    doc["mask_bits"].append(1)
+    doc["aggregates"]["distance"]["min"] = -1.0
+    doc["aggregates"]["n"] = 0
+    doc["baselines"]["copy"][0]["counterfactual"][0] = 1e9
+    doc["comparison"]["factual_ids"].append(-1)
+    doc["comparison"]["distances"]["ours"].clear()
+
+    assert cf.read_report_json(path) == report
+    cf.write_report_json(report, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()

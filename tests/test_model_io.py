@@ -1,8 +1,11 @@
 import json
+import warnings
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clustercf as cf
 from clustercf.model_io import model_from_dict, model_to_dict
@@ -245,3 +248,93 @@ def test_load_dataset_label_column_requires_header(tmp_path):
     path.write_text("1.0,2.0\n3.0,4.0\n")
     with pytest.raises(cf.DataError, match="header"):
         cf.load_dataset(path, label_column="y")
+
+
+def test_load_dataset_header_only_file(tmp_path):
+    path = tmp_path / "header_only.csv"
+    path.write_text("a,b\n\n , \n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(cf.DataError, match="has a header but no data rows"):
+            cf.load_dataset(path)
+
+
+@pytest.mark.parametrize("text, rows", [
+    ("a,b\n1_000,2\n3,4\n", [[1000.0, 2.0], [3.0, 4.0]]),
+    ('a,b\n"1.5",2\n3,4\n', [[1.5, 2.0], [3.0, 4.0]]),
+    ("1,2\n , \n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("1,١٢\n3,4\n", [[1.0, 12.0], [3.0, 4.0]]),
+], ids=["underscore", "quoted", "blank_cells_row", "arabic_digits"])
+def test_load_dataset_values_the_c_reader_refuses(tmp_path, text, rows):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert cf.load_dataset(path).rows.tolist() == rows
+
+
+def test_load_dataset_quoted_label_keeps_its_comma(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text('x,name,y\n1,"a, b",2\n3,c,4\n')
+    data = cf.load_dataset(path, label_column="name")
+    assert data.rows.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert data.labels == ("a, b", "c")
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+)
+_formats = st.sampled_from([repr, lambda v: "%.25g" % v, lambda v: "%.12e" % v])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(st.lists(_finite, min_size=3, max_size=3), min_size=1, max_size=8),
+    fmt=_formats,
+    header=st.booleans(),
+    label_at=st.none() | st.integers(0, 3),
+    eol=st.sampled_from(["\n", "\r\n", "\r"]),
+    blank_after=st.sets(st.integers(0, 7)),
+)
+def test_load_dataset_matches_float_per_cell(tmp_path_factory, values, fmt, header, label_at,
+                                             eol, blank_after):
+    if label_at is not None:
+        header = True
+    names = ["f0", "f1", "f2"]
+    lines = []
+    cells_per_row = []
+    for i, row in enumerate(values):
+        cells = [fmt(v) for v in row]
+        if label_at is not None:
+            cells.insert(label_at, f"label-{i}")
+        cells_per_row.append(cells)
+        lines.append(",".join(cells))
+        if i in blank_after:
+            lines.append(" , " if i % 2 else "")
+    if header:
+        if label_at is not None:
+            names.insert(label_at, "kind")
+        lines.insert(0, ",".join(names))
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_bytes((eol.join(lines) + eol).encode("utf-8"))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = cf.load_dataset(path, label_column="kind" if label_at is not None else None)
+    expected = [
+        [float(c) for j, c in enumerate(cells) if j != label_at] for cells in cells_per_row
+    ]
+    assert data.rows.tobytes() == np.asarray(expected, dtype=np.float64).tobytes()
+    if header:
+        assert data.feature_names == ("f0", "f1", "f2")
+    else:
+        assert data.feature_names is None
+    if label_at is not None:
+        assert data.labels == tuple(f"label-{i}" for i in range(len(values)))
+    else:
+        assert data.labels is None
+
+
+def test_load_dataset_ragged_row_with_label_column(tmp_path):
+    path = tmp_path / "ragged_label.csv"
+    path.write_text("name,x,y\na,1.0,2.0\nb,3.0,4.0,5.0\n")
+    with pytest.raises(cf.DataError, match="ragged row 2: expected 3 cells, got 4"):
+        cf.load_dataset(path, label_column="name")
