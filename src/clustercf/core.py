@@ -84,6 +84,14 @@ def as_vector(values, *, name: str = "vector") -> np.ndarray:
     return _readonly(arr)
 
 
+def as_int(value, *, name: str) -> int:
+    """An integer (Python's or numpy's) as an int; a bool, a float or
+    anything else raises ValidationError at `name`, never truncated."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(name, f"must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_epsilon(value) -> float:
     """The plausibility factor as a float; it must be finite and >= 0."""
     eps = float(value)
@@ -235,22 +243,16 @@ def sq_distances(rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """|x - c|^2 for each row x of `rows` (N x d) and each center c of
     `centers` (M x d), as an N x M matrix."""
     diff = rows[:, None, :] - centers[None, :, :]
-    return np.sum(diff * diff, axis=2)
-
-
-def mahalanobis_sq(component: GaussianComponent, x: np.ndarray) -> float:
-    """(x - m)' S^-1 (x - m) for one vector, as |W (x - m)|^2 with the
-    component's whitening factor W (`whitened_sq` of one row)."""
-    diff = np.asarray(x, dtype=np.float64) - component.mean
-    return float(whitened_sq(component.whitening, diff[None, :])[0])
+    return (diff * diff).sum(axis=2)
 
 
 def log_density(component: GaussianComponent, x: np.ndarray) -> float:
     """Gaussian log density at x, from the whitened squared distance
-    `mahalanobis_sq` and the cached log-determinant."""
+    |W (x - m)|^2 (`whitened_sq` of one row) and the cached
+    log-determinant."""
     x = np.asarray(x, dtype=np.float64)
     check_same_dim(component.mean, x)
-    quad = mahalanobis_sq(component, x)
+    quad = float(whitened_sq(component.whitening, (x - component.mean)[None, :])[0])
     return -0.5 * (quad + component.log_det + component.d * LOG_2PI)
 
 
@@ -497,9 +499,9 @@ class CfRequest:
     def __post_init__(self):
         object.__setattr__(self, "factual", as_vector(self.factual, name="factual"))
         object.__setattr__(self, "epsilon", check_epsilon(self.epsilon))
-        object.__setattr__(self, "target", int(self.target))
+        object.__setattr__(self, "target", as_int(self.target, name="target"))
         if self.source is not None:
-            object.__setattr__(self, "source", int(self.source))
+            object.__setattr__(self, "source", as_int(self.source, name="source"))
 
     def validate_against(self, model: ClusterModel) -> Mask:
         """Check the request against the model and return its mask (all

@@ -24,6 +24,7 @@ from .core import (
     ClusterModel,
     Mask,
     ValidationError,
+    as_int,
     check_epsilon,
     distance_sq,
     score_matrix,
@@ -48,6 +49,8 @@ class EvalConfig:
     external_baselines: "tuple" = ()  # (name, csv_path) pairs
 
     def __post_init__(self):
+        for name in ("source", "target", "n_factuals", "seed"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name=name))
         if self.n_factuals < 1:
             raise ValidationError("n_factuals", "must be >= 1")
         if self.source == self.target:
@@ -212,6 +215,7 @@ def ingest_baseline(path, name: str, model: ClusterModel, factuals: dict, target
     are judged with this package's assignment rule and metric so that all
     methods are compared on identical footing.
     """
+    target = as_int(target, name="target")
     model.check_cluster(target, "target")
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:

@@ -19,6 +19,7 @@ from .core import (
     ClusterModel,
     Mask,
     ValidationError,
+    as_int,
     as_vector,
     assign_cluster,
     log_density,
@@ -182,7 +183,7 @@ def explain_best(
     if candidate_targets is None:
         candidate_targets = [t for t in range(model.n_clusters) if t != resolved_source]
     else:
-        candidate_targets = [int(t) for t in candidate_targets]
+        candidate_targets = [as_int(t, name="candidate_targets") for t in candidate_targets]
         if resolved_source in candidate_targets:
             raise ValidationError("candidate_targets", "must exclude the source cluster")
     if not candidate_targets:
@@ -218,8 +219,9 @@ def plausibility_check(model: ClusterModel, z, target: int, delta: float) -> boo
     delta = float(delta)
     if not math.isfinite(delta) or delta < 0.0:
         raise ValidationError("delta", "must be finite and >= 0")
+    target = as_int(target, name="target")
     model.check_cluster(target, "target")
-    z = np.asarray(z, dtype=np.float64)
+    z = as_vector(z, name="z")
     model.check_point(z, "z")
     if model.kind == KMEANS:
         diff = z - model.centers[target]

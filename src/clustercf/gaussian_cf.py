@@ -37,24 +37,22 @@ Gaussian pairs whose free-block precisions agree) g is affine in the
 step, g(y + s) = g(y) + 2 a.s, and the minimizer is the closed form
 lam = -g(y) / (2 |a|^2), s = lam * a.
 
-Only a and g(y) depend on the factual, and only c_a on eps. A
-`GaussianPairPlan` holds the rest for one (source, target, mask): the
-eigenbasis of D (the identity when neither covariance is full), e, the
-multiplier interval and the pole data of each side. `solve_gaussian_rows`
-then solves many factuals and eps values against one plan, one
-`RowOutcome` per row, which `explain_many` makes a `CfResult`. An affine
-plan takes the closed form row by row, with one-row products. Otherwise
-a and g(y) come for all rows from row-wise products, the side, factual
-and hard-case tests run over all rows at once, one scalar root per row,
-and the confirmation over all rows. a comes from the half gradient
-taken around the source mean, h = D (y - m_s) + P_t (m_s - m_t), and
-g(y) from the whitened differences |W_t (y - m_t)|^2 - |W_s (y - m_s)|^2
-+ c_a; when the two precisions are equal the squares cancel exactly and
-g(y) is the affine 2 h.(y - m_s) + (m_s - m_t)' P_t (m_s - m_t) + c_a,
-so a far factual, or a pair far from the origin, keeps its precision.
-The confirmation evaluates the exact expansion g(y) + 2 a.s +
-s' diag(e) s in the solve's own coordinates instead of subtracting two
-large Mahalanobis terms at the candidate.
+Only a and g(y) depend on the factual, and only c_a on eps. Both come
+from g expanded around the source mean: with u = y - m_s and
+delta = m_s - m_t, a is h = D u + P_t delta over the free block and
+g(y) = u' (D u + 2 P_t delta) + delta' P_t delta + c_a, affine when
+D = 0, so a far factual, or a pair far from the origin, keeps its
+precision. A `GaussianPairPlan` holds the rest for one (source, target,
+mask): the terms of that expansion, the eigenbasis of D (the identity
+when neither covariance is full), e, the multiplier interval and the
+pole data of each side. `solve_gaussian_rows` then solves many factuals
+and eps values against one plan, one `RowOutcome` per row, which
+`explain_many` makes a `CfResult`. An affine plan takes the closed form
+row by row, with one-row products. Otherwise a and g(y) come for all
+rows from row-wise products, the side, factual and hard-case tests run
+over all rows at once, one scalar root per row, and the confirmation
+over all rows, which evaluates the exact expansion g(y) + 2 a.s +
+s' diag(e) s in the solve's own coordinates.
 """
 
 from __future__ import annotations
@@ -72,7 +70,6 @@ from .core import (
     STATUS_OK,
     GaussianComponent,
     Mask,
-    whitened_sq,
 )
 
 # Acceptance tolerance for a root, in the constraint's natural scale.
@@ -128,10 +125,10 @@ class _Side:
 
 class GaussianPairPlan:
     """The factual- and eps-independent part of the pair's multiplier
-    equation, for one (source, target, mask). Equal precisions give D = 0:
-    the plan is affine and nothing is decomposed. Otherwise the only
-    choice is the eigenbasis of D_FF (`eigh` when either covariance is
-    full, the identity otherwise).
+    equation, for one (source, target, mask): m_s, h_base = P_t delta,
+    g_base = delta'P_t delta and D = P_t - P_s (None for equal
+    precisions, every center pair), and the eigenbasis of D_FF (`eigh`
+    when either covariance is full, the identity otherwise).
 
     `GaussianPairPlan(source, target, mask)` is the plan of two Gaussian
     components, `GaussianPairPlan.for_centers(m_s, m_t, mask)` that of two
@@ -141,33 +138,51 @@ class GaussianPairPlan:
     The inputs are trusted: `explain_many` builds a plan only after
     `CfRequest.validate_against` has checked each request. A plan lives
     for one call; it is not shared across calls. Its public surface is
-    `mask`, `affine`, `interval`, `c_alpha(eps)`, `terms(rows, epsilons)`
-    and `row_terms(y, epsilon)`.
+    `mask`, `affine`, `interval`, `c_alpha(eps)` and `terms(rows, epsilons)`.
     """
 
     def __init__(self, source: GaussianComponent, target: GaussianComponent, mask: Mask):
         log_prior_ratio = math.log(target.prior) - math.log(source.prior)
-        self._c_base = target.log_det - source.log_det - 2.0 * log_prior_ratio
-        self._margin_weight, self._margin = 2.0, math.log1p
         p_s, p_t = _precisions(source, target)
         p_diff = p_t - p_s
         delta = source.mean - target.mean
-        self._set_shared(source.mean, delta, _apply(p_t, delta), mask, not np.count_nonzero(p_diff))
-        if self._equal:
-            return
-        self._m_t = target.mean
-        self._w_s, self._w_t = source.whitening, target.whitening
-        self._d = p_diff
+        self._build(mask, source.mean, delta, _apply(p_t, delta),
+                    p_diff if np.count_nonzero(p_diff) else None)
+        self._c_base = target.log_det - source.log_det - 2.0 * log_prior_ratio
+        self._margin_weight, self._margin = 2.0, math.log1p
+
+    @classmethod
+    def for_centers(cls, m_s: np.ndarray, m_t: np.ndarray, mask: Mask) -> "GaussianPairPlan":
+        """The plan of the center pair (m_s, m_t): identity precisions, so
+        h_base = m_s - m_t, and c_alpha(eps) = eps |m_s - m_t|^2."""
+        plan = cls.__new__(cls)
+        delta = m_s - m_t
+        plan._build(mask, m_s, delta, delta, None)
+        plan._c_base, plan._margin_weight, plan._margin = 0.0, plan._g_base, float
+        return plan
+
+    def _build(self, mask: Mask, m_s, delta, h_base, d):
+        """The state of both constructors; D = None (equal precisions)
+        leaves nothing to decompose."""
+        self.mask = mask
+        self._m_s, self._h_base, self._d = m_s, h_base, d
         free = mask.free
-        if p_diff.ndim == 2:
-            dmat = p_diff[free][:, free]
-            evals, basis = np.linalg.eigh((dmat + dmat.T) / 2.0)
-        else:
-            evals, basis = p_diff[free], None
+        self._h_free = h_base[free]
+        self._h_twice = 2.0 * h_base
+        self._g_base = float(delta.dot(h_base))
         # None stands for the identity basis of a component-wise pair.
-        self._basis = basis
-        self._evals = evals
-        self._e = evals * (np.abs(evals) > EIG_ZERO)
+        self._basis = None
+        if d is None:
+            self._h_norm = math.sqrt(self._h_twice.dot(self._h_twice))
+            self._evals = np.zeros(free.size)
+            self.affine, self.interval = True, [None, None]
+            return
+        if d.ndim == 2:
+            dmat = d[free][:, free]
+            self._evals, self._basis = np.linalg.eigh((dmat + dmat.T) / 2.0)
+        else:
+            self._evals = d[free]
+        self._e = self._evals * (np.abs(self._evals) > EIG_ZERO)
         self._null = self._e == 0.0
         self._null_weight = self._null.astype(np.float64)
         # The multiplier interval where I - lam * D_FF is positive
@@ -181,74 +196,45 @@ class GaussianPairPlan:
         ]
         self._sides = {}
 
-    @classmethod
-    def for_centers(cls, m_s: np.ndarray, m_t: np.ndarray, mask: Mask) -> "GaussianPairPlan":
-        """The plan of the center pair (m_s, m_t): identity precisions, so
-        h = m_s - m_t, and c_alpha(eps) = eps |m_s - m_t|^2."""
-        plan = cls.__new__(cls)
-        delta = m_s - m_t
-        plan._set_shared(m_s, delta, delta, mask, True)
-        plan._c_base = 0.0
-        plan._margin_weight, plan._margin = plan._g_equal, float
-        return plan
-
-    def _set_shared(self, m_s, delta, h_base, mask, equal: bool):
-        """The state both constructors set. The half gradient is
-        h = D u + P_t delta (`_h_base`) with u = y - m_s, delta = m_s - m_t.
-        For equal precisions (D = 0) h is every row's a and
-        g(y) = 2 h.u + delta'P_t delta + c_alpha."""
-        self.mask = mask
-        self._m_s = m_s
-        self._h_base = h_base
-        self._equal = equal
-        if equal:
-            self.affine = True
-            self.interval = [None, None]
-            self._basis = None
-            self._a_equal = h_base[mask.free]
-            self._h_twice = 2.0 * h_base
-            self._h_norm = math.sqrt(self._h_twice.dot(self._h_twice))
-            self._g_equal = float(delta @ h_base)
-
     def c_alpha(self, epsilon: float) -> float:
         """c_base + w * f(eps): w = 2 and f = log1p for a Gaussian pair,
         w = |m_s - m_t|^2 and f the identity for a center pair."""
         return self._c_base + self._margin_weight * self._margin(epsilon)
 
-    def terms(self, rows: np.ndarray, epsilons) -> "tuple[np.ndarray, np.ndarray, list]":
-        """(a, g(y), scale) for each row of `rows` (N x d, internal space),
-        row i at `epsilons[i]`, on a plan with unequal precisions (equal ones
-        go through `row_terms`): the half gradient over the free block in
-        the eigenbasis (N x |F|), g(y) from the whitened squared distances
-        (`whitened_sq`, the kernel of `mahalanobis_sq`), and the tolerance
-        scale 1 + |c_alpha|."""
+    def terms(self, rows: np.ndarray, epsilons):
+        """(a, g(y), scale) of one factual (d,) at eps `epsilons`, or of
+        each row of a stack (N x d), row i at `epsilons[i]` (then g(y) an
+        array and scale a list); internal space. With u = y - m_s, a is
+        h = D u + h_base over the free block in the eigenbasis and
+        g(y) = u.(D u + 2 h_base) + g_base + c_alpha. The tolerance scale
+        is 1 + |c_alpha|, plus g_base + |2 h_base| |u| when D is None:
+        g's terms carry the data's squared units on a center pair."""
         u = rows - self._m_s
-        h = _apply(self._d, u) + self._h_base
-        a = self._to_eigen(h.take(self.mask.free, axis=1))
-        g = whitened_sq(self._w_t, rows - self._m_t) - whitened_sq(self._w_s, u)
+        one = u.ndim == 1
+        if self._d is None:
+            h_free, w = self._h_free, self._h_twice
+            if not one:
+                h_free = np.broadcast_to(h_free, (len(u), h_free.size))
+        else:
+            du = _apply(self._d, u)
+            h_free, w = du.take(self.mask.free, axis=-1) + self._h_free, du + self._h_twice
+        a = h_free if self._basis is None else _row_products(h_free, self._basis)
+        if one:
+            c_alpha = self.c_alpha(epsilons)
+            scale = 1.0 + abs(c_alpha)
+            if self._d is None:
+                scale = scale + self._g_base + self._h_norm * math.sqrt(u.dot(u))
+            return a, float(u.dot(w)) + self._g_base + c_alpha, scale
         c_alpha = [self.c_alpha(eps) for eps in epsilons]
-        return a, g + np.array(c_alpha), [1.0 + abs(c) for c in c_alpha]
-
-    def row_terms(self, y: np.ndarray, epsilon: float) -> "tuple[np.ndarray, float, float]":
-        """(a, g(y), scale) of one factual y, as `terms` gives them. For equal
-        precisions, with one-row products: a is constant, g(y) the affine
-        2 h.u + delta'P_t delta + c_alpha (u = y - m_s) and scale the size of
-        its terms, 1 + |c_alpha| + delta'P_t delta + |2h| |u|, in the data's
-        squared units for a center pair, as g(y)'s rounding is."""
-        if not self._equal:
-            a, g, scale = self.terms(y[None, :], [epsilon])
-            return a[0], float(g[0]), scale[0]
-        c_alpha, u = self.c_alpha(epsilon), y - self._m_s
-        g = float(u.dot(self._h_twice)) + self._g_equal + c_alpha
-        scale = 1.0 + abs(c_alpha) + self._g_equal + self._h_norm * math.sqrt(u.dot(u))
-        return self._a_equal, g, scale
-
-    def _to_eigen(self, x: np.ndarray) -> np.ndarray:
-        """Rows of free-block vectors in eigen-coordinates: x_i @ B."""
-        return x if self._basis is None else _row_products(x, self._basis)
+        scale = [1.0 + abs(c) for c in c_alpha]
+        if self._d is None:
+            scale = [s + self._g_base + self._h_norm * math.sqrt(uu)
+                     for s, uu in zip(scale, np.vecdot(u, u).tolist())]
+        return a, np.vecdot(u, w) + self._g_base + np.array(c_alpha), scale
 
     def _to_features(self, s: np.ndarray) -> np.ndarray:
-        """Rows of eigen-coordinate steps on the free features: s_i @ B'."""
+        """An eigen-coordinate step, or each row of a stack, on the free
+        features: s_i @ B'."""
         return s if self._basis is None else _row_products(s, self._basis.T)
 
     def side(self, sign: float) -> _Side:
@@ -281,10 +267,11 @@ def _apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _row_products(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """x_i @ m for each row x_i, one product per row, so that a row's result
-    does not depend on the other rows of the batch (a blocked matrix
-    product may round a row differently with other rows beside it)."""
-    return np.matmul(x[:, None, :], m)[:, 0, :]
+    """x_i @ m for each row x_i of x (or for x itself, one row), one product
+    per row, so that a row's result does not depend on the other rows of
+    the batch (a blocked matrix product may round a row differently with
+    other rows beside it)."""
+    return np.matmul(x[..., None, :], m)[..., 0, :]
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +525,7 @@ def _closed_form(plan: GaussianPairPlan, y, epsilon: float) -> RowOutcome:
     gradient (2 |a| below EIG_ZERO) g stays at g(y), its own limit. The
     candidate is confirmed, placed and measured as the interval path does
     it for a stack of rows, with one-row products."""
-    a, g, scale = plan.row_terms(y, epsilon)
+    a, g, scale = plan.terms(y, epsilon)
     tol = RESIDUAL_TOL_FACTOR * scale
     diagnostics = {"path": PATH_FACTUAL, "interval": list(plan.interval), "iterations": 0}
     a_sq = float(a.dot(a))
@@ -554,12 +541,10 @@ def _closed_form(plan: GaussianPairPlan, y, epsilon: float) -> RowOutcome:
     diagnostics["path"] = PATH_INTERVAL
     lam = -g / (2.0 * a_sq)
     step = lam * a
-    residual = g + 2.0 * float(a.dot(step))
-    if not plan._equal:
-        residual += float((step * step).dot(plan._evals))
+    residual = g + 2.0 * float(a.dot(step)) + float((step * step).dot(plan._evals))
     free = plan.mask.free
     y_free = y[free]
-    moved = y_free + plan._to_features(step[None, :])[0]
+    moved = y_free + plan._to_features(step)
     point = y.copy()
     point[free] = moved
     dz = moved - y_free

@@ -67,13 +67,13 @@ def centroid_plane(m_s, m_t, epsilon, mask):
     m_s, m_t = np.asarray(m_s, dtype=np.float64), np.asarray(m_t, dtype=np.float64)
     d = m_s.size
     plan = GaussianPairPlan.for_centers(m_s, m_t, mask)
-    a, g_zero, _ = GaussianPairPlan.for_centers(m_s, m_t, cf.Mask.all_free(d)).row_terms(
+    a, g_zero, _ = GaussianPairPlan.for_centers(m_s, m_t, cf.Mask.all_free(d)).terms(
         np.zeros(d), epsilon
     )
     v = a.copy()
     return SimpleNamespace(
         plan=plan, epsilon=epsilon, v=v, c=-g_zero / 2.0, d_eps=plan.c_alpha(epsilon),
-        v_free=plan.row_terms(np.zeros(d), epsilon)[0].copy(), v_fixed=v[mask.fixed],
+        v_free=plan.terms(np.zeros(d), epsilon)[0].copy(), v_fixed=v[mask.fixed],
     )
 
 

@@ -10,8 +10,6 @@ import math
 import mpmath
 import numpy as np
 
-from clustercf.core import mahalanobis_sq
-
 
 def covariance_matrix(spec, d):
     """The d x d matrix of a covariance spec: the full matrix, or the
@@ -198,11 +196,17 @@ def line_level_set_min_distance(res, y, free_axis, pts):
 
 
 def constraint_residual(case, z):
-    """g(z) of a pair case: the difference of the two whitened squared
-    distances plus c_alpha. Rounding grows with |z|^2 here; see
-    `mpmath_residual` for far points."""
+    """g(z) of a pair case: the difference of the two squared Mahalanobis
+    distances, each from a solve against the dense covariance matrix, plus
+    c_alpha. Rounding grows with |z|^2 here; see `mpmath_residual` for far
+    points."""
     z = np.asarray(z, dtype=np.float64)
-    return mahalanobis_sq(case.target, z) - mahalanobis_sq(case.source, z) + case.c_alpha
+
+    def quad(comp):
+        diff = z - comp.mean
+        return float(diff @ np.linalg.solve(covariance_matrix(comp.covariance, z.size), diff))
+
+    return quad(case.target) - quad(case.source) + case.c_alpha
 
 
 def mpmath_residual(source, target, epsilon, z, dps=50):

@@ -5,6 +5,7 @@ import pytest
 
 import clustercf as cf
 from clustercf.core import SCORE_BLOCK_ROWS
+from clustercf.gaussian_cf import GaussianPairPlan
 from oracles import (
     covariance_matrix,
     loop_distance_sq,
@@ -394,6 +395,18 @@ def test_request_validate_against_model():
         )
 
 
+@pytest.mark.parametrize("field", ["target", "source"])
+@pytest.mark.parametrize("bad", [1.7, 1.0, True, "1"])
+def test_request_rejects_non_integral_cluster_ids(field, bad):
+    # A non-integral id was truncated (target=1.7 solved for cluster 1).
+    ids = {"target": 0, "source": 1, field: bad}
+    with pytest.raises(cf.ValidationError, match=field):
+        cf.CfRequest(factual=[0.0, 0.0], **ids)
+    ids[field] = np.int64(1) if field == "target" else np.int32(0)
+    request = cf.CfRequest(factual=[0.0, 0.0], **ids)
+    assert type(request.target) is int and type(request.source) is int
+
+
 def test_validate_against_returns_the_resolved_mask():
     model = cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0], [2.0, 0.0]])
     mask = cf.Mask.from_string("1,0")
@@ -438,6 +451,9 @@ def test_retired_names_are_not_public(name):
         (cf.CovarianceSpec, "matrix"),
         # Nothing read it; `status == STATUS_OK` says the same.
         (cf.CfResult, "ok"),
+        # `terms` takes one row or a stack; `log_density` calls `whitened_sq`.
+        (GaussianPairPlan, "row_terms"),
+        (cf.core, "mahalanobis_sq"),
     ],
 )
 def test_retired_members_are_gone(owner, name):

@@ -185,7 +185,7 @@ def test_ingest_baseline_hand_arithmetic(tmp_path):
     assert by_id[0].member_strict and by_id[3].member_strict
 
 
-@pytest.mark.parametrize("target", [-1, 2])
+@pytest.mark.parametrize("target", [-1, 2, 0.5, True])
 def test_ingest_baseline_rejects_bad_target(tmp_path, target):
     model = cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0], [4.0, 0.0]])
     path = tmp_path / "b.csv"
@@ -306,6 +306,19 @@ def test_run_eval_rejects_data_of_another_width(standardize):
     wide = cf.Dataset(rows=np.hstack([rows, rows[:, :1]]))
     with pytest.raises(cf.DimensionMismatchError, match="rows have dimension 3, model expects 2"):
         cf.run_eval(model, wide, cf.EvalConfig(source=0, target=1, n_factuals=5))
+
+
+@pytest.mark.parametrize("field", ["source", "target", "n_factuals", "seed"])
+@pytest.mark.parametrize("bad", [2.5, 2.0, False])
+def test_eval_config_rejects_non_integral_fields(field, bad):
+    # n_factuals=2.5 was accepted.
+    values = {"source": 0, "target": 1, "n_factuals": 3, "seed": 4, field: bad}
+    with pytest.raises(cf.ValidationError, match=field):
+        cf.EvalConfig(**values)
+    values[field] = np.int64(2) if field in ("target", "n_factuals") else np.int64(0)
+    config = cf.EvalConfig(**values)
+    assert all(type(getattr(config, name)) is int
+               for name in ("source", "target", "n_factuals", "seed"))
 
 
 def test_report_dict_shares_no_container_with_the_report(tmp_path, blob_setup):

@@ -185,7 +185,19 @@ def test_plausibility_check_compares_densities_below_float_range():
 
 
 @pytest.mark.parametrize("kind", [cf.KMEANS, cf.GAUSSIAN])
-@pytest.mark.parametrize("target", [-1, 3])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_plausibility_check_rejects_non_finite_points(kind, bad):
+    # A NaN z compared False against log(delta) and passed at delta = 0.
+    if kind == cf.KMEANS:
+        model = cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0], [2.0, 0.0]])
+    else:
+        model = two_cluster_gaussian_model()
+    with pytest.raises(cf.ValidationError, match="z"):
+        cf.plausibility_check(model, [bad, 0.0], 1, 0.0)
+
+
+@pytest.mark.parametrize("kind", [cf.KMEANS, cf.GAUSSIAN])
+@pytest.mark.parametrize("target", [-1, 3, 1.5])
 def test_plausibility_check_rejects_bad_target(kind, target):
     means = [[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]
     if kind == cf.KMEANS:
@@ -253,6 +265,16 @@ def test_explain_best_validates_each_candidate_once(monkeypatch):
     assert result.status == cf.STATUS_OK
     assert counts["validate_against"] == 4
     assert counts["all_free"] <= 1
+
+
+@pytest.mark.parametrize("candidates", [[1.9, 2.2], [1, 2.0], [True, 2]])
+def test_explain_best_rejects_non_integral_candidate_targets(candidates):
+    # [1.9, 2.2] was truncated and solved targets 1 and 2.
+    model = cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+    with pytest.raises(cf.ValidationError, match="candidate_targets"):
+        cf.explain_best(model, [0.0, 0.5], source=0, candidate_targets=candidates)
+    best = cf.explain_best(model, [0.0, 0.5], source=0, candidate_targets=np.array([1, 2]))
+    assert best.status == cf.STATUS_OK and best.target == 2
 
 
 @pytest.mark.parametrize("standardized", [False, True])

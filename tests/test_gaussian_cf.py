@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clustercf as cf
+from clustercf.gaussian_cf import GaussianPairPlan
 from helpers import (
     centroid_plane,
     pair_case,
@@ -399,7 +400,10 @@ def test_requires_at_least_one_free_feature():
     res = solve_case(prob)
     assert res.status == cf.STATUS_NO_FEASIBLE_SOLUTION
     assert res.counterfactual is None and res.distance_sq is None
-    assert res.residual == constraint_residual(prob, prob.y)
+    # g(y) from its expansion around the source mean is no farther from the
+    # 50-digit value than the oracle's difference of two quadratic forms.
+    exact, _ = mpmath_residual(prob.source, prob.target, prob.epsilon, prob.y)
+    assert abs(res.residual - exact) <= abs(constraint_residual(prob, prob.y) - exact)
 
     source, target = prob.source, prob.target
     boundary = solve_case(
@@ -597,3 +601,39 @@ def test_means_far_from_the_origin_keep_their_precision():
         exact, c_alpha = mpmath_residual(m_s + shift, m_t + shift, 0.3, far.counterfactual)
         assert abs(exact) <= 1e-8 * (1.0 + abs(c_alpha)), (i, exact)
     assert solved >= 150
+
+
+def test_terms_g_matches_the_50_digit_value_far_from_the_means():
+    # g(y) is expanded around the source mean. Against the 50-digit value
+    # its error is bounded by the magnitudes of g's terms,
+    # T = |y - m_t|'|P_t||y - m_t| + |y - m_s|'|P_s||y - m_s| + |c_alpha|:
+    # the d-term products round by about d ulps of T, the precisions and
+    # the few sums that close g by a few more. Full, diagonal, spherical,
+    # mixed and equal-covariance pairs, |y - m_s| from 0.1 to 1e4; a row
+    # gives the same bits alone and in a stack.
+    rng = np.random.default_rng(47)
+    ulp = np.finfo(np.float64).eps
+    for i in range(100):
+        d = int(rng.integers(1, 13))
+        family = ("full", "diagonal", "spherical", "mixed", "equal")[i % 5]
+        kinds = (family, family) if family in KINDS else tuple(rng.choice(KINDS, size=2))
+        pi_s = float(rng.uniform(0.3, 0.7))
+        cov_s = random_covariance(rng, d, kinds[0])
+        cov_t = cov_s if family == "equal" else random_covariance(rng, d, kinds[1])
+        source = cf.GaussianComponent(mean=rng.normal(size=d), covariance=cov_s, prior=pi_s)
+        target = cf.GaussianComponent(mean=rng.normal(size=d) + 2.0, covariance=cov_t,
+                                      prior=1.0 - pi_s)
+        plan = GaussianPairPlan(source, target, cf.Mask.all_free(d))
+        directions = rng.normal(size=(3, d))
+        radii = np.array([0.1, 10.0 ** rng.uniform(-1.0, 4.0), 1e4])[:, None]
+        rows = source.mean + radii * directions / np.linalg.norm(directions, axis=1)[:, None]
+        epsilons = [float(e) for e in rng.choice([0.0, 0.3, 1.0], size=3)]
+        _, g_stack, _ = plan.terms(rows, epsilons)
+        p_s, p_t = (np.abs(np.linalg.inv(covariance_matrix(c, d))) for c in (cov_s, cov_t))
+        for y, eps, g_row in zip(rows, epsilons, g_stack.tolist()):
+            _, g, _ = plan.terms(y, eps)
+            assert g == g_row, (i, family)
+            exact, c_alpha = mpmath_residual(source, target, eps, y)
+            u_s, u_t = np.abs(y - source.mean), np.abs(y - target.mean)
+            magnitude = u_t @ p_t @ u_t + u_s @ p_s @ u_s + abs(c_alpha)
+            assert abs(g - exact) <= (4 * d + 8) * ulp * magnitude, (i, family, g, exact)
