@@ -30,8 +30,6 @@ from .core import (
     Standardization,
     ValidationError,
     assign_cluster,
-    distance_sq,
-    log_density,
     score_matrix,
 )
 from .evaluate import (
@@ -94,7 +92,6 @@ __all__ = [
     "assign_cluster",
     "attach_baselines",
     "compute_aggregates",
-    "distance_sq",
     "explain",
     "explain_best",
     "explain_many",
@@ -104,7 +101,6 @@ __all__ = [
     "load_dataset",
     "load_model",
     "load_model_with_provenance",
-    "log_density",
     "plausibility_check",
     "priors_policy",
     "read_report_json",

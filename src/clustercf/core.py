@@ -6,11 +6,13 @@ standardization parameters, the raw feature space otherwise. Densities are
 evaluated in log space throughout so that high-dimensional models (64
 features and beyond) do not underflow.
 
-Every Gaussian quadratic form goes through a whitening factor W with
-W S W' = I, computed once per component: the inverse Cholesky factor
-L^-1 of a full covariance S = L L', or the vector 1/sqrt(var) of a
-diagonal or spherical one. A Mahalanobis distance is then |W (x - m)|^2,
-a matrix-vector product instead of a solve. A Gaussian `ClusterModel`
+`score_matrix` is the one scorer: the assignment rule, membership
+verdicts, EM's E-step and the plausibility filter all read its rows. For
+a Gaussian model it goes through a whitening factor W with W S W' = I,
+computed once per component: the inverse Cholesky factor L^-1 of a full
+covariance S = L L', or the vector 1/sqrt(var) of a diagonal or
+spherical one. A Mahalanobis distance is then |W (x - m)|^2, a
+matrix-vector product instead of a solve. A Gaussian `ClusterModel`
 stacks its components' means, factors and score constants, so
 `score_matrix` scores all clusters with one batched product per block of
 rows.
@@ -231,29 +233,11 @@ class GaussianComponent:
         return self._precision
 
 
-def whitened_sq(w: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """|W x|^2 for each row x of `diff` (N x d), W a whitening factor (d x d,
-    or a vector for an element-wise scaling), with one product per row, so
-    a row's value does not depend on the rows beside it."""
-    white = np.matmul(w, diff[:, :, None])[:, :, 0] if w.ndim == 2 else diff * w
-    return np.vecdot(white, white)
-
-
 def sq_distances(rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """|x - c|^2 for each row x of `rows` (N x d) and each center c of
     `centers` (M x d), as an N x M matrix."""
     diff = rows[:, None, :] - centers[None, :, :]
     return (diff * diff).sum(axis=2)
-
-
-def log_density(component: GaussianComponent, x: np.ndarray) -> float:
-    """Gaussian log density at x, from the whitened squared distance
-    |W (x - m)|^2 (`whitened_sq` of one row) and the cached
-    log-determinant."""
-    x = np.asarray(x, dtype=np.float64)
-    check_same_dim(component.mean, x)
-    quad = float(whitened_sq(component.whitening, (x - component.mean)[None, :])[0])
-    return -0.5 * (quad + component.log_det + component.d * LOG_2PI)
 
 
 # ---------------------------------------------------------------------------
@@ -426,15 +410,6 @@ def assign_cluster(model: ClusterModel, x: np.ndarray) -> int:
     """Cluster of x under the assignment rule; exact ties go to the lowest id."""
     x = as_vector(x, name="x")
     return int(np.argmax(score_matrix(model, x[None, :])[0]))
-
-
-def distance_sq(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared Euclidean distance."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    check_same_dim(a, b)
-    diff = a - b
-    return float(diff @ diff)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from .core import (
     ValidationError,
     as_int,
     check_epsilon,
-    distance_sq,
     score_matrix,
 )
 from .explain import explain_many, membership_verdict
@@ -257,11 +256,13 @@ def ingest_baseline(path, name: str, model: ClusterModel, factuals: dict, target
         dtype=np.float64,
     )
     strict, tolerant = membership_verdict(model, z_internal, [target] * len(ids))
+    dz = z_internal - y_internal
+    distances = np.vecdot(dz, dz).tolist()
     records = [
         BaselineRecord(
             factual_id=factual_id,
             counterfactual=vec.tolist(),
-            distance_sq=distance_sq(z_internal[j], y_internal[j]),
+            distance_sq=distances[j],
             member_strict=strict[j],
             member_tolerant=tolerant[j],
         )

@@ -22,7 +22,6 @@ from .core import (
     as_int,
     as_vector,
     assign_cluster,
-    log_density,
     score_matrix,
 )
 from .gaussian_cf import GaussianPairPlan, solve_gaussian_rows
@@ -211,7 +210,9 @@ def plausibility_check(model: ClusterModel, z, target: int, delta: float) -> boo
     """True when the target-cluster density at z exceeds delta.
 
     This is a post-hoc filter only; it never modifies the counterfactual.
-    Centroid models are scored with the unit-variance Gaussian their
+    The log density is read from z's `score_matrix` row: the target's
+    score minus its log prior for a Gaussian model, and (score - d log 2pi)/2
+    for a centroid model, scored with the unit-variance Gaussian its
     assignment rule corresponds to. The comparison runs in log space, so
     a density too small for a float (high dimensions, far points) still
     exceeds delta = 0.
@@ -223,9 +224,9 @@ def plausibility_check(model: ClusterModel, z, target: int, delta: float) -> boo
     model.check_cluster(target, "target")
     z = as_vector(z, name="z")
     model.check_point(z, "z")
+    score = float(score_matrix(model, z)[0, target])
     if model.kind == KMEANS:
-        diff = z - model.centers[target]
-        log_p = -0.5 * (float(diff @ diff) + model.d * LOG_2PI)
+        log_p = 0.5 * (score - model.d * LOG_2PI)
     else:
-        log_p = log_density(model.components[target], z)
+        log_p = score - math.log(model.components[target].prior)
     return delta == 0.0 or log_p > math.log(delta)

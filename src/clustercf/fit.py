@@ -25,6 +25,7 @@ from .core import (
     GaussianComponent,
     Standardization,
     ValidationError,
+    as_int,
     score_matrix,
     sq_distances,
 )
@@ -83,6 +84,8 @@ class FitConfig:
     standardize: bool = True
 
     def __post_init__(self):
+        for name in ("n_clusters", "max_iter", "restarts", "seed"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name=name))
         if self.algorithm not in (KMEANS, "gmm"):
             raise ValidationError("algorithm", f"unknown algorithm {self.algorithm!r}")
         if self.covariance not in COVARIANCE_KINDS:
@@ -331,6 +334,7 @@ def priors_policy(model: ClusterModel, policy: str, data: "Dataset | None" = Non
     else:
         if data is None:
             raise ValidationError("data", "frequency policy requires a dataset")
+        model.check_rows(data.rows)
         rows = model.to_internal(data.rows)
         labels = np.argmax(score_matrix(model, rows), axis=1)
         counts = np.bincount(labels, minlength=m).astype(np.float64)

@@ -391,15 +391,17 @@ def solve_gaussian_rows(plan: GaussianPairPlan, rows, epsilons) -> "list[RowOutc
 
     - `ok`: the minimizer with its multiplier `lam`, confirmed by the
       expansion of g in the solve's coordinates within 1e-8 * scale (see
-      `terms`). The factual itself (the row of `rows`, not a copy) is
-      returned, at lam = 0, when it already meets that tolerance.
+      `terms`); both must be finite. The factual itself (the row of
+      `rows`, not a copy) is returned, at lam = 0, when it already meets
+      that tolerance.
     - `degenerate_identity`: the free features cannot change g (none are
       free, or D_FF and the gradient vanish) and the factual satisfies it.
     - `no_feasible_solution`: g keeps the factual's sign, beyond the
       tolerance, up to an open end of the interval with no linear term on
       the null space of D_FF. D_FF is then semidefinite and the limit,
       `diagnostics["g_limit"]`, is the extremum of g over the free block.
-    - `no_root_found`: the candidate failed the confirmation.
+    - `no_root_found`: the candidate failed the confirmation, or the
+      tolerance or residual overflowed.
 
     Every outcome carries `residual` and `diagnostics`: the solver `path`
     (`factual`, `interval` or `hard_case` for `ok`), the multiplier
@@ -418,7 +420,7 @@ def solve_gaussian_rows(plan: GaussianPairPlan, rows, epsilons) -> "list[RowOutc
     null_sq = np.vecdot(a2, plan._null_weight)
     has_linear = [2.0 * math.sqrt(v) > EIG_ZERO for v in null_sq.tolist()]
     any_linear = any(has_linear)
-    at_factual = [abs(g) <= tol for g, tol in zip(g_list, g_ok_tol)]
+    at_factual = [abs(g) <= tol < math.inf for g, tol in zip(g_list, g_ok_tol)]
     # g rises with lam on the interval: each row moves to the side of its
     # zero, sign +1 when g(y) < 0.
     positive = [g > 0.0 for g in g_list]
@@ -530,14 +532,15 @@ def _closed_form(plan: GaussianPairPlan, y, epsilon: float) -> RowOutcome:
     diagnostics = {"path": PATH_FACTUAL, "interval": list(plan.interval), "iterations": 0}
     a_sq = float(a.dot(a))
     movable = 2.0 * math.sqrt(a_sq) > EIG_ZERO
-    if abs(g) <= tol:
+    if abs(g) <= tol < math.inf:
         if movable:
             return RowOutcome(STATUS_OK, y, 0.0, 0.0, g, diagnostics)
         return RowOutcome(STATUS_DEGENERATE_IDENTITY, y, 0.0, None, g, diagnostics)
     if not movable:
         diagnostics["path"] = PATH_OPEN_END
         diagnostics["g_limit"] = g
-        return RowOutcome(STATUS_NO_FEASIBLE_SOLUTION, None, None, None, g, diagnostics)
+        status = STATUS_NO_FEASIBLE_SOLUTION if abs(g) > tol else STATUS_NO_ROOT_FOUND
+        return RowOutcome(status, None, None, None, g, diagnostics)
     diagnostics["path"] = PATH_INTERVAL
     lam = -g / (2.0 * a_sq)
     step = lam * a
@@ -553,8 +556,10 @@ def _closed_form(plan: GaussianPairPlan, y, epsilon: float) -> RowOutcome:
 
 def _confirmed(point, distance: float, lam: float, residual: float, tol: float,
                diagnostics: dict) -> RowOutcome:
-    """`ok` within the tolerance, else `no_root_found` with `lam` noted."""
-    if abs(residual) > tol:
+    """`ok` for a finite residual within a finite tolerance, else
+    `no_root_found` with `lam` noted. A tolerance or residual that
+    overflowed (a huge eps or a far factual) confirms nothing."""
+    if not abs(residual) <= tol < math.inf:
         diagnostics["lam"] = lam
         return RowOutcome(STATUS_NO_ROOT_FOUND, None, None, None, residual, diagnostics)
     return RowOutcome(STATUS_OK, point, distance, lam, residual, diagnostics)

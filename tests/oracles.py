@@ -38,6 +38,12 @@ def naive_log_density(mean, cov_matrix, x):
     return -0.5 * (diff @ inv @ diff + log_det + d * math.log(2 * math.pi))
 
 
+def weighted_log_density(component, x):
+    """log(prior) + the direct-formula log density of a `GaussianComponent`."""
+    cov = covariance_matrix(component.covariance, component.mean.size)
+    return math.log(component.prior) + naive_log_density(component.mean, cov, x)
+
+
 def loop_score_matrix(model, rows):
     """Assignment scores one component at a time: a Cholesky factor of each
     covariance matrix and a solve against it for every row."""

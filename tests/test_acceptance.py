@@ -30,6 +30,7 @@ from oracles import (
     sampled_plane_min_distance_sq,
     stationary_point,
     stationary_poles,
+    weighted_log_density,
 )
 
 KINDS = (cf.FULL, cf.DIAGONAL, cf.SPHERICAL)
@@ -194,8 +195,7 @@ def test_criterion_4_boundary_reproduction():
     gm_zero = cf.explain(gm, cf.CfRequest(factual=y, target=1, epsilon=0.0))
     zg = gm_zero.counterfactual
     gm_gap = abs(
-        (math.log(0.55) + cf.log_density(gm.components[0], zg))
-        - (math.log(0.45) + cf.log_density(gm.components[1], zg))
+        weighted_log_density(gm.components[0], zg) - weighted_log_density(gm.components[1], zg)
     )
 
     frozen_ok = True

@@ -17,32 +17,36 @@ from oracles import (
 )
 
 
+def _log_density(comp, x):
+    """The log density of `comp` as the package scores it: a one-component
+    model's prior is 1, so its score is the log density."""
+    model = cf.ClusterModel(kind=cf.GAUSSIAN, components=(comp,))
+    return cf.score_matrix(model, np.asarray(x, dtype=float))[:, 0]
+
+
 def test_distance_sq_three_four_five():
-    assert cf.distance_sq([0.0, 0.0], [3.0, 4.0]) == 25.0
+    assert cf.core.sq_distances(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]]))[0, 0] == 25.0
 
 
 def test_distance_sq_identity_is_zero():
-    x = np.asarray([1.5, -2.25, 7.0])
-    assert cf.distance_sq(x, x) == 0.0
+    x = np.asarray([[1.5, -2.25, 7.0]])
+    assert cf.core.sq_distances(x, x)[0, 0] == 0.0
 
 
 def test_distance_sq_matches_loop_oracle():
     rng = np.random.default_rng(11)
-    a = rng.normal(size=16)
-    b = rng.normal(size=16)
-    assert cf.distance_sq(a, b) == pytest.approx(loop_distance_sq(a, b), rel=1e-14)
-
-
-def test_distance_sq_dimension_mismatch():
-    with pytest.raises(cf.DimensionMismatchError):
-        cf.distance_sq([1.0, 2.0], [1.0, 2.0, 3.0])
+    a = rng.normal(size=(3, 16))
+    b = rng.normal(size=(2, 16))
+    got = cf.core.sq_distances(a, b)
+    for i, j in np.ndindex(got.shape):
+        assert got[i, j] == pytest.approx(loop_distance_sq(a[i], b[j]), rel=1e-14)
 
 
 def test_log_density_standard_normal_mode():
     comp = cf.GaussianComponent(
         mean=[0.0, 0.0], covariance=cf.CovarianceSpec.full(np.eye(2)), prior=1.0
     )
-    assert cf.log_density(comp, [0.0, 0.0]) == pytest.approx(-math.log(2 * math.pi), abs=1e-14)
+    assert _log_density(comp, [0.0, 0.0])[0] == pytest.approx(-math.log(2 * math.pi), abs=1e-14)
 
 
 def test_log_density_spherical_one_sigma_point():
@@ -50,7 +54,7 @@ def test_log_density_spherical_one_sigma_point():
         mean=[0.0], covariance=cf.CovarianceSpec.spherical(4.0), prior=1.0
     )
     expected = -0.5 * (1.0 + math.log(4.0) + math.log(2 * math.pi))
-    assert cf.log_density(comp, [2.0]) == pytest.approx(expected, abs=1e-14)
+    assert _log_density(comp, [2.0])[0] == pytest.approx(expected, abs=1e-14)
 
 
 def test_log_density_full_matches_reference_formula():
@@ -60,7 +64,7 @@ def test_log_density_full_matches_reference_formula():
     comp = cf.GaussianComponent(mean=mean, covariance=cf.CovarianceSpec.full(cov), prior=1.0)
     for _ in range(10):
         x = rng.normal(size=3)
-        assert cf.log_density(comp, x) == pytest.approx(
+        assert _log_density(comp, x)[0] == pytest.approx(
             naive_log_density(mean, cov, x), rel=1e-12
         )
 
@@ -76,7 +80,7 @@ def test_log_density_diagonal_agrees_with_full_representation():
         mean=mean, covariance=cf.CovarianceSpec.full(np.diag(var)), prior=1.0
     )
     x = rng.normal(size=4)
-    assert cf.log_density(diag_comp, x) == pytest.approx(cf.log_density(full_comp, x), rel=1e-12)
+    assert _log_density(diag_comp, x)[0] == pytest.approx(_log_density(full_comp, x)[0], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +241,7 @@ def test_density_integrates_to_one_monte_carlo_2d():
     hi = comp.mean + half
     n = 200_000
     pts = rng.uniform(lo, hi, size=(n, 2))
-    dens = np.exp([cf.log_density(comp, p) for p in pts])
+    dens = np.exp(_log_density(comp, pts))
     volume = float(np.prod(hi - lo))
     integral = volume * float(dens.mean())
     assert abs(integral - 1.0) < 0.05
@@ -437,6 +441,8 @@ def test_public_api_names_resolve_once():
         "KmeansConstraint", "build_constraint", "solve_kmeans_cf",
         # `fit` runs both algorithms; EM scores through `score_matrix`.
         "fit_gmm", "fit_kmeans", "fit_gmm_info", "fit_kmeans_info", "_log_prob_matrix",
+        # `score_matrix` is the one scorer.
+        "log_density", "distance_sq",
     ],
 )
 def test_retired_names_are_not_public(name):
@@ -451,9 +457,13 @@ def test_retired_names_are_not_public(name):
         (cf.CovarianceSpec, "matrix"),
         # Nothing read it; `status == STATUS_OK` says the same.
         (cf.CfResult, "ok"),
-        # `terms` takes one row or a stack; `log_density` calls `whitened_sq`.
+        # `terms` takes one row or a stack.
         (GaussianPairPlan, "row_terms"),
+        # `score_matrix` is the one scorer; `sq_distances` the one distance kernel.
         (cf.core, "mahalanobis_sq"),
+        (cf.core, "log_density"),
+        (cf.core, "distance_sq"),
+        (cf.core, "whitened_sq"),
     ],
 )
 def test_retired_members_are_gone(owner, name):

@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 
 import clustercf as cf
-from helpers import two_cluster_gaussian_model
-from oracles import make_blobs, random_spd
+from helpers import random_covariance, two_cluster_gaussian_model
+from oracles import (
+    covariance_matrix,
+    make_blobs,
+    naive_log_density,
+    random_spd,
+    weighted_log_density,
+)
 
 
 def kmeans_model():
@@ -35,9 +41,7 @@ def test_explain_eps_zero_sits_on_boundary_gaussian():
     res = cf.explain(model, cf.CfRequest(factual=[0.1, -0.3], target=1, epsilon=0.0))
     assert res.status == cf.STATUS_OK
     z = res.counterfactual
-    gap = (math.log(model.components[0].prior) + cf.log_density(model.components[0], z)) - (
-        math.log(model.components[1].prior) + cf.log_density(model.components[1], z)
-    )
+    gap = weighted_log_density(model.components[0], z) - weighted_log_density(model.components[1], z)
     assert abs(gap) <= 1e-6
     assert res.tolerant_member is True
 
@@ -155,8 +159,11 @@ def test_standardized_model_keeps_frozen_features_bit_exact():
 
 def test_plausibility_check_basics():
     model = two_cluster_gaussian_model()
-    target_mean = model.components[1].mean
-    mode_density = math.exp(cf.log_density(model.components[1], target_mean))
+    target = model.components[1]
+    target_mean = target.mean
+    mode_density = math.exp(naive_log_density(
+        target_mean, covariance_matrix(target.covariance, model.d), target_mean
+    ))
     assert cf.plausibility_check(model, target_mean, 1, 0.0) is True
     assert cf.plausibility_check(model, target_mean, 1, mode_density * 0.999) is True
     far = target_mean + 20.0
@@ -176,7 +183,7 @@ def test_plausibility_check_compares_densities_below_float_range():
     )
     model = cf.ClusterModel(kind=cf.GAUSSIAN, components=(source, target))
     z = target.mean + 6.0
-    log_p = cf.log_density(target, z)
+    log_p = naive_log_density(target.mean, target.covariance.data, z)
     # The density is positive but below the smallest subnormal float.
     assert log_p < math.log(5e-324)
     assert cf.plausibility_check(model, z, 1, 0.0) is True
@@ -215,6 +222,39 @@ def test_plausibility_check_rejects_bad_target(kind, target):
 def test_plausibility_check_rejects_wrong_dimension_kmeans(length):
     with pytest.raises(cf.DimensionMismatchError):
         cf.plausibility_check(kmeans_model(), np.zeros(length), 1, 0.0)
+
+
+def _plausibility_model(rng, name, d=3):
+    means = rng.normal(scale=3.0, size=(3, d))
+    if name == cf.KMEANS:
+        return cf.ClusterModel(kind=cf.KMEANS, centers=means)
+    kinds = [cf.FULL, cf.DIAGONAL, cf.SPHERICAL] if name == "mixed" else [name] * 3
+    return cf.ClusterModel(kind=cf.GAUSSIAN, components=tuple(
+        cf.GaussianComponent(mean=m, covariance=random_covariance(rng, d, k), prior=p)
+        for m, k, p in zip(means, kinds, (0.2, 0.3, 0.5))
+    ))
+
+
+@pytest.mark.parametrize("name", [cf.FULL, cf.DIAGONAL, cf.SPHERICAL, "mixed", cf.KMEANS])
+def test_plausibility_check_matches_oracle_density(name):
+    rng = np.random.default_rng(211)
+    model = _plausibility_model(rng, name)
+
+    def oracle(target, z):
+        if model.kind == cf.KMEANS:
+            return naive_log_density(model.centers[target], np.eye(model.d), z)
+        comp = model.components[target]
+        return naive_log_density(comp.mean, covariance_matrix(comp.covariance, model.d), z)
+
+    for target, mean in enumerate(model.means()):
+        for z in (mean, mean + rng.normal(size=model.d), mean + rng.normal(scale=2.0, size=model.d)):
+            density = math.exp(oracle(target, z))
+            assert cf.plausibility_check(model, z, target, density * (1.0 - 1e-9)) is True
+            assert cf.plausibility_check(model, z, target, density * (1.0 + 1e-9)) is False
+        far = mean + 60.0
+        assert oracle(target, far) < math.log(5e-324)
+        assert cf.plausibility_check(model, far, target, 0.0) is True
+        assert cf.plausibility_check(model, far, target, 5e-324) is False
 
 
 def test_plausibility_check_kmeans_uses_unit_gaussian():

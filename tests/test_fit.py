@@ -79,6 +79,16 @@ def test_fit_config_validation():
         cf.FitConfig(restarts=0)
 
 
+@pytest.mark.parametrize("field", ["n_clusters", "max_iter", "restarts", "seed"])
+@pytest.mark.parametrize("bad", [2.5, 2.0, True])
+def test_fit_config_rejects_non_integral_fields(field, bad):
+    # n_clusters=2.5 was accepted and `fit` raised a raw TypeError.
+    with pytest.raises(cf.ValidationError, match=field):
+        cf.FitConfig(**{field: bad})
+    config = cf.FitConfig(**{field: np.int64(2)})
+    assert type(getattr(config, field)) is int
+
+
 # ---------------------------------------------------------------------------
 # Gaussian mixtures
 
@@ -196,3 +206,15 @@ def test_priors_policy_frequency_requires_data():
     model, _ = cf.fit(data, cf.FitConfig(algorithm="gmm", n_clusters=2, seed=3))
     with pytest.raises(cf.ValidationError):
         cf.priors_policy(model, "frequency")
+
+
+@pytest.mark.parametrize("standardize", [True, False])
+def test_priors_policy_checks_the_data_width(standardize):
+    # A standardized model raised numpy's broadcasting ValueError.
+    data, _ = blob_dataset(seed=61)
+    model, _ = cf.fit(
+        data, cf.FitConfig(algorithm="gmm", n_clusters=2, seed=3, standardize=standardize)
+    )
+    wide = cf.Dataset(rows=np.hstack([data.rows, data.rows[:, :1]]))
+    with pytest.raises(cf.DimensionMismatchError, match="rows have dimension 3, model expects 2"):
+        cf.priors_policy(model, "frequency", wide)

@@ -34,6 +34,7 @@ from oracles import (
     random_spd,
     stationary_point,
     stationary_poles,
+    weighted_log_density,
 )
 
 KINDS = (cf.FULL, cf.DIAGONAL, cf.SPHERICAL)
@@ -85,8 +86,7 @@ def test_residual_equals_log_density_identity():
         for _ in range(5):
             z = rng.normal(scale=2.0, size=4)
             via_density = 2.0 * (
-                (math.log(prob.source.prior) + cf.log_density(prob.source, z))
-                - (math.log(prob.target.prior) + cf.log_density(prob.target, z))
+                weighted_log_density(prob.source, z) - weighted_log_density(prob.target, z)
             ) + 2.0 * math.log1p(prob.epsilon)
             assert constraint_residual(prob, z) == pytest.approx(via_density, rel=1e-9, abs=1e-9)
 
@@ -211,9 +211,7 @@ def test_eps_zero_equalizes_weighted_log_densities():
         res = solve_case(prob)
         assert res.status == cf.STATUS_OK
         z = res.counterfactual
-        gap = (math.log(prob.source.prior) + cf.log_density(prob.source, z)) - (
-            math.log(prob.target.prior) + cf.log_density(prob.target, z)
-        )
+        gap = weighted_log_density(prob.source, z) - weighted_log_density(prob.target, z)
         assert abs(gap) <= 1e-6
 
 

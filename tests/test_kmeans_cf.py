@@ -226,3 +226,32 @@ def test_raw_units_far_apart_are_solved_and_judged_at_their_scale():
         res = cf.explain(model, cf.CfRequest(factual=off, target=1, source=0,
                                              mask=frozen, epsilon=0.0))
         assert res.status == cf.STATUS_NO_FEASIBLE_SOLUTION
+
+
+@pytest.mark.parametrize(
+    "kind, factual, epsilon, source",
+    [
+        # c_alpha = eps |m_s - m_t|^2 overflows, and with it the tolerance.
+        (cf.KMEANS, [1.0, 0.0], 1e306, None),
+        # The step's square overflows in the confirmation: a NaN residual.
+        (cf.KMEANS, [1.0, 0.0], 1e300, None),
+        # |u|^2 overflows inside the tolerance scale.
+        (cf.KMEANS, [-1e160, 0.0], 1e-5, 0),
+        # The same on a Gaussian pair with equal precisions.
+        (cf.GAUSSIAN, [-1e160, 0.0], 1e-5, 0),
+    ],
+)
+def test_overflowed_tolerance_or_residual_is_no_root_found(kind, factual, epsilon, source):
+    # Each of these returned `ok`, at the factual or at (5e301, 0).
+    if kind == cf.KMEANS:
+        model = cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0], [100.0, 0.0]])
+    else:
+        spec = cf.CovarianceSpec.spherical(1.0)
+        model = cf.ClusterModel(kind=cf.GAUSSIAN, components=tuple(
+            cf.GaussianComponent(mean=m, covariance=spec, prior=0.5) for m in ([0.0, 0.0], [100.0, 0.0])
+        ))
+    request = cf.CfRequest(factual=factual, target=1, source=source, epsilon=epsilon)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = cf.explain(model, request)
+    assert res.status == cf.STATUS_NO_ROOT_FOUND
+    assert res.counterfactual is None
