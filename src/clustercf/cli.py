@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -37,7 +38,7 @@ from .evaluate import (
 )
 from .explain import AllTargetsFailedError, explain, explain_best
 from .fit import FitConfig, FitError, fit
-from .model_io import DataError, load_dataset, load_model, save_model
+from .model_io import DataError, load_dataset, load_model, save_model, write_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -113,11 +114,6 @@ def _result_dict(result: CfResult, epsilon: float, mask: "Mask | None") -> dict:
     }
 
 
-def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, indent=2, allow_nan=False) + "\n")
-
-
 def _file_sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -147,14 +143,7 @@ def cmd_fit(args) -> int:
     data = load_dataset(args.data, label_column=args.label_col)
     model, info = fit(data, config)
     provenance = {
-        "algorithm": config.algorithm,
-        "covariance": config.covariance,
-        "n_clusters": config.n_clusters,
-        "seed": config.seed,
-        "restarts": config.restarts,
-        "standardize": config.standardize,
-        "max_iter": config.max_iter,
-        "rel_tol": config.rel_tol,
+        **dataclasses.asdict(config),
         "dataset": {
             "path": os.path.basename(str(args.data)),
             "sha256": _file_sha256(args.data),
@@ -189,7 +178,7 @@ def cmd_explain(args) -> int:
                 result = explain_best(model, y, mask=mask, epsilon=args.epsilon, source=args.source)
         except AllTargetsFailedError as exc:
             out = {"status": "all_targets_failed", "statuses": exc.statuses}
-            _write_json(args.output, out)
+            write_json(out, args.output)
             print(json.dumps(out))
             return EXIT_SOLVE
         out = _result_dict(result, args.epsilon, mask)
@@ -206,7 +195,7 @@ def cmd_explain(args) -> int:
             result = explain(model, request)
         out = _result_dict(result, args.epsilon, mask)
     out["factual"] = y.tolist()
-    _write_json(args.output, out)
+    write_json(out, args.output)
     print(
         json.dumps(
             {
@@ -236,19 +225,15 @@ def cmd_sweep(args) -> int:
         entry = _result_dict(p.result, p.epsilon, mask)
         entry["deltas"] = p.deltas
         out.append(entry)
-    _write_json(results_path, {"factual": y.tolist(), "points": out})
+    write_json({"factual": y.tolist(), "points": out}, results_path)
     with open(deltas_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["epsilon", "status", "distance_sq"] + [f"delta_{i}" for i in range(model.d)]
         )
         for p in points:
-            deltas = p.deltas if p.deltas is not None else [""] * model.d
-            writer.writerow(
-                [repr(p.epsilon), p.result.status,
-                 "" if p.result.distance_sq is None else repr(p.result.distance_sq)]
-                + [d if d == "" else repr(d) for d in deltas]
-            )
+            writer.writerow([p.epsilon, p.result.status, p.result.distance_sq]
+                            + (p.deltas or [None] * model.d))
     n_solved = sum(1 for p in points if p.result.solved)
     print(
         json.dumps(

@@ -30,11 +30,21 @@ from .core import (
 )
 from .explain import explain_many, membership_verdict
 from .fit import Dataset
-from .model_io import DataError, canonical_json, read_json
+from .model_io import DataError, parse_csv_table, read_csv_table, read_json, write_json
 
 REPORT_SCHEMA_VERSION = 1
 RNG_ALGORITHM = "PCG64"
 SAMPLING = "without_replacement"
+
+
+def _check_baseline_names(baselines) -> None:
+    """Each (name, path) pair's name keys its own comparison column beside
+    our results' `ours`, so neither `ours` nor a repeated name is taken."""
+    names = [name for name, _ in baselines]
+    for i, name in enumerate(names):
+        if name == "ours" or name in names[:i]:
+            why = "names our own results" if name == "ours" else "is repeated"
+            raise ValidationError("external_baselines", f"baseline name {name!r} {why}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,6 +66,7 @@ class EvalConfig:
             raise ValidationError("target", "source and target clusters must differ")
         object.__setattr__(self, "epsilon", check_epsilon(self.epsilon))
         object.__setattr__(self, "external_baselines", tuple(self.external_baselines))
+        _check_baseline_names(self.external_baselines)
 
     def validate_against(self, model: ClusterModel) -> None:
         model.check_cluster(self.source, "source")
@@ -210,47 +221,44 @@ def ingest_baseline(path, name: str, model: ClusterModel, factuals: dict, target
     """Read counterfactuals produced by an external method.
 
     Expected CSV: a header starting with `factual_id` followed by exactly
-    d feature columns, vectors in original units. Membership and distance
-    are judged with this package's assignment rule and metric so that all
-    methods are compared on identical footing.
+    d feature columns, vectors in original units, read by the dataset
+    rules (`read_csv_table`); a header-only file gives no records. Each id
+    is an integer key of `factuals` and appears once. Membership and
+    distance are judged with this package's assignment rule and metric so
+    that all methods are compared on identical footing.
     """
     target = as_int(target, name="target")
     model.check_cluster(target, "target")
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if any(c.strip() for c in row)]
-    except OSError as exc:
-        raise DataError(f"cannot read baseline {path}: {exc}") from exc
-    if not rows:
-        raise DataError(f"baseline {path} is empty")
-    header = rows[0]
-    if not header or header[0].strip() != "factual_id":
+    header, raw = read_csv_table(path, "baseline")
+    if header is None or header[0] != "factual_id":
         raise DataError(f"baseline {path}: first header column must be 'factual_id'")
     if len(header) - 1 != model.d:
         raise DataError(
             f"baseline {path}: expected {model.d} feature columns, got {len(header) - 1}"
         )
-    ids, vectors = [], []
-    for r, cells in enumerate(rows[1:], start=2):
-        if len(cells) != len(header):
-            raise DataError(f"baseline {path}: ragged row {r}")
+    if not raw:
+        return []
+    try:
+        vectors, id_cells = parse_csv_table(raw, 0)
+    except DataError as exc:
+        raise DataError(f"baseline {path}: {exc}") from None
+    vectors = np.asarray(vectors, dtype=np.float64)
+    if vectors.shape[1] != model.d:
+        raise DataError(f"baseline {path}: the header has {model.d + 1} cells, "
+                        f"the rows {vectors.shape[1] + 1}")
+    ids, seen = [], set()
+    for r, cell in enumerate(id_cells, start=1):
         try:
-            factual_id = int(cells[0])
+            factual_id = int(cell)
         except ValueError:
-            raise DataError(f"baseline {path}: bad factual_id {cells[0]!r} at row {r}") from None
+            raise DataError(f"baseline {path}: bad factual_id {cell!r} at row {r}") from None
         if factual_id not in factuals:
             raise DataError(f"baseline {path}: unknown factual_id {factual_id} at row {r}")
-        try:
-            vec = np.asarray([float(c) for c in cells[1:]], dtype=np.float64)
-        except ValueError:
-            raise DataError(f"baseline {path}: non-numeric cell at row {r}") from None
-        if not np.all(np.isfinite(vec)):
-            raise DataError(f"baseline {path}: non-finite cell at row {r}")
+        if factual_id in seen:
+            raise DataError(f"baseline {path}: duplicate factual_id {factual_id} at row {r}")
+        seen.add(factual_id)
         ids.append(factual_id)
-        vectors.append(vec)
-    if not ids:
-        return []
-    z_internal = np.asarray(model.to_internal(np.stack(vectors)), dtype=np.float64)
+    z_internal = np.asarray(model.to_internal(vectors), dtype=np.float64)
     y_internal = np.asarray(
         model.to_internal(np.stack([np.asarray(factuals[i], dtype=np.float64) for i in ids])),
         dtype=np.float64,
@@ -261,12 +269,12 @@ def ingest_baseline(path, name: str, model: ClusterModel, factuals: dict, target
     records = [
         BaselineRecord(
             factual_id=factual_id,
-            counterfactual=vec.tolist(),
+            counterfactual=vec,
             distance_sq=distances[j],
             member_strict=strict[j],
             member_tolerant=tolerant[j],
         )
-        for j, (factual_id, vec) in enumerate(zip(ids, vectors))
+        for j, (factual_id, vec) in enumerate(zip(ids, vectors.tolist()))
     ]
     records.sort(key=lambda rec: rec.factual_id)
     return records
@@ -279,6 +287,8 @@ def attach_baselines(report: EvalReport, model: ClusterModel, baselines) -> Eval
     target cluster enter the comparison, so the distance columns are
     paired across methods.
     """
+    baselines = tuple(baselines)
+    _check_baseline_names(baselines)
     factuals = {r.factual_id: np.asarray(r.factual) for r in report.records}
     tables = {}
     for name, path in baselines:
@@ -402,8 +412,7 @@ def report_from_dict(obj: dict) -> EvalReport:
 
 
 def write_report_json(report: EvalReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(report_to_dict(report)))
+    write_json(report_to_dict(report), path)
 
 
 def read_report_json(path) -> EvalReport:
@@ -415,25 +424,15 @@ def write_records_csv(report: EvalReport, path) -> None:
     unsolved records."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        cf_cols = [f"cf_{i}" for i in range(report.d)]
         writer.writerow(
             ["factual_id", "status", "strict_member", "tolerant_member", "distance_sq",
-             "lambda", "residual", "elapsed"] + cf_cols
+             "lambda", "residual", "elapsed"] + [f"cf_{i}" for i in range(report.d)]
         )
         for r in report.records:
-            cf = r.counterfactual if r.counterfactual is not None else [""] * report.d
             writer.writerow(
-                [
-                    r.factual_id,
-                    r.status,
-                    int(r.strict_member),
-                    int(r.tolerant_member),
-                    "" if r.distance_sq is None else repr(r.distance_sq),
-                    "" if r.lam is None else repr(r.lam),
-                    "" if r.residual is None else repr(r.residual),
-                    repr(r.elapsed),
-                ]
-                + [c if c == "" else repr(c) for c in cf]
+                [r.factual_id, r.status, int(r.strict_member), int(r.tolerant_member),
+                 r.distance_sq, r.lam, r.residual, r.elapsed]
+                + (r.counterfactual or [None] * report.d)
             )
 
 
@@ -444,6 +443,5 @@ def export_baseline_csv(report: EvalReport, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["factual_id"] + [f"f{i}" for i in range(report.d)])
         for r in report.records:
-            if r.counterfactual is None:
-                continue
-            writer.writerow([r.factual_id] + [repr(v) for v in r.counterfactual])
+            if r.counterfactual is not None:
+                writer.writerow([r.factual_id] + r.counterfactual)

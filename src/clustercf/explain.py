@@ -95,63 +95,73 @@ def explain_many(model: ClusterModel, requests) -> "list[CfResult]":
     masks = [request.validate_against(model) for request in requests]
     if not requests:
         return []
-    # Mapping and scoring are row by row, so a factual shared by several
-    # requests (a best-of-targets call, a sweep) is mapped and scored once.
-    index, distinct, row_of = {}, [], []
-    for request in requests:
-        row_of.append(index.setdefault(request.factual.tobytes(), len(distinct)))
-        if row_of[-1] == len(distinct):
-            distinct.append(request.factual)
-    y = np.asarray(model.to_internal(np.array(distinct)), dtype=np.float64)
-    detected = score_matrix(model, y, per_row=True).argmax(axis=1).tolist()
-    if len(distinct) < len(requests):
-        y, detected = y[row_of], [detected[j] for j in row_of]
+    # A factual or eps far enough out overflows the map, the scores or
+    # the solve; that row ends as `no_root_found`, without warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Mapping and scoring are row by row, so a factual shared by several
+        # requests (a best-of-targets call, a sweep) is mapped and scored once.
+        index, distinct, row_of = {}, [], []
+        for request in requests:
+            row_of.append(index.setdefault(request.factual.tobytes(), len(distinct)))
+            if row_of[-1] == len(distinct):
+                distinct.append(request.factual)
+        y = np.asarray(model.to_internal(np.array(distinct)), dtype=np.float64)
+        detected = score_matrix(model, y, per_row=True).argmax(axis=1).tolist()
+        if len(distinct) < len(requests):
+            y, detected = y[row_of], [detected[j] for j in row_of]
 
-    groups = {}
-    for i, (request, mask, found) in enumerate(zip(requests, masks, detected)):
-        source = found if request.source is None else request.source
-        if source == request.target:
-            raise ValidationError("target", "source and target clusters must differ")
-        if source != found:
-            warnings.warn(
-                f"factual is assigned to cluster {found}, not claimed source {source}",
-                SourceMismatchWarning,
-                stacklevel=2,
+        groups = {}
+        for i, (request, mask, found) in enumerate(zip(requests, masks, detected)):
+            source = found if request.source is None else request.source
+            if source == request.target:
+                raise ValidationError("target", "source and target clusters must differ")
+            if source != found:
+                warnings.warn(
+                    f"factual is assigned to cluster {found}, not claimed source {source}",
+                    SourceMismatchWarning,
+                    stacklevel=2,
+                )
+            groups.setdefault((source, request.target, mask.bits.tobytes()), []).append(i)
+
+        solved = [None] * len(requests)  # (row outcome, source, elapsed)
+        for (source, target, _), idx in groups.items():
+            t0 = time.perf_counter_ns()
+            plan = _pair_plan(model, source, target, masks[idx[0]])
+            group = solve_gaussian_rows(
+                plan, y if len(idx) == len(y) else y[idx], [requests[i].epsilon for i in idx]
             )
-        groups.setdefault((source, request.target, mask.bits.tobytes()), []).append(i)
+            share = (time.perf_counter_ns() - t0) * 1e-9 / len(idx)
+            for i, outcome in zip(idx, group):
+                solved[i] = (outcome, source, share)
 
-    solved = [None] * len(requests)  # (row outcome, source, elapsed)
-    for (source, target, _), idx in groups.items():
-        t0 = time.perf_counter_ns()
-        plan = _pair_plan(model, source, target, masks[idx[0]])
-        group = solve_gaussian_rows(
-            plan, y if len(idx) == len(y) else y[idx], [requests[i].epsilon for i in idx]
-        )
-        share = (time.perf_counter_ns() - t0) * 1e-9 / len(idx)
-        for i, outcome in zip(idx, group):
-            solved[i] = (outcome, source, share)
+        # Verdicts and the map back to original units, once over the stacked
+        # points; each result's internal point is its row of that stack.
+        placed = [i for i, (outcome, _, _) in enumerate(solved)
+                  if outcome.counterfactual is not None]
+        points = {}
+        if placed:
+            z = np.array([solved[i][0].counterfactual for i in placed])
+            strict, tolerant = membership_verdict(model, z, [requests[i].target for i in placed])
+            z_orig = np.asarray(model.to_original(z), dtype=np.float64)
+            for j, i in enumerate(placed):
+                fixed = masks[i].fixed
+                if fixed.size:
+                    z_orig[j, fixed] = requests[i].factual[fixed]
+                points[i] = (z[j], strict[j], tolerant[j], z_orig[j])
 
-    # Verdicts and the map back to original units, once over the stacked
-    # points; each result's internal point is its row of that stack.
-    placed = [i for i, (outcome, _, _) in enumerate(solved) if outcome.counterfactual is not None]
-    points = {}
-    if placed:
-        z = np.array([solved[i][0].counterfactual for i in placed])
-        strict, tolerant = membership_verdict(model, z, [requests[i].target for i in placed])
-        z_orig = np.asarray(model.to_original(z), dtype=np.float64)
-        for j, i in enumerate(placed):
-            fixed = masks[i].fixed
-            if fixed.size:
-                z_orig[j, fixed] = requests[i].factual[fixed]
-            points[i] = (z[j], strict[j], tolerant[j], z_orig[j])
+    # A result carries no NaN or infinity: an overflowed residual is None,
+    # and an overflowed multiplier or g limit is left out of diagnostics.
     out = []
     for i, (outcome, source, share) in enumerate(solved):
         z_i, strict_i, tolerant_i, z_orig_i = points.get(i, (None, None, None, None))
+        residual = outcome.residual if math.isfinite(outcome.residual) else None
+        diagnostics = {key: value for key, value in outcome.diagnostics.items()
+                       if key not in ("lam", "g_limit") or math.isfinite(value)}
         out.append(CfResult(
             status=outcome.status, counterfactual=z_i, distance_sq=outcome.distance_sq,
-            lam=outcome.lam, residual=outcome.residual, elapsed=share, source=source,
+            lam=outcome.lam, residual=residual, elapsed=share, source=source,
             target=requests[i].target, strict_member=strict_i, tolerant_member=tolerant_i,
-            counterfactual_original=z_orig_i, diagnostics=outcome.diagnostics,
+            counterfactual_original=z_orig_i, diagnostics=diagnostics,
         ))
     return out
 
@@ -176,14 +186,14 @@ def explain_best(
     # The factual is checked as its requests will be, before it is mapped.
     y_arr = as_vector(y, name="factual")
     model.check_point(y_arr, "factual")
-    resolved_source = (
-        source if source is not None else assign_cluster(model, model.to_internal(y_arr))
-    )
+    if source is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            source = assign_cluster(model, model.to_internal(y_arr))
     if candidate_targets is None:
-        candidate_targets = [t for t in range(model.n_clusters) if t != resolved_source]
+        candidate_targets = [t for t in range(model.n_clusters) if t != source]
     else:
         candidate_targets = [as_int(t, name="candidate_targets") for t in candidate_targets]
-        if resolved_source in candidate_targets:
+        if source in candidate_targets:
             raise ValidationError("candidate_targets", "must exclude the source cluster")
     if not candidate_targets:
         raise ValidationError("candidate_targets", "no candidate target clusters")
@@ -192,7 +202,7 @@ def explain_best(
 
     targets = sorted(candidate_targets)
     requests = [
-        CfRequest(factual=y_arr, target=target, source=resolved_source, mask=mask, epsilon=epsilon)
+        CfRequest(factual=y_arr, target=target, source=source, mask=mask, epsilon=epsilon)
         for target in targets
     ]
     best = None

@@ -1,10 +1,11 @@
-"""Versioned model files (JSON) and dataset / baseline ingestion (CSV).
+"""The package's file formats: versioned model files, every JSON document
+it writes and the CSV tables it reads (datasets and baselines).
 
-Model files are written in a canonical form: sorted keys, two-space
-indent, shortest round-trip float formatting. Saving a freshly loaded
-model therefore reproduces the file byte for byte. Parsing re-derives all
-caches and re-validates every model invariant; violations raise
-ValidationError with the path of the offending field.
+`write_json` writes each JSON document in one canonical form: sorted
+keys, two-space indent, shortest round-trip floats. Saving a freshly
+loaded model therefore reproduces the file byte for byte. Parsing
+re-derives all caches and re-validates every model invariant; violations
+raise ValidationError with the path of the offending field.
 """
 
 from __future__ import annotations
@@ -44,8 +45,14 @@ def _reject_constant(token: str):
     raise DataError(f"non-finite JSON number {token!r} is not allowed")
 
 
-def canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+def write_json(obj: Any, path) -> None:
+    """Write `obj` to `path` as canonical JSON: sorted keys, two-space
+    indent, shortest round-trip floats, no NaN or infinity. The document
+    is serialized before the file is opened, so a document that cannot
+    be written leaves no file behind."""
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +212,7 @@ def model_from_dict(obj: Any) -> "tuple[ClusterModel, dict]":
 
 
 def save_model(model: ClusterModel, path, provenance: "dict | None" = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(model_to_dict(model, provenance)))
+    write_json(model_to_dict(model, provenance), path)
 
 
 def load_model(path) -> ClusterModel:
@@ -231,7 +237,7 @@ def read_json(path, what: str):
 
 
 # ---------------------------------------------------------------------------
-# Dataset CSV
+# CSV tables: datasets and baselines
 
 
 def _parse_cell(token: str, row: int, col: int) -> float:
@@ -324,6 +330,45 @@ def _parse_lines(lines, label_idx: "int | None"):
     return values, labels
 
 
+def read_csv_table(path, what: str):
+    """(header, rows) of the CSV file at `path`: the stripped cells of the
+    first non-blank row when any is not numeric (else None), and the
+    other non-blank rows for `parse_csv_table`, none for a header-only
+    file. A file that cannot be read or is blank raises DataError naming
+    `what`."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    rows = _plain_lines(text) if '"' not in text else _csv_rows(text)
+    if not rows:
+        raise DataError(f"{what} {path} is empty")
+    first = rows[0].split(",") if isinstance(rows[0], str) else rows[0]
+    if _looks_numeric(first):
+        return None, rows
+    return [cell.strip() for cell in first], rows[1:]
+
+
+def parse_csv_table(rows, label_idx: "int | None"):
+    """(values, labels) of the data rows of `read_csv_table`: the numbers
+    of every column but `label_idx`, and that column's stripped cells
+    (None without `label_idx`). The first bad row or cell raises
+    DataError naming it, rows numbered from 1.
+
+    Quote-free rows (lines) are parsed by numpy's C text reader in one
+    call. The per-cell loop stays for what that reader does not take:
+    quoted cells, values `float()` accepts and the reader refuses
+    (`1_000`, non-ASCII digits), and every bad file, whose first bad row
+    or cell only the loop names."""
+    if isinstance(rows[0], str):
+        parsed = _parse_lines(rows, label_idx)
+        if parsed is not None:
+            return parsed
+        rows = [line.split(",") for line in rows]
+    return _parse_cells(rows, label_idx)
+
+
 def load_dataset(path, label_column: "str | None" = None) -> Dataset:
     """CSV rows of finite doubles with an optional header line.
 
@@ -332,30 +377,10 @@ def load_dataset(path, label_column: "str | None" = None) -> Dataset:
     the features and keep as string metadata. Every number is parsed as
     `float()` parses it. Rows of blank cells are skipped; error messages
     number the non-blank data rows, header excluded, from 1.
-
-    A file without quotes is parsed by numpy's C text reader in one call.
-    The per-cell loop stays for what that reader does not take: quoted
-    cells, values `float()` accepts and the reader refuses (`1_000`,
-    non-ASCII digits), and every bad file, whose first bad row or cell
-    only the loop names.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read dataset {path}: {exc}") from exc
-    plain = '"' not in text
-    raw = _plain_lines(text) if plain else _csv_rows(text)
+    header, raw = read_csv_table(path, "dataset")
     if not raw:
-        raise DataError(f"dataset {path} is empty")
-
-    header = None
-    first = raw[0].split(",") if plain else raw[0]
-    if not _looks_numeric(first):
-        header = [cell.strip() for cell in first]
-        raw = raw[1:]
-        if not raw:
-            raise DataError(f"dataset {path} has a header but no data rows")
+        raise DataError(f"dataset {path} has a header but no data rows")
 
     label_idx = None
     if label_column is not None:
@@ -364,11 +389,7 @@ def load_dataset(path, label_column: "str | None" = None) -> Dataset:
         if label_column not in header:
             raise DataError(f"label column {label_column!r} not found in header {header}")
         label_idx = header.index(label_column)
-
-    parsed = _parse_lines(raw, label_idx) if plain else None
-    if parsed is None:
-        parsed = _parse_cells([line.split(",") for line in raw] if plain else raw, label_idx)
-    rows, labels = parsed
+    rows, labels = parse_csv_table(raw, label_idx)
 
     feature_names = None
     if header is not None:

@@ -1,6 +1,7 @@
 import csv
 import importlib
 import json
+import warnings
 
 import jsonschema
 import numpy as np
@@ -358,3 +359,134 @@ def test_bad_request_exits_2_before_any_solve(tmp_path, three_cluster_files, mon
 
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_readme_cli_sequence_runs_as_written(tmp_path, capsys):
+    # The README's fit, explain, sweep and eval examples on a labelled CSV
+    # like iris.csv, and its features-only twin for --factual-row.
+    rng = np.random.default_rng(229)
+    rows, labels = make_blobs(rng, [[0, 0, 0, 0], [5, 4, 3, 2], [-4, 4, -4, 4]], 0.6, 60)
+    data, features = tmp_path / "iris.csv", tmp_path / "iris_features.csv"
+    with open(data, "w", newline="") as fh, open(features, "w", newline="") as fh_features:
+        writer, features_writer = csv.writer(fh), csv.writer(fh_features)
+        writer.writerow(["a", "b", "c", "d", "species"])
+        for row, lab in zip(rows, labels):
+            writer.writerow([repr(float(v)) for v in row] + [f"s{lab}"])
+            features_writer.writerow([repr(float(v)) for v in row])
+    model_path = str(tmp_path / "model.json")
+
+    def run(*argv):
+        code = main(list(argv))
+        capsys.readouterr()
+        return code
+
+    assert run("fit", "--algo", "gmm", "--cov", "full", "--k", "3", "--seed", "1",
+               "--restarts", "4", "--label-col", "species", str(data), "-o", model_path) == 0
+    model = cf.load_model(model_path)
+    assigned = np.argmax(cf.score_matrix(model, model.to_internal(rows)), axis=1)
+    source, target = int(assigned[12]), int(assigned[12] + 1) % 3
+    factual = ",".join(repr(float(v)) for v in rows[12])
+    assert run("explain", "--model", model_path, f"--factual={factual}", "--target", str(target),
+               "--mask", "1,0,1,1", "--epsilon", "1e-5", "-o", str(tmp_path / "result.json")) == 0
+    assert run("explain", "--model", model_path, "--factual-row", "12", str(features),
+               "--target", "best", "-o", str(tmp_path / "result.json")) == 0
+    assert run("sweep", "--model", model_path, f"--factual={factual}", "--target", str(target),
+               "--epsilons", "0,0.33,0.66,1.0", "-o", str(tmp_path / "sweep")) == 0
+    campaign = ["eval", "--model", model_path, "--n", "50", "--seed", "7", "--source",
+                str(source), "--target", str(target), "--label-col", "species"]
+    assert run(*campaign, str(data), "-o", str(tmp_path / "first")) == 0
+    baseline = tmp_path / "dice_counterfactuals.csv"
+    cf.export_baseline_csv(cf.read_report_json(tmp_path / "first.report.json"), baseline)
+    assert run(*campaign, "--baseline", f"dice={baseline}", str(data),
+               "-o", str(tmp_path / "campaign")) == 0
+    report = json.loads((tmp_path / "campaign.report.json").read_text())
+    distances = report["comparison"]["distances"]
+    # Standardization moves a re-read distance by up to an ulp.
+    assert distances["dice"] == pytest.approx(distances["ours"], rel=1e-12)
+    assert len(distances["ours"]) > 0
+
+
+def test_result_files_are_canonical_json(tmp_path, boundary_model, capsys):
+    out = tmp_path / "result.json"
+    assert main(["explain", "--model", str(boundary_model), "--factual", "0,0.5",
+                 "--target", "1", "-o", str(out)]) == 0
+    assert main(["sweep", "--model", str(boundary_model), "--factual", "0,0.5",
+                 "--target", "1", "--epsilons", "0,1", "-o", str(tmp_path / "sweep")]) == 0
+    for path in (out, tmp_path / "sweep.results.json"):
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+def test_sweep_deltas_csv_bytes_match_repr_formatting(tmp_path, boundary_model, capsys):
+    # An empty cell for None and `repr` for every float, as the table was
+    # written before it left the formatting to `csv`.
+    for prefix, argv in (("ok", ["--factual", "0,0.5", "--epsilons", "0,0.33,1e6"]),
+                         ("none", ["--factual", "0,3", "--mask", "0,1", "--epsilons", "0,0.5"])):
+        main(["sweep", "--model", str(boundary_model), "--target", "1", *argv,
+              "-o", str(tmp_path / prefix)])
+        points = json.loads((tmp_path / f"{prefix}.results.json").read_text())["points"]
+        lines = ["epsilon,status,distance_sq,delta_0,delta_1"]
+        for p in points:
+            cells = [p["epsilon"], p["distance_sq"]] + (p["deltas"] or [None, None])
+            cells = ["" if v is None else repr(v) for v in cells]
+            lines.append(",".join([cells[0], p["status"]] + cells[1:]))
+        expected = ("\r\n".join(lines) + "\r\n").encode()
+        assert (tmp_path / f"{prefix}.deltas.csv").read_bytes() == expected
+    assert expected.endswith(b"0.5,no_feasible_solution,,,\r\n")
+
+
+@pytest.fixture
+def far_pair(tmp_path):
+    model = tmp_path / "two.json"
+    cf.save_model(cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0], [100.0, 0.0]]), model)
+    return model
+
+
+def test_overflowed_explain_exits_5_with_its_one_line(tmp_path, far_pair, capsys):
+    # The NaN residual made the result unwritable: exit 1, no summary line
+    # and an empty result file.
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["explain", "--model", str(far_pair), "--factual", "1,0", "--target", "1",
+                     "--epsilon", "1e300", "-o", str(out)])
+    assert code == 5
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["status"] == "no_root_found"
+    doc = json.loads(out.read_text())
+    assert doc["residual"] is None
+    jsonschema.validate(doc, load_schema("explain_result.schema.json"))
+
+
+def test_overflowed_eval_exits_0_with_null_residuals(tmp_path, far_pair, capsys):
+    data = tmp_path / "near.csv"
+    data.write_text("1,0\n2,0\n3,0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["eval", "--model", str(far_pair), "--n", "3", "--source", "0",
+                     "--target", "1", "--epsilon", "1e300", str(data), "-o", str(tmp_path / "e")])
+    assert code == 0
+    doc = json.loads((tmp_path / "e.report.json").read_text())
+    assert [r["residual"] for r in doc["records"]] == [None] * 3
+    assert {r["status"] for r in doc["records"]} == {"no_root_found"}
+    jsonschema.validate(doc, load_schema("eval_report.schema.json"))
+
+
+@pytest.mark.parametrize("specs", [["ours=B"], ["x=B", "x=B"]], ids=["ours", "repeated"])
+def test_eval_baseline_name_taken_exits_2_before_any_solve(tmp_path, three_cluster_files,
+                                                          monkeypatch, capsys, specs):
+    model, data = three_cluster_files
+    baseline = tmp_path / "b.csv"
+    baseline.write_text("factual_id,f0,f1\n")
+    explain_module = importlib.import_module("clustercf.explain")
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a factual was solved")
+
+    monkeypatch.setattr(explain_module, "solve_gaussian_rows", no_solve)
+    argv = ["eval", "--model", str(model), "--source", "0", "--target", "1"]
+    for spec in specs:
+        argv += ["--baseline", spec.replace("B", str(baseline))]
+    assert main(argv + [str(data), "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: external_baselines: baseline name")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.csv", "three.csv", "three.json"]

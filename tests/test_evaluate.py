@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import clustercf as cf
-from clustercf.evaluate import compute_aggregates, report_from_dict, report_to_dict
+from clustercf.evaluate import FactualRecord, compute_aggregates, report_from_dict, report_to_dict
 from helpers import two_cluster_gaussian_model
 from oracles import make_blobs
 
@@ -344,3 +344,142 @@ def test_report_dict_shares_no_container_with_the_report(tmp_path, blob_setup):
     assert cf.read_report_json(path) == report
     cf.write_report_json(report, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# File formats: the CSV writers pass each cell to `csv` as it is, and a
+# baseline is read by the dataset reader.
+
+
+def _repr_cells(values):
+    """The formatting the CSV writers spelled out before they left it to
+    `csv`: an empty cell for None, `repr` for every float."""
+    return ["" if v is None else repr(v) for v in values]
+
+
+def _report_with_unsolved_record(model, data, source, target):
+    report = cf.run_eval(model, data, cf.EvalConfig(source=source, target=target, n_factuals=6))
+    report.records.append(FactualRecord(
+        factual_id=10**6, status=cf.STATUS_NO_ROOT_FOUND, strict_member=False,
+        tolerant_member=False, distance_sq=None, lam=None, residual=None, elapsed=2.5e-05,
+        factual=[0.1, -0.2], counterfactual=None,
+    ))
+    report.records[0].residual = None
+    report.records[1].counterfactual = [1.0, -0.0]
+    return report
+
+
+def test_records_csv_bytes_match_repr_formatting(tmp_path, blob_setup):
+    model, data, source, target = blob_setup
+    report = _report_with_unsolved_record(model, data, source, target)
+    path = tmp_path / "records.csv"
+    cf.write_records_csv(report, path)
+    lines = ["factual_id,status,strict_member,tolerant_member,distance_sq,lambda,residual,elapsed,"
+             "cf_0,cf_1"]
+    for r in report.records:
+        cells = [str(r.factual_id), r.status, str(int(r.strict_member)),
+                 str(int(r.tolerant_member))]
+        cells += _repr_cells([r.distance_sq, r.lam, r.residual, r.elapsed])
+        cells += _repr_cells(r.counterfactual or [None, None])
+        lines.append(",".join(cells))
+    assert path.read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
+    assert lines[-1].endswith(",,,,2.5e-05,,")
+
+
+def test_baseline_csv_bytes_match_repr_formatting(tmp_path, blob_setup):
+    model, data, source, target = blob_setup
+    report = _report_with_unsolved_record(model, data, source, target)
+    path = tmp_path / "baseline.csv"
+    cf.export_baseline_csv(report, path)
+    lines = ["factual_id,f0,f1"] + [
+        ",".join([str(r.factual_id)] + _repr_cells(r.counterfactual))
+        for r in report.records if r.counterfactual is not None
+    ]
+    assert len(lines) == len(report.records)
+    assert path.read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
+
+
+def test_header_only_baseline_is_an_empty_table(tmp_path):
+    model = cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0], [4.0, 0.0]])
+    factuals = {0: np.zeros(2)}
+    path = tmp_path / "b.csv"
+    path.write_text("factual_id,f0,f1\n\n , ,\n")
+    assert cf.ingest_baseline(path, "b", model, factuals, 1) == []
+    # export_baseline_csv writes one for a report without a counterfactual.
+    report = report_from_dict({
+        "schema_version": 1, "model_kind": cf.KMEANS, "d": 2, "source": 0, "target": 1,
+        "epsilon": 0.0, "mask_bits": [0, 0], "seed": 0, "rng_algorithm": "PCG64",
+        "sampling": "without_replacement", "n_requested": 1, "n_evaluated": 1,
+        "records": [{"factual_id": 0, "status": cf.STATUS_NO_FEASIBLE_SOLUTION,
+                     "strict_member": False, "tolerant_member": False, "distance_sq": None,
+                     "lam": None, "residual": None, "elapsed": 0.0, "factual": [0.0, 0.0],
+                     "counterfactual": None}],
+        "aggregates": {},
+    })
+    cf.export_baseline_csv(report, path)
+    assert cf.ingest_baseline(path, "b", model, factuals, 1) == []
+    attached = cf.attach_baselines(report, model, [("b", path)])
+    assert attached.comparison == {"factual_ids": [], "distances": {"ours": [], "b": []}}
+
+
+@pytest.mark.parametrize("text", [
+    'factual_id,f0,f1\n0,3.0,4.0\n"3"," 4.0",1\n',
+    "\nfactual_id,f0,f1\n , ,\n0,3.0,4.0\n\n3, 4.0,1\n,,\n",
+    '"factual_id","f0","f1"\r\n\r\n0,"3.0",4.0\r\n3,4.0,"1"\r\n',
+], ids=["quoted", "blank_rows", "quoted_crlf"])
+def test_baseline_reads_like_a_dataset(tmp_path, text):
+    model = cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0], [4.0, 0.0]])
+    factuals = {0: np.asarray([0.0, 0.0]), 3: np.asarray([1.0, 1.0])}
+    path = tmp_path / "b.csv"
+    path.write_bytes(text.encode())
+    table = cf.ingest_baseline(path, "b", model, factuals, target=1)
+    as_dataset = cf.load_dataset(path, label_column="factual_id")
+    assert [r.counterfactual for r in table] == as_dataset.rows.tolist() == [[3.0, 4.0], [4.0, 1.0]]
+    assert [str(r.factual_id) for r in table] == list(as_dataset.labels) == ["0", "3"]
+    assert [r.distance_sq for r in table] == [25.0, 9.0]
+
+
+def test_baseline_cell_errors_name_the_file(tmp_path):
+    model = cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0], [4.0, 0.0]])
+    factuals = {0: np.zeros(2), 1: np.ones(2)}
+    cases = {
+        "factual_id,f0,f1\n0,1,nan\n": "non-finite cell 'nan' at row 1, column 3",
+        "factual_id,f0,f1\n0,1,2\n1,2\n": "ragged row 2: expected 3 cells, got 2",
+        "factual_id,f0,f1\n0,1,2,3\n": "the header has 3 cells, the rows 4",
+        "factual_id,f0,f1\n0.0,1,2\n": "bad factual_id '0.0' at row 1",
+        "1,2,3\n": "first header column must be 'factual_id'",
+    }
+    for i, (text, message) in enumerate(cases.items()):
+        path = tmp_path / f"b{i}.csv"
+        path.write_text(text)
+        with pytest.raises(cf.DataError) as failed:
+            cf.ingest_baseline(path, "b", model, factuals, 1)
+        assert str(failed.value) == f"baseline {path}: {message}"
+
+
+def test_ingest_baseline_rejects_a_repeated_factual_id(tmp_path):
+    # A target member first, then a non-member for the same factual: both
+    # rows were kept, and the comparison paired the non-member's distance.
+    model = cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0], [4.0, 0.0]])
+    factuals = {0: np.zeros(2), 1: np.ones(2)}
+    path = tmp_path / "b.csv"
+    path.write_text("factual_id,f0,f1\n1,3.5,0\n0,3.0,0\n0,1.0,0\n")
+    with pytest.raises(cf.DataError, match="duplicate factual_id 0 at row 3"):
+        cf.ingest_baseline(path, "b", model, factuals, 1)
+
+
+@pytest.mark.parametrize("names, bad", [
+    (["ours"], "'ours' names our own results"),
+    (["a", "b", "a"], "'a' is repeated"),
+])
+def test_baseline_names_cannot_overwrite_a_column(tmp_path, blob_setup, names, bad):
+    model, data, source, target = blob_setup
+    report = cf.run_eval(model, data, cf.EvalConfig(source=source, target=target, n_factuals=4))
+    path = tmp_path / "baseline.csv"
+    cf.export_baseline_csv(report, path)
+    pairs = [(name, path) for name in names]
+    with pytest.raises(cf.ValidationError, match=f"external_baselines: baseline name {bad}"):
+        cf.EvalConfig(source=source, target=target, external_baselines=pairs)
+    with pytest.raises(cf.ValidationError, match=f"external_baselines: baseline name {bad}"):
+        cf.attach_baselines(report, model, pairs)
+    assert report.comparison is None

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -251,7 +254,16 @@ def test_overflowed_tolerance_or_residual_is_no_root_found(kind, factual, epsilo
             cf.GaussianComponent(mean=m, covariance=spec, prior=0.5) for m in ([0.0, 0.0], [100.0, 0.0])
         ))
     request = cf.CfRequest(factual=factual, target=1, source=source, epsilon=epsilon)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         res = cf.explain(model, request)
+        if source is not None:
+            with pytest.raises(cf.AllTargetsFailedError) as failed:
+                cf.explain_best(model, factual, epsilon=epsilon)
+            assert failed.value.statuses == {1: cf.STATUS_NO_ROOT_FOUND}
     assert res.status == cf.STATUS_NO_ROOT_FOUND
     assert res.counterfactual is None
+    # A result carries no NaN or infinity.
+    assert res.residual is None or math.isfinite(res.residual)
+    assert all(math.isfinite(res.diagnostics[key]) for key in ("lam", "g_limit")
+               if key in res.diagnostics)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clustercf as cf
-from clustercf.model_io import model_from_dict, model_to_dict
+from clustercf.model_io import model_from_dict, model_to_dict, write_json
 from helpers import two_cluster_gaussian_model
 from oracles import make_blobs, random_spd
 
@@ -143,6 +143,17 @@ def test_rejects_nan_token_in_file(tmp_path):
     broken.write_text(text.replace(repr(first_center), "NaN", 1))
     with pytest.raises((cf.ValidationError, cf.DataError)):
         cf.load_model(broken)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_write_json_refuses_a_non_finite_number_before_it_opens_the_file(tmp_path, value):
+    # The file was opened first, so a refused document left it empty.
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json({"residual": value}, path)
+    assert not path.exists()
+    write_json({"b": [1.0, None], "a": 0.1}, path)
+    assert path.read_text() == '{\n  "a": 0.1,\n  "b": [\n    1.0,\n    null\n  ]\n}\n'
 
 
 def test_fuzzed_mutations_rejected_or_valid(tmp_path):
