@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -357,10 +358,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A separate argument that starts like a negative number.
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_factual_values(argv) -> list:
+    """`--factual -0.5,0.1` as `--factual=-0.5,0.1`: argparse takes a
+    separate argument that starts with '-' for an option unless the whole
+    argument is one negative number."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--factual" and _NEGATIVE_VALUE.match(arg):
+            out[-1] = f"--factual={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_factual_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         code = exc.code
         if code is None:

@@ -151,9 +151,14 @@ def run_eval(model: ClusterModel, data: Dataset, config: EvalConfig) -> EvalRepo
     config.validate_against(model)
     rows = data.rows
     model.check_rows(rows)
-    internal = np.asarray(model.to_internal(rows), dtype=np.float64)
-    labels = np.argmax(score_matrix(model, internal), axis=1)
-    source_rows = np.flatnonzero(labels == config.source)
+    # A row far enough out overflows its map or scores, as in
+    # `explain_many`; a row without a finite score is in no cluster and
+    # is never sampled.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = score_matrix(model, np.asarray(model.to_internal(rows), dtype=np.float64))
+    finite = np.isfinite(scores)
+    labels = np.argmax(np.where(finite, scores, -np.inf), axis=1)
+    source_rows = np.flatnonzero((labels == config.source) & finite.any(axis=1))
     if source_rows.size == 0:
         raise ClusterCfError(f"source cluster {config.source} is empty in this dataset")
     n = min(config.n_factuals, int(source_rows.size))

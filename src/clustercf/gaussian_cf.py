@@ -50,9 +50,12 @@ and eps values against one plan, one `RowOutcome` per row, which
 `explain_many` makes a `CfResult`. An affine plan takes the closed form
 row by row, with one-row products. Otherwise a and g(y) come for all
 rows from row-wise products, the side, factual and hard-case tests run
-over all rows at once, one scalar root per row, and the confirmation
-over all rows, which evaluates the exact expansion g(y) + 2 a.s +
-s' diag(e) s in the solve's own coordinates.
+over all rows at once, the rows that need a root are solved in lock
+step, one stack per side (a lone row on its side keeps the scalar
+iteration), and the confirmation runs over all rows, which evaluates
+the exact expansion g(y) + 2 a.s + s' diag(e) s in the solve's own
+coordinates. Every step is row by row, so a row gets the same bits
+alone as in any stack.
 """
 
 from __future__ import annotations
@@ -343,6 +346,50 @@ class _Secular:
         return x, REFINE_MAX_ITER
 
 
+def _lockstep_root(side: _Side, a2, g_y, lo, hi, x, lo_positive, tol):
+    """`_Secular.root` for a stack of rows on one side (a2 N x |F|, the
+    rest length N), all rows iterated in lock step: each row takes the
+    same steps, with the same roundings, as it would alone, and keeps its
+    x once its iteration stops. Returns (x, iterations), both arrays."""
+    at_pole = side.lam0 != 0.0
+    two_kappa = 2.0 * side.kappa
+
+    def secular(x):
+        gap = side.alpha + side.beta * x[:, None]
+        q = a2 / (gap * gap)
+        lam = side.lam0 + side.kappa * x
+        return g_y + lam * np.vecdot(q, 1.0 + gap), two_kappa * np.vecdot(q, 1.0 / gap)
+
+    iterations = np.full(x.shape, REFINE_MAX_ITER)
+    active = np.ones(x.shape, dtype=bool)
+    # Every row's candidate step is computed, also where it is then
+    # discarded, so its divisions and overflows are silent.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gx, dgx = secular(x)
+        for it in range(1, REFINE_MAX_ITER + 1):
+            stop = np.abs(gx) <= tol
+            if at_pole:
+                dx = dgx * x
+                den = 2.0 * gx + dx
+                xn = np.where(dx * den > 0.0, x * np.sqrt(dx / den), np.nan)
+            else:
+                xn = np.where(dgx != 0.0, x - gx / dgx, np.nan)
+            bisect = ~((lo <= xn) & (xn <= hi)) | (xn == x)
+            mid = np.where((lo > 0.0) & (hi > 4.0 * lo), np.sqrt(lo * hi), 0.5 * (lo + hi))
+            stop |= bisect & ~((lo < mid) & (mid < hi))
+            stop &= active
+            iterations[stop] = it - 1
+            active &= ~stop
+            if not active.any():
+                break
+            x = np.where(active, np.where(bisect, mid, xn), x)
+            gx, dgx = secular(x)
+            lo_side = (gx > 0.0) == lo_positive
+            lo = np.where(lo_side, x, lo)
+            hi = np.where(lo_side, hi, x)
+    return x, iterations
+
+
 def _hard_case(sec: _Secular, block: np.ndarray, e_k: float) -> np.ndarray:
     """Step at lam = 1/e_k: every other coordinate at its limit, the pole
     block moved along its own gradient (or its first coordinate when that
@@ -387,7 +434,10 @@ def solve_gaussian_rows(plan: GaussianPairPlan, rows, epsilons) -> "list[RowOutc
     precisions agree) takes the closed form lam = -g(y) / (2 |a|^2),
     s = lam * a, row by row. Otherwise the multiplier is solved on the
     interval where I - lam * D_FF is positive definite, which holds the
-    global minimizer (see the module docstring). Outcomes, per row:
+    global minimizer (see the module docstring): the rows that need a
+    root on one side of lam = 0 are solved in lock step as one stack
+    (`_lockstep_root`), a lone row by the scalar iteration
+    (`_Secular.root`); both give a row the same bits. Outcomes, per row:
 
     - `ok`: the minimizer with its multiplier `lam`, confirmed by the
       expansion of g in the solve's coordinates within 1e-8 * scale (see
@@ -462,16 +512,18 @@ def solve_gaussian_rows(plan: GaussianPairPlan, rows, epsilons) -> "list[RowOutc
     lam = [0.0] * n
     steps = np.zeros(a.shape)
     solved = []
+    # Interval rows by side: (row, lo, hi, x0, lo_positive) of each root.
+    brackets = {}
     for i, diagnostics in enumerate(all_diagnostics):
         if at_factual[i]:
             outcomes[i] = RowOutcome(STATUS_OK, rows[i], 0.0, 0.0, g_list[i], diagnostics)
             continue
         sign = -1.0 if positive[i] else 1.0
         side = plan.side(sign)
-        sec = _Secular(a[i], a2[i], g_list[i], side)
         if side.e_k is not None:
             if (edge[sign][i] > 0.0) == positive[i]:
                 diagnostics["path"] = PATH_HARD_CASE
+                sec = _Secular(a[i], a2[i], g_list[i], side)
                 lam[i], steps[i] = sec.lam0, _hard_case(sec, side.block, side.e_k)
                 solved.append(i)
                 continue
@@ -494,11 +546,27 @@ def solve_gaussian_rows(plan: GaussianPairPlan, rows, epsilons) -> "list[RowOutc
                 hi = hi_flat[i]
             lo, x0, lo_positive = 0.0, 0.0, positive[i]
         diagnostics["path"] = PATH_INTERVAL
-        x, diagnostics["iterations"] = sec.root(
-            lo, hi, x0, lo_positive, REFINE_TOL_FACTOR * scale[i]
-        )
-        lam[i], steps[i] = sec.lam(x), sec.step(x)
+        brackets.setdefault(side, []).append((i, lo, hi, x0, lo_positive))
         solved.append(i)
+
+    # The roots: a lone row on its side by the scalar iteration, several
+    # in lock step, which gives each row the bits it gets alone.
+    for side, bracket in brackets.items():
+        if len(bracket) == 1:
+            i, lo, hi, x0, lo_positive = bracket[0]
+            sec = _Secular(a[i], a2[i], g_list[i], side)
+            x, all_diagnostics[i]["iterations"] = sec.root(
+                lo, hi, x0, lo_positive, REFINE_TOL_FACTOR * scale[i]
+            )
+            lam[i], steps[i] = sec.lam(x), sec.step(x)
+            continue
+        idx, lo, hi, x0, lo_positive = (np.array(column) for column in zip(*bracket))
+        tol = REFINE_TOL_FACTOR * np.array(scale)[idx]
+        x, iterations = _lockstep_root(side, a2[idx], g_y[idx], lo, hi, x0, lo_positive, tol)
+        lam_x = side.lam0 + side.kappa * x
+        steps[idx] = lam_x[:, None] * a[idx] / (side.alpha + side.beta * x[:, None])
+        for i, lam_i, it in zip(idx.tolist(), lam_x.tolist(), iterations.tolist()):
+            lam[i], all_diagnostics[i]["iterations"] = lam_i, it
 
     # Confirm, place and measure every candidate at once. The expansion
     # g(y + B s) = g(y) + 2 a.s + s' diag(e) s is exact for the

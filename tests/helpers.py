@@ -84,6 +84,11 @@ def solve_centroid_case(plane, y):
                                [plane.epsilon])[0]
 
 
+def float_bits(value):
+    """A float, an array or None as comparable bytes (NaN equals NaN)."""
+    return None if value is None else np.asarray(value, dtype=np.float64).tobytes()
+
+
 def two_cluster_gaussian_model(kind=cf.FULL):
     """Fixed, well-separated 2-D pair used by several boundary tests."""
     if kind == cf.FULL:

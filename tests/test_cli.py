@@ -216,6 +216,30 @@ def test_sweep_writes_results_and_deltas(tmp_path, boundary_model, capsys):
     assert len(rows) == 5
 
 
+@pytest.mark.parametrize("form", ["separate", "attached"])
+def test_explain_reads_a_negative_factual_in_either_form(tmp_path, boundary_model, capsys, form):
+    out = tmp_path / "result.json"
+    factual = ["--factual", "-0.5,0.1"] if form == "separate" else ["--factual=-0.5,0.1"]
+    code = main(["explain", "--model", str(boundary_model), *factual, "--target", "1",
+                 "--epsilon", "0", "-o", str(out)])
+    assert code == 0, capsys.readouterr().err
+    doc = json.loads(out.read_text())
+    assert doc["factual"] == [-0.5, 0.1]
+    assert doc["counterfactual"] == [1.0, 0.1]
+
+
+@pytest.mark.parametrize("form", ["separate", "attached"])
+def test_sweep_reads_a_negative_factual_in_either_form(tmp_path, boundary_model, capsys, form):
+    prefix = tmp_path / "sweep"
+    factual = ["--factual", "-.5,-2"] if form == "separate" else ["--factual=-.5,-2"]
+    code = main(["sweep", "--model", str(boundary_model), *factual, "--target", "1",
+                 "--epsilons", "0,0.5", "-o", str(prefix)])
+    assert code == 0, capsys.readouterr().err
+    doc = json.loads((tmp_path / "sweep.results.json").read_text())
+    assert doc["factual"] == [-0.5, -2.0]
+    assert [p["counterfactual"][1] for p in doc["points"]] == [-2.0, -2.0]
+
+
 def test_eval_reproducible_and_schema_valid(tmp_path, blob_csv, capsys):
     model_path = tmp_path / "m.json"
     assert main(["fit", "--algo", "kmeans", "--k", "2", "--seed", "1", str(blob_csv), "-o", str(model_path)]) == 0

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,20 @@ def test_warns_when_source_cluster_small(blob_setup):
     with pytest.warns(UserWarning, match="only"):
         report = cf.run_eval(model, data, config)
     assert report.n_evaluated == 120
+
+
+def test_a_row_without_a_finite_score_is_never_sampled():
+    # (-1e160, 0) overflows every squared distance: it has no cluster.
+    model = cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0], [100.0, 0.0]])
+    rows = np.array([[-1e160, 0.0], [-1.0, 0.0], [1.0, 0.5], [2.0, -0.5], [99.0, 0.0]])
+    data = cf.Dataset(rows=rows)
+    for seed in range(8):
+        config = cf.EvalConfig(source=0, target=1, n_factuals=3, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = cf.run_eval(model, data, config)
+        assert [r.factual_id for r in report.records] == [1, 2, 3]
+        assert all(r.status == cf.STATUS_OK for r in report.records)
 
 
 def test_report_json_round_trip(tmp_path, blob_setup):

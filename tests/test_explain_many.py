@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clustercf as cf
-from helpers import random_covariance
+from helpers import float_bits, random_covariance
 
 explain_module = importlib.import_module("clustercf.explain")
+gaussian_module = importlib.import_module("clustercf.gaussian_cf")
 
 FAMILIES = ("kmeans", cf.FULL, cf.DIAGONAL, cf.SPHERICAL, "mixed")
 EPSILONS = (0.0, 1e-5, 0.3, 1.0)
@@ -247,6 +248,47 @@ def test_sweep_epsilon_equals_per_request_explain(covariance):
     for point in points:
         alone = cf.explain(model, cf.CfRequest(factual=y, target=target, epsilon=point.epsilon))
         assert_same(point.result, alone)
+
+
+@pytest.mark.parametrize("shape", ["run_eval", "sweep"])
+@pytest.mark.parametrize("covariance", [cf.FULL, cf.DIAGONAL, cf.SPHERICAL])
+def test_a_50_row_group_gives_each_row_the_bits_it_gets_alone(monkeypatch, covariance, shape):
+    # Fifty factuals of one source toward one target at one eps (what
+    # run_eval asks), or one factual at fifty eps (what sweep_epsilon
+    # asks): one group, whose interval rows are solved as one stack.
+    stacked = []
+    lockstep = gaussian_module._lockstep_root
+
+    def counting(side, a2, *args):
+        stacked.append(len(a2))
+        return lockstep(side, a2, *args)
+
+    monkeypatch.setattr(gaussian_module, "_lockstep_root", counting)
+    model, data = fitted_gaussian(9, covariance)
+    labels = np.argmax(cf.score_matrix(model, model.to_internal(data.rows)), axis=1)
+    source = int(np.argmax(np.bincount(labels)))
+    target = (source + 1) % 3
+    mask = cf.Mask.from_bits([1, 0, 1])
+    if shape == "run_eval":
+        rows = data.rows[labels == source][:50]
+        requests = [cf.CfRequest(factual=y, target=target, source=source, mask=mask, epsilon=0.2)
+                    for y in rows]
+    else:
+        y = data.rows[np.flatnonzero(labels == source)[0]]
+        requests = [cf.CfRequest(factual=y, target=target, mask=mask, epsilon=0.5 * i / 49)
+                    for i in range(50)]
+    assert len(requests) == 50
+    batched = cf.explain_many(model, requests)
+    assert sum(stacked) >= 40
+    stacked.clear()
+    for request, got in zip(requests, batched):
+        alone = cf.explain(model, request)
+        assert_same(got, alone)
+        assert got.diagnostics == alone.diagnostics
+        for field in ("distance_sq", "lam", "residual", "counterfactual",
+                      "counterfactual_original"):
+            assert float_bits(getattr(got, field)) == float_bits(getattr(alone, field)), field
+    assert stacked == []
 
 
 @pytest.mark.parametrize("family", ["kmeans", cf.FULL, "mixed"])

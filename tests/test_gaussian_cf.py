@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clustercf as cf
-from clustercf.gaussian_cf import GaussianPairPlan
+from clustercf.gaussian_cf import GaussianPairPlan, solve_gaussian_rows
 from helpers import (
     centroid_plane,
+    float_bits,
     pair_case,
     random_covariance,
     random_mask,
@@ -635,3 +636,108 @@ def test_terms_g_matches_the_50_digit_value_far_from_the_means():
             u_s, u_t = np.abs(y - source.mean), np.abs(y - target.mean)
             magnitude = u_t @ p_t @ u_t + u_s @ p_s @ u_s + abs(c_alpha)
             assert abs(g - exact) <= (4 * d + 8) * ulp * magnitude, (i, family, g, exact)
+
+
+# ---------------------------------------------------------------------------
+# A stack of rows solves each row as it solves alone
+
+
+def designed_pair(rng, kind, d, design):
+    """A pair whose D = P_t - P_s has a chosen shape, as (source, target,
+    D, P_t delta): `indefinite` puts a pole on each side of lam = 0 (for
+    d > 1); `slope` and `flat` make D semidefinite with a null space (for
+    d > 1), with a gradient on it for every factual under `slope` and none
+    under `flat`, so its open end has, or has not, a linear term. A
+    spherical pair is one-signed without a null space."""
+    # The eigenvalues of D relative to the least eigenvalue of P_s.
+    ratio = rng.uniform(0.2, 2.0, size=d)
+    if kind == cf.SPHERICAL:
+        ratio[:] = rng.choice([-0.5, 1.5])
+    elif design == "indefinite":
+        negative = rng.random(d) < 0.5
+        negative[0], negative[-1] = True, d == 1
+        ratio[negative] *= -0.3
+    else:
+        null = rng.random(d) < 0.4
+        null[0], null[-1] = True, False
+        ratio[null] = 0.0
+        ratio *= rng.choice([-0.3, 1.0])
+    if kind == cf.FULL:
+        s_s = random_spd(rng, d)
+        p_s = np.linalg.inv(s_s)
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        s_t = np.linalg.inv(p_s + (q * (np.linalg.eigvalsh(p_s)[0] * ratio)) @ q.T)
+        cov_s, cov_t = cf.CovarianceSpec.full(s_s), cf.CovarianceSpec.full((s_t + s_t.T) / 2.0)
+    elif kind == cf.DIAGONAL:
+        var_s = rng.uniform(0.3, 2.5, size=d)
+        cov_s = cf.CovarianceSpec.diagonal(var_s)
+        cov_t = cf.CovarianceSpec.diagonal(var_s / (1.0 + ratio))
+    else:
+        var_s = float(rng.uniform(0.3, 2.5))
+        cov_s = cf.CovarianceSpec.spherical(var_s)
+        cov_t = cf.CovarianceSpec.spherical(var_s / (1.0 + ratio[0]))
+    p_s, p_t = (np.linalg.inv(covariance_matrix(c, d)) for c in (cov_s, cov_t))
+    d_mat = p_t - p_s
+    delta = rng.normal(scale=1.5, size=d)
+    if design == "flat":
+        # P_t delta in the range of D: no gradient on its null space.
+        delta = np.linalg.solve(p_t, d_mat @ delta)
+    pi_s = float(rng.uniform(0.3, 0.7))
+    m_s = rng.normal(size=d)
+    source = cf.GaussianComponent(mean=m_s, covariance=cov_s, prior=pi_s)
+    target = cf.GaussianComponent(mean=m_s - delta, covariance=cov_t, prior=1.0 - pi_s)
+    return source, target, d_mat, p_t @ delta
+
+
+def designed_rows(rng, source, target, d_mat, h_base, n):
+    """Factuals on the pair, n of each kind: near either mean; out to
+    3 and to 1e2-1e8 from the source mean, where g rounds by more than
+    the refine tolerance and the bracket, not g, ends the iteration; the
+    centre of g's quadric (where a vanishes: the hard case on a pole
+    side); and, for the least and the greatest eigenvalue of D, points
+    moved from the centre off its eigenvector (a has no part on that
+    pole) and one point 1e-9 along it (a root next to the pole)."""
+    m_s, m_t = source.mean, target.mean
+    centre = m_s - np.linalg.pinv(d_mat, rcond=1e-9, hermitian=True) @ h_base
+    _, evecs = np.linalg.eigh(d_mat)
+    rows = [m_s + rng.normal(scale=0.5, size=(n, m_s.size)),
+            m_t + rng.normal(scale=0.5, size=(n, m_s.size)),
+            m_s + rng.normal(scale=3.0, size=(n, m_s.size)),
+            m_s + rng.normal(size=(n, m_s.size)) * 10.0 ** rng.uniform(2.0, 8.0, size=(n, 1)),
+            centre[None, :]]
+    for k in (0, -1):
+        off = rng.normal(size=(n, m_s.size)) * rng.choice([0.05, 1.0, 3.0], size=(n, 1))
+        off -= np.outer(off @ evecs[:, k], evecs[:, k])
+        rows.append(centre + off)
+        rows.append(centre[None, :] + 1e-9 * evecs[:, k])
+    return np.concatenate(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**9), kind=st.sampled_from(KINDS), d=st.integers(1, 16),
+       n=st.integers(2, 60), design=st.sampled_from(["indefinite", "slope", "flat"]))
+def test_a_stack_solves_each_row_as_it_solves_alone(seed, kind, d, n, design):
+    rng = np.random.default_rng(seed)
+    source, target, d_mat, h_base = designed_pair(rng, kind, d, design)
+    plan = GaussianPairPlan(source, target, cf.Mask.all_free(d))
+    candidates = designed_rows(rng, source, target, d_mat, h_base, n)
+    rows = candidates[rng.choice(len(candidates), size=n, replace=False)]
+    epsilons = [float(e) for e in rng.choice([0.0, 1e-5, 0.3, 1.0], size=n)]
+    # The last quarter of the rows start at their factual: each is the
+    # point a row of the first quarter solves to, at that row's eps.
+    quarter = n // 4
+    for j, out in enumerate(solve_gaussian_rows(plan, rows[:quarter], epsilons[:quarter])):
+        if out.status == cf.STATUS_OK:
+            rows[n - 1 - j], epsilons[n - 1 - j] = out.counterfactual, epsilons[j]
+    stack = solve_gaussian_rows(plan, rows, epsilons)
+    for i, got in enumerate(stack):
+        alone = solve_gaussian_rows(plan, rows[i : i + 1], epsilons[i : i + 1])[0]
+        assert got.status == alone.status, i
+        assert outcome_bits(got) == outcome_bits(alone), i
+
+
+def outcome_bits(outcome):
+    """A row outcome's diagnostics and numbers, each float as its bytes."""
+    diagnostics = {key: float_bits(value) if isinstance(value, float) else value
+                   for key, value in outcome.diagnostics.items()}
+    return diagnostics, [float_bits(value) for value in outcome[1:5]]
