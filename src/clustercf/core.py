@@ -44,9 +44,9 @@ KMEANS = "kmeans"
 GAUSSIAN = "gaussian"
 MODEL_KINDS = (KMEANS, GAUSSIAN)
 
-# Rows per batched product in `score_matrix`. It bounds the transient
-# (M, SCORE_BLOCK_ROWS, d) arrays a call allocates: 2 MB each at M = 8,
-# d = 128.
+# Rows per batched product in `score_matrix` and `sq_distances`. It
+# bounds the transient (M, SCORE_BLOCK_ROWS, d) arrays a call allocates:
+# 2 MB each at M = 8, d = 128.
 SCORE_BLOCK_ROWS = 256
 
 # Two cluster centers closer than this (squared) are considered identical.
@@ -81,7 +81,7 @@ def as_vector(values, *, name: str = "vector") -> np.ndarray:
     arr = np.array(values, dtype=np.float64, copy=True)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError(name, "must be a non-empty 1-D array of reals")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(name, "contains NaN or infinite entries")
     return _readonly(arr)
 
@@ -144,18 +144,18 @@ class CovarianceSpec:
         matrix's positive definiteness is checked by the one Cholesky
         factorization `GaussianComponent` takes."""
         a = self.data
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise ValidationError(path, "contains NaN or infinite entries")
         if self.kind == FULL:
             if a.shape != (d, d):
                 raise ValidationError(path, f"expected a {d}x{d} matrix, got shape {a.shape}")
-            scale = 1.0 + float(np.max(np.abs(a)))
-            if float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
+            scale = 1.0 + float(np.abs(a).max())
+            if float(np.abs(a - a.T).max()) > 1e-12 * scale:
                 raise ValidationError(path, "matrix is not symmetric")
         elif self.kind == DIAGONAL:
             if a.shape != (d,):
                 raise ValidationError(path, f"expected {d} variances, got shape {a.shape}")
-            if not np.all(a > 0.0):
+            if not (a > 0.0).all():
                 raise ValidationError(path, "variances must all be positive")
         else:
             if a.shape != ():
@@ -204,12 +204,12 @@ class GaussianComponent:
                 chol = np.linalg.cholesky(sym)
             except np.linalg.LinAlgError:
                 raise ValidationError("covariance", "matrix is not positive definite") from None
-            log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+            log_det = 2.0 * float(np.log(np.diag(chol)).sum())
             inv_chol = np.linalg.solve(chol, np.eye(d))
             object.__setattr__(self, "whitening", _readonly(inv_chol))
         else:
             variances = self.covariance.variances(d)
-            log_det = float(np.sum(np.log(variances)))
+            log_det = float(np.log(variances).sum())
             object.__setattr__(self, "whitening", _readonly(1.0 / np.sqrt(variances)))
         object.__setattr__(self, "_precision", None)
         object.__setattr__(self, "log_det", log_det)
@@ -235,7 +235,16 @@ class GaussianComponent:
 
 def sq_distances(rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """|x - c|^2 for each row x of `rows` (N x d) and each center c of
-    `centers` (M x d), as an N x M matrix."""
+    `centers` (M x d), as an N x M matrix, SCORE_BLOCK_ROWS rows at a
+    time. Each entry is the same sum over its d products in any block, so
+    the blocks bound the (rows, M, d) transient without moving a bit."""
+    if rows.shape[0] > SCORE_BLOCK_ROWS:
+        out = np.empty((rows.shape[0], centers.shape[0]))
+        for start in range(0, rows.shape[0], SCORE_BLOCK_ROWS):
+            out[start : start + SCORE_BLOCK_ROWS] = sq_distances(
+                rows[start : start + SCORE_BLOCK_ROWS], centers
+            )
+        return out
     diff = rows[:, None, :] - centers[None, :, :]
     return (diff * diff).sum(axis=2)
 
@@ -255,7 +264,7 @@ class Standardization:
         mean = as_vector(self.mean, name="standardization.mean")
         std = as_vector(self.std, name="standardization.std")
         check_same_dim(mean, std, "standardization vectors")
-        if not np.all(std > 0.0):
+        if not (std > 0.0).all():
             raise ValidationError("standardization.std", "must be strictly positive")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "std", std)
@@ -293,7 +302,7 @@ class ClusterModel:
             arr = np.array(self.centers, dtype=np.float64, copy=True)
             if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
                 raise ValidationError("centers", "expected an M x d matrix with M >= 1")
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValidationError("centers", "contains NaN or infinite entries")
             object.__setattr__(self, "centers", _readonly(arr))
             object.__setattr__(self, "components", ())
@@ -480,25 +489,36 @@ class CfRequest:
 
     def validate_against(self, model: ClusterModel) -> Mask:
         """Check the request against the model and return its mask (all
-        free when the request has none). This is the one validation of a
-        request; the solvers behind `explain_many` trust what it passed."""
+        free when the request has none): the factual's width, then
+        `check_query`. The solver behind `explain_many` trusts what it
+        passed."""
         model.check_point(self.factual, "factual")
-        model.check_cluster(self.target, "target")
-        if self.source is not None:
-            model.check_cluster(self.source, "source")
-            if self.source == self.target:
-                raise ValidationError("target", "source and target clusters must differ")
-        if self.mask is None:
-            return Mask.all_free(model.d)
-        if self.mask.d != model.d:
-            raise ValidationError("mask", f"length {self.mask.d} does not match dimension {model.d}")
-        return self.mask
+        return check_query(model, self.target, self.source, self.mask)
+
+
+def check_query(model: ClusterModel, target: int, source: "int | None",
+                mask: "Mask | None") -> Mask:
+    """Check integral cluster ids and a mask against the model and return
+    the mask (all free when None): the target, the source when given,
+    that they differ, then the mask's width. Every request and every
+    campaign call is checked by it, once per (target, source, mask)."""
+    model.check_cluster(target, "target")
+    if source is not None:
+        model.check_cluster(source, "source")
+        if source == target:
+            raise ValidationError("target", "source and target clusters must differ")
+    if mask is None:
+        return Mask.all_free(model.d)
+    if mask.d != model.d:
+        raise ValidationError("mask", f"length {mask.d} does not match dimension {model.d}")
+    return mask
 
 
 @dataclass(frozen=True, eq=False)
 class CfResult:
-    """Outcome of one counterfactual request, built by `explain_many` alone;
-    every field is set (None where it does not apply).
+    """Outcome of one counterfactual request, built by the solver core
+    behind `explain_many` alone; every field is set (None where it does
+    not apply).
 
     `counterfactual` lives in the space the solver ran in (the model's
     internal space); `counterfactual_original` is the same point mapped

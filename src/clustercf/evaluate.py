@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -26,9 +27,10 @@ from .core import (
     ValidationError,
     as_int,
     check_epsilon,
+    check_query,
     score_matrix,
 )
-from .explain import explain_many, membership_verdict
+from .explain import _explain_rows, membership_verdict
 from .fit import Dataset
 from .model_io import DataError, parse_csv_table, read_csv_table, read_json, write_json
 
@@ -68,9 +70,11 @@ class EvalConfig:
         object.__setattr__(self, "external_baselines", tuple(self.external_baselines))
         _check_baseline_names(self.external_baselines)
 
-    def validate_against(self, model: ClusterModel) -> None:
+    def validate_against(self, model: ClusterModel) -> Mask:
+        """Check the cluster ids, then the mask's width, against the model
+        and return the mask (all free when the config has none)."""
         model.check_cluster(self.source, "source")
-        model.check_cluster(self.target, "target")
+        return check_query(model, self.target, self.source, self.mask)
 
 
 @dataclass
@@ -116,39 +120,59 @@ class EvalReport:
     comparison: "dict | None" = None
 
 
+def _percentile(ordered: "list[float]", q: float) -> float:
+    """`np.percentile(values, q)` of `ordered`, the values (no NaN) sorted
+    ascending, with numpy's bits: its default linear rule interpolates
+    between the two values around (n - 1) q / 100, and at the top takes
+    the last value twice."""
+    top = len(ordered) - 1
+    virtual = top * (q / 100)
+    i = math.floor(virtual) if virtual < top else -1
+    a = ordered[i]
+    b = ordered[i + 1] if i >= 0 else a
+    t = virtual - i
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
 def compute_aggregates(records) -> dict:
-    """Summary statistics recomputable exactly from the records."""
+    """Summary statistics recomputable exactly from the records. Each
+    column is sorted once for its order statistics; the means are numpy's."""
     n = len(records)
     strict = sum(1 for r in records if r.strict_member) / n
     tolerant = sum(1 for r in records if r.tolerant_member) / n
-    dists = np.asarray([r.distance_sq for r in records if r.tolerant_member], dtype=np.float64)
+    dists = [float(r.distance_sq) for r in records if r.tolerant_member]
     distance = None
-    if dists.size:
+    if dists:
+        ordered = sorted(dists)
         distance = {
-            "min": float(dists.min()),
-            "q1": float(np.percentile(dists, 25)),
-            "median": float(np.percentile(dists, 50)),
-            "q3": float(np.percentile(dists, 75)),
-            "max": float(dists.max()),
-            "mean": float(dists.mean()),
+            "min": ordered[0],
+            "q1": _percentile(ordered, 25),
+            "median": _percentile(ordered, 50),
+            "q3": _percentile(ordered, 75),
+            "max": ordered[-1],
+            "mean": float(np.asarray(dists).mean()),
         }
-    elapsed = np.asarray([r.elapsed for r in records], dtype=np.float64)
+    elapsed = [float(r.elapsed) for r in records]
     return {
         "n": n,
         "success_strict": strict,
         "success_tolerant": tolerant,
         "distance": distance,
-        "elapsed": {"mean": float(elapsed.mean()), "median": float(np.percentile(elapsed, 50))},
+        "elapsed": {"mean": float(np.asarray(elapsed).mean()),
+                    "median": _percentile(sorted(elapsed), 50)},
     }
 
 
 def run_eval(model: ClusterModel, data: Dataset, config: EvalConfig) -> EvalReport:
     """Sample factuals from the source cluster (without replacement, seeded)
-    and explain them toward the target cluster with one `explain_many`
-    call, which shares one constraint build among them. The cluster ids
-    and the width of `data` are checked against the model before any row
-    is mapped or solved."""
-    config.validate_against(model)
+    and explain them toward the target cluster in one pass of the solver
+    core behind `explain_many`, which shares one pair plan among them.
+    The config's cluster ids and mask width, then the width of `data`,
+    are checked against the model before any row is mapped or solved;
+    the dataset's rows and the config's fields were checked when they
+    were built, so the factuals go to the solver as one block of rows."""
+    mask = config.validate_against(model)
     rows = data.rows
     model.check_rows(rows)
     # A row far enough out overflows its map or scores, as in
@@ -156,34 +180,25 @@ def run_eval(model: ClusterModel, data: Dataset, config: EvalConfig) -> EvalRepo
     # is never sampled.
     with np.errstate(over="ignore", invalid="ignore"):
         scores = score_matrix(model, np.asarray(model.to_internal(rows), dtype=np.float64))
-    finite = np.isfinite(scores)
-    labels = np.argmax(np.where(finite, scores, -np.inf), axis=1)
-    source_rows = np.flatnonzero((labels == config.source) & finite.any(axis=1))
-    if source_rows.size == 0:
-        raise ClusterCfError(f"source cluster {config.source} is empty in this dataset")
-    n = min(config.n_factuals, int(source_rows.size))
-    if n < config.n_factuals:
-        warnings.warn(
-            f"source cluster has only {source_rows.size} rows; using all of them",
-            stacklevel=2,
-        )
-    rng = np.random.default_rng(config.seed)
-    chosen = np.sort(rng.choice(source_rows, size=n, replace=False))
-
-    mask = config.mask if config.mask is not None else Mask.all_free(model.d)
-    requests = [
-        CfRequest(
-            factual=rows[row_id],
-            target=config.target,
-            source=config.source,
-            mask=mask,
-            epsilon=config.epsilon,
-        )
-        for row_id in chosen.tolist()
-    ]
+        finite = np.isfinite(scores)
+        labels = np.argmax(np.where(finite, scores, -np.inf), axis=1)
+        source_rows = np.flatnonzero((labels == config.source) & finite.any(axis=1))
+        if source_rows.size == 0:
+            raise ClusterCfError(f"source cluster {config.source} is empty in this dataset")
+        n = min(config.n_factuals, int(source_rows.size))
+        if n < config.n_factuals:
+            warnings.warn(
+                f"source cluster has only {source_rows.size} rows; using all of them",
+                stacklevel=2,
+            )
+        rng = np.random.default_rng(config.seed)
+        chosen = np.sort(rng.choice(source_rows, size=n, replace=False))
+        factuals = rows[chosen]
+        results = _explain_rows(model, factuals, range(n), [config.source] * n,
+                                [config.target] * n, [mask] * n, [config.epsilon] * n)
     records = [
         FactualRecord(
-            factual_id=int(row_id),
+            factual_id=row_id,
             status=result.status,
             strict_member=bool(result.strict_member),
             tolerant_member=bool(result.tolerant_member),
@@ -191,14 +206,14 @@ def run_eval(model: ClusterModel, data: Dataset, config: EvalConfig) -> EvalRepo
             lam=result.lam,
             residual=result.residual,
             elapsed=result.elapsed,
-            factual=rows[row_id].tolist(),
+            factual=factual,
             counterfactual=(
                 result.counterfactual_original.tolist()
                 if result.counterfactual_original is not None
                 else None
             ),
         )
-        for row_id, result in zip(chosen.tolist(), explain_many(model, requests))
+        for row_id, factual, result in zip(chosen.tolist(), factuals.tolist(), results)
     ]
 
     report = EvalReport(
@@ -335,26 +350,31 @@ def sweep_epsilon(
     source: "int | None" = None,
 ):
     """One counterfactual per plausibility value, with the per-feature
-    signed changes `z - y` in original units, from one `explain_many`
-    call: every request is built, and its epsilon checked, before the
-    first solve, and the plausibility values share one constraint build.
-    Solver failures at one epsilon do not stop the sweep."""
+    signed changes `z - y` in original units. The factual, target,
+    source and mask are checked once, as the first value's request, and
+    every value is checked before the first solve; the values then go to
+    the solver core behind `explain_many` as one factual row each, and
+    share one pair plan. Solver failures at one epsilon do not stop the
+    sweep."""
     y_arr = np.asarray(y, dtype=np.float64)
-    requests = [
-        CfRequest(factual=y_arr, target=target, source=source, mask=mask, epsilon=eps)
-        for eps in epsilons
-    ]
-    if not requests:
+    values = list(epsilons)
+    if not values:
         raise ValidationError("epsilons", "need at least one value")
-    eps_list = [request.epsilon for request in requests]
+    first = CfRequest(factual=y_arr, target=target, source=source, mask=mask, epsilon=values[0])
+    eps_list = [first.epsilon] + [check_epsilon(eps) for eps in values[1:]]
     if eps_list != sorted(eps_list):
         raise ValidationError("epsilons", "values must be sorted ascending")
+    mask = first.validate_against(model)
+    n = len(eps_list)
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = _explain_rows(model, first.factual[None, :], [0] * n, [first.source] * n,
+                                [first.target] * n, [mask] * n, eps_list)
     points = []
-    for request, result in zip(requests, explain_many(model, requests)):
+    for eps, result in zip(eps_list, results):
         deltas = None
         if result.counterfactual_original is not None:
-            deltas = (result.counterfactual_original - y_arr).tolist()
-        points.append(SweepPoint(epsilon=request.epsilon, result=result, deltas=deltas))
+            deltas = (result.counterfactual_original - first.factual).tolist()
+        points.append(SweepPoint(epsilon=eps, result=result, deltas=deltas))
     return points
 
 

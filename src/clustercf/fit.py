@@ -48,7 +48,7 @@ class Dataset:
         arr = np.array(self.rows, dtype=np.float64, copy=True)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValidationError("rows", "expected a non-empty N x d matrix")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValidationError("rows", "contains NaN or infinite entries")
         arr.flags.writeable = False
         object.__setattr__(self, "rows", arr)

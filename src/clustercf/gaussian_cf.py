@@ -138,10 +138,11 @@ class GaussianPairPlan:
     k-means centers, the identity-precision case (see the module
     docstring). Nothing after construction depends on which built it.
 
-    The inputs are trusted: `explain_many` builds a plan only after
-    `CfRequest.validate_against` has checked each request. A plan lives
-    for one call; it is not shared across calls. Its public surface is
-    `mask`, `affine`, `interval`, `c_alpha(eps)` and `terms(rows, epsilons)`.
+    The inputs are trusted: the solver core behind `explain_many` builds
+    a plan only after `check_query` has checked its clusters and mask. A
+    plan lives for one call; it is not shared across calls. Its public
+    surface is `mask`, `affine`, `interval`, `c_alpha(eps)` and
+    `terms(rows, epsilons)`.
     """
 
     def __init__(self, source: GaussianComponent, target: GaussianComponent, mask: Mask):

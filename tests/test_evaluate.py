@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clustercf as cf
 from clustercf.evaluate import FactualRecord, compute_aggregates, report_from_dict, report_to_dict
@@ -47,6 +49,41 @@ def test_aggregates_recompute_exactly(blob_setup):
     model, data, source, target = blob_setup
     report = cf.run_eval(model, data, cf.EvalConfig(source=source, target=target, n_factuals=30))
     assert report.aggregates == compute_aggregates(report.records)
+
+
+def _numpy_aggregates(records) -> dict:
+    """The aggregates as numpy's reductions give them."""
+    dists = np.asarray([r.distance_sq for r in records if r.tolerant_member], dtype=np.float64)
+    elapsed = np.asarray([r.elapsed for r in records], dtype=np.float64)
+    distance = None
+    if dists.size:
+        distance = {"min": float(dists.min()), "q1": float(np.percentile(dists, 25)),
+                    "median": float(np.percentile(dists, 50)),
+                    "q3": float(np.percentile(dists, 75)), "max": float(dists.max()),
+                    "mean": float(dists.mean())}
+    return {"distance": distance,
+            "elapsed": {"mean": float(elapsed.mean()), "median": float(np.percentile(elapsed, 50))}}
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.tuples(st.floats(0.0, 1e300) | st.floats(min_value=0.0),
+                                 st.floats(0.0, 10.0), st.booleans()),
+                       min_size=1, max_size=60))
+def test_aggregates_have_numpys_bits(values):
+    records = [FactualRecord(factual_id=i, status=cf.STATUS_OK, strict_member=member,
+                             tolerant_member=member, distance_sq=dist, lam=0.0, residual=0.0,
+                             elapsed=elapsed, factual=[0.0], counterfactual=[0.0])
+               for i, (dist, elapsed, member) in enumerate(values)]
+    # Huge distances overflow the means, and inf - inf the interpolation.
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = compute_aggregates(records)
+        want = _numpy_aggregates(records)
+
+    def bits(doc):
+        return None if doc is None else {k: float(v).hex() for k, v in doc.items()}
+
+    assert bits(got["distance"]) == bits(want["distance"])
+    assert bits(got["elapsed"]) == bits(want["elapsed"])
 
 
 def test_warns_when_source_cluster_small(blob_setup):

@@ -285,25 +285,38 @@ def test_explain_best_validates_every_target_before_solving(monkeypatch):
 
 
 def test_explain_best_validates_each_candidate_once(monkeypatch):
-    counts = {"validate_against": 0, "all_free": 0}
-    validate_against = cf.CfRequest.validate_against
+    # Every candidate target is checked once, and all of them before the
+    # first solve; the shared mask is resolved at most once.
+    explain_module = importlib.import_module("clustercf.explain")
+    checked, at_first_solve = [], []
+    counts = {"all_free": 0}
+    check_cluster = cf.ClusterModel.check_cluster
     all_free = cf.Mask.all_free
+    solve = explain_module.solve_gaussian_rows
 
-    def counting_validate_against(self, model):
-        counts["validate_against"] += 1
-        return validate_against(self, model)
+    def counting_check_cluster(self, k, path):
+        if path == "target":
+            checked.append(k)
+        return check_cluster(self, k, path)
 
     def counting_all_free(d):
         counts["all_free"] += 1
         return all_free(d)
 
-    monkeypatch.setattr(cf.CfRequest, "validate_against", counting_validate_against)
+    def noting_solve(*args, **kwargs):
+        if not at_first_solve:
+            at_first_solve.append(list(checked))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cf.ClusterModel, "check_cluster", counting_check_cluster)
     monkeypatch.setattr(cf.Mask, "all_free", staticmethod(counting_all_free))
+    monkeypatch.setattr(explain_module, "solve_gaussian_rows", noting_solve)
     centers = [[0.0, 0.0], [3.0, 0.0], [0.0, 3.0], [3.0, 3.0], [-3.0, 0.0]]
     model = cf.ClusterModel(kind=cf.KMEANS, centers=centers)
     result = cf.explain_best(model, [0.2, 0.1])
     assert result.status == cf.STATUS_OK
-    assert counts["validate_against"] == 4
+    assert sorted(checked) == [1, 2, 3, 4]
+    assert at_first_solve == [checked]
     assert counts["all_free"] <= 1
 
 

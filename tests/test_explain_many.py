@@ -312,3 +312,166 @@ def test_explain_best_equals_best_per_request_explain(family):
         best = cf.explain_best(model, y, mask=mask, epsilon=0.3)
         assert best.target == want.target
         assert_same(best, want)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_explain_best_equals_explain_of_each_candidate_alone(family):
+    # Each candidate alone through explain_best is the bits `explain` gives
+    # it, and the full search returns the winner's bits.
+    rng = np.random.default_rng(23)
+    model = random_model(rng, family, 3, 4)
+    for _ in range(6):
+        internal = model.means()[int(rng.integers(4))] + rng.normal(scale=0.7, size=3)
+        y = np.asarray(model.to_original(internal), dtype=np.float64)
+        mask = cf.Mask(rng.random(3) < 0.75)
+        eps = float(rng.choice(EPSILONS))
+        source = cf.assign_cluster(model, internal)
+        alone = {t: cf.explain(model, cf.CfRequest(factual=y, target=t, source=source,
+                                                    mask=mask, epsilon=eps))
+                 for t in range(4) if t != source}
+        for target, want in alone.items():
+            if want.status != cf.STATUS_OK:
+                with pytest.raises(cf.AllTargetsFailedError) as info:
+                    cf.explain_best(model, y, mask=mask, epsilon=eps, candidate_targets=[target])
+                assert info.value.statuses == {target: want.status}
+                continue
+            got = cf.explain_best(model, y, mask=mask, epsilon=eps, candidate_targets=[target])
+            assert got.status == want.status
+            assert got.diagnostics == want.diagnostics
+            for field in ("lam", "distance_sq", "residual", "counterfactual",
+                          "counterfactual_original"):
+                assert float_bits(getattr(got, field)) == float_bits(getattr(want, field)), field
+        solved = [r for r in alone.values() if r.status == cf.STATUS_OK]
+        if solved:
+            best = cf.explain_best(model, y, mask=mask, epsilon=eps)
+            want = min(solved, key=lambda r: (r.distance_sq, r.target))
+            assert best.target == want.target
+            assert best.diagnostics["iterations"] == want.diagnostics["iterations"]
+            assert float_bits(best.lam) == float_bits(want.lam)
+            assert float_bits(best.counterfactual) == float_bits(want.counterfactual)
+
+
+# ---------------------------------------------------------------------------
+# The campaign calls check their inputs before any solve, in a fixed order
+
+
+def _kmeans3():
+    return cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
+
+
+NAN = float("nan")
+DIM = cf.DimensionMismatchError
+BAD_MASK = cf.Mask.from_bits([1, 0, 1])
+
+# (factual, target, mask, epsilons, source) -> the error and the path.
+SWEEP_ERRORS = {
+    "nan factual": (([NAN, 0.0], 1, None, [0.1], None), "factual"),
+    "wrong-length factual": (([0.1, 0.0, 0.0], 1, None, [0.1], None), DIM),
+    "wrong-length mask": (([0.1, 0.0], 1, BAD_MASK, [0.1], None), "mask"),
+    "negative eps": (([0.1, 0.0], 1, None, [0.1, -0.2], None), "epsilon"),
+    "empty eps": (([0.1, 0.0], 1, None, [], None), "epsilons"),
+    "unsorted eps": (([0.1, 0.0], 1, None, [0.2, 0.1], None), "epsilons"),
+    "target out of range": (([0.1, 0.0], 3, None, [0.1], None), "target"),
+    "non-integral target": (([0.1, 0.0], 1.5, None, [0.1], None), "target"),
+    "source equals target": (([0.1, 0.0], 1, None, [0.1], 1), "target"),
+    "detected source equals target": (([0.1, 0.0], 0, None, [0.1], None), "target"),
+    "nan factual, empty eps": (([NAN, 0.0], 1, None, [], None), "epsilons"),
+    "first eps negative, non-integral target": (([0.1, 0.0], 1.5, None, [-1.0], None), "epsilon"),
+    "later eps negative, non-integral target": (([0.1, 0.0], 1.5, None, [0.1, -1.0], None),
+                                                "target"),
+    "unsorted eps, wrong-length factual": (([0.1, 0.0, 0.0], 1, None, [0.2, 0.1], None),
+                                           "epsilons"),
+    "wrong-length factual, target out of range": (([0.1, 0.0, 0.0], 3, None, [0.1], None), DIM),
+    "target out of range, wrong-length mask": (([0.1, 0.0], 3, BAD_MASK, [0.1], None), "target"),
+}
+
+# (factual, mask, epsilon, candidate_targets, source) -> the error and the path.
+BEST_ERRORS = {
+    "nan factual": (([NAN, 0.0], None, 0.1, None, None), "factual"),
+    "wrong-length factual": (([0.1, 0.0, 0.0], None, 0.1, None, None), DIM),
+    "wrong-length mask": (([0.1, 0.0], BAD_MASK, 0.1, None, None), "mask"),
+    "negative eps": (([0.1, 0.0], None, -0.1, None, None), "epsilon"),
+    "no candidates": (([0.1, 0.0], None, 0.1, [], None), "candidate_targets"),
+    "target out of range": (([0.1, 0.0], None, 0.1, [1, 9], None), "target"),
+    "non-integral target": (([0.1, 0.0], None, 0.1, [1.5], None), "candidate_targets"),
+    "source equals target": (([0.1, 0.0], None, 0.1, [1, 2], 1), "candidate_targets"),
+    "source out of range": (([0.1, 0.0], None, 0.1, None, 5), "source"),
+    "non-integral source": (([0.1, 0.0], None, 0.1, None, 0.5), "source"),
+    "nan factual, negative eps": (([NAN, 0.0], None, -0.1, None, None), "factual"),
+    "negative eps, non-integral source": (([0.1, 0.0], None, -0.1, None, 0.5), "epsilon"),
+    "wrong-length mask, high target": (([0.1, 0.0], BAD_MASK, 0.1, [1, 9], None), "mask"),
+    "wrong-length mask, negative target": (([0.1, 0.0], BAD_MASK, 0.1, [-1, 1], None), "target"),
+    "wrong-length factual, no candidates": (([0.1, 0.0, 0.0], None, 0.1, [], None), DIM),
+}
+
+
+def _no_solve(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a row was solved")
+
+    monkeypatch.setattr(explain_module, "solve_gaussian_rows", fail)
+
+
+def _raises(want):
+    if want is DIM:
+        return pytest.raises(DIM, match="factual")
+    return pytest.raises(cf.ValidationError, match=f"^{want}: ")
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_ERRORS))
+def test_sweep_epsilon_error_precedence(monkeypatch, case):
+    _no_solve(monkeypatch)
+    (y, target, mask, epsilons, source), want = SWEEP_ERRORS[case]
+    with _raises(want):
+        cf.sweep_epsilon(_kmeans3(), y, target, mask, epsilons, source=source)
+
+
+@pytest.mark.parametrize("case", sorted(BEST_ERRORS))
+def test_explain_best_error_precedence(monkeypatch, case):
+    _no_solve(monkeypatch)
+    (y, mask, epsilon, candidates, source), want = BEST_ERRORS[case]
+    with _raises(want):
+        cf.explain_best(_kmeans3(), y, mask=mask, epsilon=epsilon,
+                        candidate_targets=candidates, source=source)
+
+
+def _eval_case(rows, **config):
+    data = cf.Dataset(rows=rows)
+    return data, cf.EvalConfig(**{"source": 0, "target": 1, "n_factuals": 2, **config})
+
+
+GOOD_ROWS = [[0.1, 0.0], [-0.1, 0.2], [3.1, 0.0], [0.0, 2.9]]
+WIDE_ROWS = [[0.1, 0.0, 0.0], [3.0, 0.1, 0.0]]
+
+# rows and EvalConfig fields -> the error and the path.
+EVAL_ERRORS = {
+    "nan factual": (([[NAN, 0.0]] + GOOD_ROWS, {}), "rows"),
+    "wrong-length factual": ((WIDE_ROWS, {}), cf.DimensionMismatchError),
+    "wrong-length mask": ((GOOD_ROWS, {"mask": BAD_MASK}), "mask"),
+    "negative eps": ((GOOD_ROWS, {"epsilon": -0.1}), "epsilon"),
+    "target out of range": ((GOOD_ROWS, {"target": 3}), "target"),
+    "non-integral target": ((GOOD_ROWS, {"target": 1.5}), "target"),
+    "source equals target": ((GOOD_ROWS, {"target": 0}), "target"),
+    "source out of range, wrong-length mask": ((GOOD_ROWS, {"source": 4, "mask": BAD_MASK}),
+                                               "source"),
+    "target out of range, wrong-length data": ((WIDE_ROWS, {"target": 3}), "target"),
+    # The mask is a config field: it is checked with the cluster ids,
+    # before the data's width.
+    "wrong-length mask, wrong-length data": ((WIDE_ROWS, {"mask": BAD_MASK}), "mask"),
+    "negative eps, non-integral target": ((GOOD_ROWS, {"epsilon": -0.1, "target": 1.5}),
+                                          "target"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVAL_ERRORS))
+def test_run_eval_error_precedence(monkeypatch, case):
+    _no_solve(monkeypatch)
+    (rows, config), want = EVAL_ERRORS[case]
+    if want is cf.DimensionMismatchError:
+        data, config = _eval_case(rows, **config)
+        with pytest.raises(cf.DimensionMismatchError, match="dimension"):
+            cf.run_eval(_kmeans3(), data, config)
+        return
+    with pytest.raises(cf.ValidationError, match=f"^{want}: "):
+        data, config = _eval_case(rows, **config)
+        cf.run_eval(_kmeans3(), data, config)
