@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import hashlib
 import json
@@ -39,7 +38,7 @@ from .evaluate import (
 )
 from .explain import AllTargetsFailedError, explain, explain_best
 from .fit import FitConfig, FitError, fit
-from .model_io import DataError, load_dataset, load_model, save_model, write_json
+from .model_io import DataError, load_dataset, load_model, save_model, write_csv, write_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -227,14 +226,12 @@ def cmd_sweep(args) -> int:
         entry["deltas"] = p.deltas
         out.append(entry)
     write_json({"factual": y.tolist(), "points": out}, results_path)
-    with open(deltas_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["epsilon", "status", "distance_sq"] + [f"delta_{i}" for i in range(model.d)]
-        )
-        for p in points:
-            writer.writerow([p.epsilon, p.result.status, p.result.distance_sq]
-                            + (p.deltas or [None] * model.d))
+    write_csv(
+        deltas_path,
+        ["epsilon", "status", "distance_sq"] + [f"delta_{i}" for i in range(model.d)],
+        ([p.epsilon, p.result.status, p.result.distance_sq] + (p.deltas or [None] * model.d)
+         for p in points),
+    )
     n_solved = sum(1 for p in points if p.result.solved)
     print(
         json.dumps(

@@ -500,8 +500,9 @@ def check_query(model: ClusterModel, target: int, source: "int | None",
                 mask: "Mask | None") -> Mask:
     """Check integral cluster ids and a mask against the model and return
     the mask (all free when None): the target, the source when given,
-    that they differ, then the mask's width. Every request and every
-    campaign call is checked by it, once per (target, source, mask)."""
+    that they differ, then that the mask is a `Mask` of the model's width.
+    Every request and every campaign call is checked by it, once per
+    (target, source, mask)."""
     model.check_cluster(target, "target")
     if source is not None:
         model.check_cluster(source, "source")
@@ -509,6 +510,8 @@ def check_query(model: ClusterModel, target: int, source: "int | None",
             raise ValidationError("target", "source and target clusters must differ")
     if mask is None:
         return Mask.all_free(model.d)
+    if not isinstance(mask, Mask):
+        raise ValidationError("mask", f"must be a Mask or None, not {type(mask).__name__}")
     if mask.d != model.d:
         raise ValidationError("mask", f"length {mask.d} does not match dimension {model.d}")
     return mask

@@ -11,7 +11,6 @@ monotonic clock around each solve and exclude model loading and I/O.
 from __future__ import annotations
 
 import copy
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -32,7 +31,7 @@ from .core import (
 )
 from .explain import _explain_rows, membership_verdict
 from .fit import Dataset
-from .model_io import DataError, parse_csv_table, read_csv_table, read_json, write_json
+from .model_io import DataError, parse_csv_table, read_csv_table, read_json, write_csv, write_json
 
 REPORT_SCHEMA_VERSION = 1
 RNG_ALGORITHM = "PCG64"
@@ -447,26 +446,22 @@ def read_report_json(path) -> EvalReport:
 def write_records_csv(report: EvalReport, path) -> None:
     """Flat per-factual table; counterfactual feature columns are empty for
     unsolved records."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["factual_id", "status", "strict_member", "tolerant_member", "distance_sq",
-             "lambda", "residual", "elapsed"] + [f"cf_{i}" for i in range(report.d)]
-        )
-        for r in report.records:
-            writer.writerow(
-                [r.factual_id, r.status, int(r.strict_member), int(r.tolerant_member),
-                 r.distance_sq, r.lam, r.residual, r.elapsed]
-                + (r.counterfactual or [None] * report.d)
-            )
+    write_csv(
+        path,
+        ["factual_id", "status", "strict_member", "tolerant_member", "distance_sq",
+         "lambda", "residual", "elapsed"] + [f"cf_{i}" for i in range(report.d)],
+        ([r.factual_id, r.status, int(r.strict_member), int(r.tolerant_member),
+          r.distance_sq, r.lam, r.residual, r.elapsed]
+         + (r.counterfactual or [None] * report.d) for r in report.records),
+    )
 
 
 def export_baseline_csv(report: EvalReport, path) -> None:
     """Re-export our counterfactuals in the baseline CSV format, which makes
     round-trip checks and cross-tool comparisons possible."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["factual_id"] + [f"f{i}" for i in range(report.d)])
-        for r in report.records:
-            if r.counterfactual is not None:
-                writer.writerow([r.factual_id] + r.counterfactual)
+    write_csv(
+        path,
+        ["factual_id"] + [f"f{i}" for i in range(report.d)],
+        ([r.factual_id] + r.counterfactual for r in report.records
+         if r.counterfactual is not None),
+    )

@@ -174,10 +174,10 @@ class GaussianPairPlan:
         self._h_free = h_base[free]
         self._h_twice = 2.0 * h_base
         self._g_base = float(delta.dot(h_base))
+        self._h_norm = math.sqrt(self._h_twice.dot(self._h_twice))
         # None stands for the identity basis of a component-wise pair.
         self._basis = None
         if d is None:
-            self._h_norm = math.sqrt(self._h_twice.dot(self._h_twice))
             self._evals = np.zeros(free.size)
             self.affine, self.interval = True, [None, None]
             return
@@ -211,8 +211,10 @@ class GaussianPairPlan:
         array and scale a list); internal space. With u = y - m_s, a is
         h = D u + h_base over the free block in the eigenbasis and
         g(y) = u.(D u + 2 h_base) + g_base + c_alpha. The tolerance scale
-        is 1 + |c_alpha|, plus g_base + |2 h_base| |u| when D is None:
-        g's terms carry the data's squared units on a center pair."""
+        is 1 + |c_alpha|; an affine plan's closed form is confirmed within
+        the rounding of g's terms, so its scale adds a bound on each other
+        term: g_base + |2 h_base| |u|, and sum_i |(D u)_i| |u_i| when D is
+        stored."""
         u = rows - self._m_s
         one = u.ndim == 1
         if self._d is None:
@@ -226,14 +228,18 @@ class GaussianPairPlan:
         if one:
             c_alpha = self.c_alpha(epsilons)
             scale = 1.0 + abs(c_alpha)
-            if self._d is None:
+            if self.affine:
                 scale = scale + self._g_base + self._h_norm * math.sqrt(u.dot(u))
+                if self._d is not None:
+                    scale += float(np.abs(du).dot(np.abs(u)))
             return a, float(u.dot(w)) + self._g_base + c_alpha, scale
         c_alpha = [self.c_alpha(eps) for eps in epsilons]
         scale = [1.0 + abs(c) for c in c_alpha]
-        if self._d is None:
+        if self.affine:
             scale = [s + self._g_base + self._h_norm * math.sqrt(uu)
                      for s, uu in zip(scale, np.vecdot(u, u).tolist())]
+            if self._d is not None:
+                scale = [s + q for s, q in zip(scale, np.vecdot(np.abs(du), np.abs(u)).tolist())]
         return a, np.vecdot(u, w) + self._g_base + np.array(c_alpha), scale
 
     def _to_features(self, s: np.ndarray) -> np.ndarray:
@@ -288,67 +294,51 @@ def _row_products(x: np.ndarray, m: np.ndarray) -> np.ndarray:
 # x = |lam|.
 
 
-class _Secular:
-    """g and dg/dx along one side of the interval, and its root."""
+def _scalar_root(side: _Side, a2, g_y, lo, hi, x, lo_positive, tol):
+    """Root of g on [lo, hi] along one side for one row (a2 of length |F|,
+    the rest scalars; 0 <= lo < hi; g(lo) > 0 iff lo_positive, g(hi) of the
+    other sign or zero), iterated from x and kept inside the bracket by
+    bisection, geometric while the bracket spans more than a factor of 4.
+    Toward an open end the iteration is Newton's; toward a pole (at x = 0)
+    it takes the step that is exact for c1 + c2 / x^2, the shape of g near
+    the pole, where Newton's step only grows by half per iteration. Stops
+    at |g| <= tol or when the bracket reaches floating-point resolution;
+    returns (x, iterations)."""
+    at_pole = side.lam0 != 0.0
+    two_kappa = 2.0 * side.kappa
 
-    def __init__(self, a, a2, g_y, side: _Side):
-        self.a = a
-        self.a2 = a2
-        self.g_y = g_y
-        self.lam0 = side.lam0
-        self.kappa = side.kappa
-        self.alpha = side.alpha
-        self.beta = side.beta
+    def secular(x):
+        gap = side.alpha + side.beta * x
+        q = a2 / (gap * gap)
+        lam = side.lam0 + side.kappa * x
+        return g_y + lam * float(q @ (1.0 + gap)), two_kappa * float(q @ (1.0 / gap))
 
-    def lam(self, x: float) -> float:
-        return self.lam0 + self.kappa * x
-
-    def __call__(self, x: float):
-        gap = self.alpha + self.beta * x
-        q = self.a2 / (gap * gap)
-        g = self.g_y + self.lam(x) * float(q @ (1.0 + gap))
-        return g, 2.0 * self.kappa * float(q @ (1.0 / gap))
-
-    def step(self, x: float) -> np.ndarray:
-        return self.lam(x) * self.a / (self.alpha + self.beta * x)
-
-    def root(self, lo: float, hi: float, x: float, lo_positive: bool, tol: float):
-        """Root on [lo, hi] (0 <= lo < hi; g(lo) > 0 iff lo_positive, g(hi)
-        of the other sign or zero), iterated from x and kept inside the
-        bracket by bisection, geometric while the bracket spans more than
-        a factor of 4. Toward an open end the iteration is Newton's; toward
-        a pole (at x = 0) it takes the step that is exact for
-        c1 + c2 / x^2, the shape of g near the pole, where Newton's step
-        only grows by half per iteration. Stops at |g| <= tol or when the
-        bracket reaches floating-point resolution; returns (x, iterations).
-        """
-        at_pole = self.lam0 != 0.0
-        gx, dgx = self(x)
-        for it in range(1, REFINE_MAX_ITER + 1):
-            if abs(gx) <= tol:
+    gx, dgx = secular(x)
+    for it in range(1, REFINE_MAX_ITER + 1):
+        if abs(gx) <= tol:
+            return x, it - 1
+        if at_pole:
+            # g = c1 + c2 / x^2 through (x, g, g') has its root at
+            # x^2 * x g' / (2 g + x g').
+            den = 2.0 * gx + dgx * x
+            xn = x * math.sqrt(dgx * x / den) if dgx * x * den > 0.0 else math.nan
+        else:
+            xn = x - gx / dgx if dgx != 0.0 else math.nan
+        if not lo <= xn <= hi or xn == x:
+            xn = math.sqrt(lo * hi) if lo > 0.0 and hi > 4.0 * lo else 0.5 * (lo + hi)
+            if not lo < xn < hi:
                 return x, it - 1
-            if at_pole:
-                # g = c1 + c2 / x^2 through (x, g, g') has its root at
-                # x^2 * x g' / (2 g + x g').
-                den = 2.0 * gx + dgx * x
-                xn = x * math.sqrt(dgx * x / den) if dgx * x * den > 0.0 else math.nan
-            else:
-                xn = x - gx / dgx if dgx != 0.0 else math.nan
-            if not lo <= xn <= hi or xn == x:
-                xn = math.sqrt(lo * hi) if lo > 0.0 and hi > 4.0 * lo else 0.5 * (lo + hi)
-                if not lo < xn < hi:
-                    return x, it - 1
-            x = xn
-            gx, dgx = self(x)
-            if (gx > 0.0) == lo_positive:
-                lo = x
-            else:
-                hi = x
-        return x, REFINE_MAX_ITER
+        x = xn
+        gx, dgx = secular(x)
+        if (gx > 0.0) == lo_positive:
+            lo = x
+        else:
+            hi = x
+    return x, REFINE_MAX_ITER
 
 
 def _lockstep_root(side: _Side, a2, g_y, lo, hi, x, lo_positive, tol):
-    """`_Secular.root` for a stack of rows on one side (a2 N x |F|, the
+    """`_scalar_root` for a stack of rows on one side (a2 N x |F|, the
     rest length N), all rows iterated in lock step: each row takes the
     same steps, with the same roundings, as it would alone, and keeps its
     x once its iteration stops. Returns (x, iterations), both arrays."""
@@ -391,21 +381,21 @@ def _lockstep_root(side: _Side, a2, g_y, lo, hi, x, lo_positive, tol):
     return x, iterations
 
 
-def _hard_case(sec: _Secular, block: np.ndarray, e_k: float) -> np.ndarray:
+def _hard_case(side: _Side, a, a2, g_y) -> np.ndarray:
     """Step at lam = 1/e_k: every other coordinate at its limit, the pole
     block moved along its own gradient (or its first coordinate when that
     vanishes) by the tau that solves g = 0."""
-    lam = sec.lam0
+    lam, block = side.lam0, side.block
     rest = ~block
-    step = np.zeros_like(sec.a)
-    step[rest] = lam * sec.a[rest] / sec.alpha[rest]
-    alpha = sec.alpha[rest]
-    g_lim = sec.g_y + lam * float((sec.a2[rest] / (alpha * alpha)) @ (1.0 + alpha))
-    a_block = sec.a[block]
+    step = np.zeros_like(a)
+    alpha = side.alpha[rest]
+    step[rest] = lam * a[rest] / alpha
+    g_lim = g_y + lam * float((a2[rest] / (alpha * alpha)) @ (1.0 + alpha))
+    a_block = a[block]
     n_a = float(np.linalg.norm(a_block))
     # e_k tau^2 + 2 n_a tau + g_lim = 0, where e_k and g_lim differ in
     # sign: take the root of smaller magnitude.
-    root = math.sqrt(max(n_a * n_a - e_k * g_lim, 0.0))
+    root = math.sqrt(max(n_a * n_a - side.e_k * g_lim, 0.0))
     tau = -g_lim / (n_a + root) if n_a + root > 0.0 else 0.0
     if n_a > 0.0:
         step[block] = tau * (a_block / n_a)
@@ -438,7 +428,7 @@ def solve_gaussian_rows(plan: GaussianPairPlan, rows, epsilons) -> "list[RowOutc
     global minimizer (see the module docstring): the rows that need a
     root on one side of lam = 0 are solved in lock step as one stack
     (`_lockstep_root`), a lone row by the scalar iteration
-    (`_Secular.root`); both give a row the same bits. Outcomes, per row:
+    (`_scalar_root`); both give a row the same bits. Outcomes, per row:
 
     - `ok`: the minimizer with its multiplier `lam`, confirmed by the
       expansion of g in the solve's coordinates within 1e-8 * scale (see
@@ -524,8 +514,7 @@ def solve_gaussian_rows(plan: GaussianPairPlan, rows, epsilons) -> "list[RowOutc
         if side.e_k is not None:
             if (edge[sign][i] > 0.0) == positive[i]:
                 diagnostics["path"] = PATH_HARD_CASE
-                sec = _Secular(a[i], a2[i], g_list[i], side)
-                lam[i], steps[i] = sec.lam0, _hard_case(sec, side.block, side.e_k)
+                lam[i], steps[i] = side.lam0, _hard_case(side, a[i], a2[i], g_list[i])
                 solved.append(i)
                 continue
             lo, hi, x0, lo_positive = POLE_EXCLUSION, 1.0, 1.0, not positive[i]
@@ -555,11 +544,11 @@ def solve_gaussian_rows(plan: GaussianPairPlan, rows, epsilons) -> "list[RowOutc
     for side, bracket in brackets.items():
         if len(bracket) == 1:
             i, lo, hi, x0, lo_positive = bracket[0]
-            sec = _Secular(a[i], a2[i], g_list[i], side)
-            x, all_diagnostics[i]["iterations"] = sec.root(
-                lo, hi, x0, lo_positive, REFINE_TOL_FACTOR * scale[i]
+            x, all_diagnostics[i]["iterations"] = _scalar_root(
+                side, a2[i], g_list[i], lo, hi, x0, lo_positive, REFINE_TOL_FACTOR * scale[i]
             )
-            lam[i], steps[i] = sec.lam(x), sec.step(x)
+            lam[i] = side.lam0 + side.kappa * x
+            steps[i] = lam[i] * a[i] / (side.alpha + side.beta * x)
             continue
         idx, lo, hi, x0, lo_positive = (np.array(column) for column in zip(*bracket))
         tol = REFINE_TOL_FACTOR * np.array(scale)[idx]

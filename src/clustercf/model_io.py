@@ -55,6 +55,16 @@ def write_json(obj: Any, path) -> None:
         fh.write(text)
 
 
+def write_csv(path, header, rows) -> None:
+    """Write the `header` row and then each row of `rows` to `path` as
+    CSV, in the `csv` module's default dialect: a cell as `str()` gives it
+    (None empty), quoted only when it needs to be, rows ended by CRLF."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 # ---------------------------------------------------------------------------
 # Model serialization
 
@@ -334,10 +344,10 @@ def read_csv_table(path, what: str):
     """(header, rows) of the CSV file at `path`: the stripped cells of the
     first non-blank row when any is not numeric (else None), and the
     other non-blank rows for `parse_csv_table`, none for a header-only
-    file. A file that cannot be read or is blank raises DataError naming
-    `what`."""
+    file. A UTF-8 byte-order mark is dropped. A file that cannot be read
+    or is blank raises DataError naming `what`."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc

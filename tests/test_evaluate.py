@@ -237,6 +237,16 @@ def test_ingest_baseline_hand_arithmetic(tmp_path):
     assert by_id[0].member_strict and by_id[3].member_strict
 
 
+def test_ingest_baseline_reads_a_file_with_a_byte_order_mark(tmp_path):
+    # Left on the header's first cell, the mark would hide `factual_id`
+    # from the header check.
+    model = cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0], [4.0, 0.0]])
+    path = tmp_path / "b.csv"
+    path.write_text("\ufefffactual_id,f0,f1\n0,3.0,4.0\n", encoding="utf-8")
+    table = cf.ingest_baseline(path, "b", model, {0: np.asarray([0.0, 0.0])}, target=1)
+    assert [(r.factual_id, r.distance_sq) for r in table] == [(0, 25.0)]
+
+
 @pytest.mark.parametrize("target", [-1, 2, 0.5, True])
 def test_ingest_baseline_rejects_bad_target(tmp_path, target):
     model = cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0], [4.0, 0.0]])

@@ -117,6 +117,16 @@ def test_source_equals_target_rejected():
         cf.explain(model, cf.CfRequest(factual=[0.0, 0.0], target=0))
 
 
+@pytest.mark.parametrize("kind", [cf.KMEANS, cf.GAUSSIAN])
+@pytest.mark.parametrize("mask", [[1, 0], np.array([True, False]), (1, 1)])
+def test_a_mask_that_is_not_a_mask_is_rejected(kind, mask):
+    # The checks read `mask.d`: bits in a list, an array or a tuple are
+    # refused before that, not coerced.
+    model = kmeans_model() if kind == cf.KMEANS else two_cluster_gaussian_model()
+    with pytest.raises(cf.ValidationError, match="^mask: must be a Mask or None, not "):
+        cf.explain(model, cf.CfRequest(factual=[0.1, -0.3], target=1, mask=mask))
+
+
 def test_explain_deterministic():
     model = two_cluster_gaussian_model()
     req = cf.CfRequest(factual=[0.1, -0.3], target=1, epsilon=0.01, mask=cf.Mask.from_bits([1, 1]))

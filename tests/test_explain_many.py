@@ -362,12 +362,16 @@ def _kmeans3():
 NAN = float("nan")
 DIM = cf.DimensionMismatchError
 BAD_MASK = cf.Mask.from_bits([1, 0, 1])
+# Bits that are not a `Mask`: rejected at the mask's place, not coerced.
+RAW_MASK = [1, 0]
 
 # (factual, target, mask, epsilons, source) -> the error and the path.
 SWEEP_ERRORS = {
     "nan factual": (([NAN, 0.0], 1, None, [0.1], None), "factual"),
     "wrong-length factual": (([0.1, 0.0, 0.0], 1, None, [0.1], None), DIM),
     "wrong-length mask": (([0.1, 0.0], 1, BAD_MASK, [0.1], None), "mask"),
+    "mask not a Mask": (([0.1, 0.0], 1, RAW_MASK, [0.1], None), "mask"),
+    "target out of range, mask not a Mask": (([0.1, 0.0], 3, RAW_MASK, [0.1], None), "target"),
     "negative eps": (([0.1, 0.0], 1, None, [0.1, -0.2], None), "epsilon"),
     "empty eps": (([0.1, 0.0], 1, None, [], None), "epsilons"),
     "unsorted eps": (([0.1, 0.0], 1, None, [0.2, 0.1], None), "epsilons"),
@@ -390,6 +394,7 @@ BEST_ERRORS = {
     "nan factual": (([NAN, 0.0], None, 0.1, None, None), "factual"),
     "wrong-length factual": (([0.1, 0.0, 0.0], None, 0.1, None, None), DIM),
     "wrong-length mask": (([0.1, 0.0], BAD_MASK, 0.1, None, None), "mask"),
+    "mask not a Mask": (([0.1, 0.0], np.array([True, False]), 0.1, None, None), "mask"),
     "negative eps": (([0.1, 0.0], None, -0.1, None, None), "epsilon"),
     "no candidates": (([0.1, 0.0], None, 0.1, [], None), "candidate_targets"),
     "target out of range": (([0.1, 0.0], None, 0.1, [1, 9], None), "target"),
@@ -448,6 +453,7 @@ EVAL_ERRORS = {
     "nan factual": (([[NAN, 0.0]] + GOOD_ROWS, {}), "rows"),
     "wrong-length factual": ((WIDE_ROWS, {}), cf.DimensionMismatchError),
     "wrong-length mask": ((GOOD_ROWS, {"mask": BAD_MASK}), "mask"),
+    "mask not a Mask": ((GOOD_ROWS, {"mask": RAW_MASK}), "mask"),
     "negative eps": ((GOOD_ROWS, {"epsilon": -0.1}), "epsilon"),
     "target out of range": ((GOOD_ROWS, {"target": 3}), "target"),
     "non-integral target": ((GOOD_ROWS, {"target": 1.5}), "target"),

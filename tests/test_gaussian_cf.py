@@ -1,6 +1,7 @@
 import importlib.resources as resources
 import json
 import math
+from unittest import mock
 
 import jsonschema
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clustercf as cf
+import clustercf.gaussian_cf as gaussian_module
 from clustercf.gaussian_cf import GaussianPairPlan, solve_gaussian_rows
 from helpers import (
     centroid_plane,
@@ -25,6 +27,7 @@ from oracles import (
     constraint_residual,
     covariance_matrix,
     expanded_full_lambda_equation,
+    free_precision_difference,
     global_optimality_certificate,
     half_gradient,
     level_set_min_distance_2d,
@@ -638,6 +641,101 @@ def test_terms_g_matches_the_50_digit_value_far_from_the_means():
             assert abs(g - exact) <= (4 * d + 8) * ulp * magnitude, (i, family, g, exact)
 
 
+def affine_pair_with_d(rng, family, kind, d):
+    """(source, target, mask) of a pair whose plan is affine but stores D:
+    under `near`, covariances a relative 1e-13 apart (D_FF's eigenvalues
+    below EIG_ZERO); under `frozen`, precisions that differ only on
+    feature 0, which the mask freezes (D_FF = 0; a full pair keeps feature
+    0 uncorrelated, so the difference is exact in floats as well)."""
+    m_s = rng.normal(size=d)
+    bits = np.ones(d, dtype=bool)
+    if family == "frozen":
+        bits[0] = False
+    if kind == cf.FULL:
+        cov_s = random_spd(rng, d)
+        if family == "frozen":
+            cov_s[0, 1:] = cov_s[1:, 0] = 0.0
+    else:
+        cov_s = np.diag(rng.uniform(0.3, 2.5, size=d))
+    if family == "frozen":
+        cov_t = cov_s.copy()
+        cov_t[0, 0] = rng.uniform(0.3, 2.5)
+    else:
+        cov_t = cov_s * (1.0 + 1e-13)
+    if kind == cf.FULL:
+        spec_s, spec_t = (cf.CovarianceSpec.full(c) for c in (cov_s, cov_t))
+    else:
+        spec_s, spec_t = (cf.CovarianceSpec.diagonal(np.diag(c)) for c in (cov_s, cov_t))
+    pi_s = float(rng.uniform(0.3, 0.7))
+    source = cf.GaussianComponent(mean=m_s, covariance=spec_s, prior=pi_s)
+    target = cf.GaussianComponent(mean=m_s + rng.normal(scale=2.0, size=d), covariance=spec_t,
+                                  prior=1.0 - pi_s)
+    return source, target, cf.Mask(bits)
+
+
+def far_factual(rng, source, radius):
+    u = rng.normal(size=source.d)
+    return source.mean + radius * u / np.linalg.norm(u)
+
+
+@pytest.mark.parametrize("family, radii, seed",
+                         [("near", (4.0, 4.0), 5), ("frozen", (2.0, 5.0), 6)])
+def test_affine_pairs_that_store_d_solve_far_factuals(family, radii, seed):
+    # Near-equal diagonal variances with |y - m_s| = 1e4, and diagonal
+    # pairs that differ only on a frozen feature with |y - m_s| from 1e2
+    # to 1e5. The closed form's confirmation rounds with g's terms, which
+    # grow with |y - m_s|, and so does its tolerance: every request ends
+    # ok, and each point passes the 50-digit check against 1e-8 * scale.
+    rng = np.random.default_rng(seed)
+    for i in range(100):
+        d = int(rng.integers(2, 13))
+        source, target, mask = affine_pair_with_d(rng, family, cf.DIAGONAL, d)
+        y = far_factual(rng, source, 10.0 ** rng.uniform(*radii))
+        case = pair_case(source, target, y, mask, 0.3)
+        assert case.affine and case.plan._d is not None
+        res = solve_case(case)
+        assert res.status == cf.STATUS_OK, (i, res.diagnostics)
+        exact, _ = mpmath_residual(source, target, 0.3, res.counterfactual)
+        assert abs(exact) <= 1e-8 * case.plan.terms(case.y, 0.3)[2], (i, exact)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**9), family=st.sampled_from(["near", "frozen"]),
+       kind=st.sampled_from([cf.FULL, cf.DIAGONAL]), d=st.integers(1, 12),
+       log_radius=st.floats(2.0, 6.0), eps=st.sampled_from([0.0, 1e-5, 0.3]))
+def test_an_affine_plan_confirms_within_the_rounding_of_g_terms(seed, family, kind, d, log_radius,
+                                                                  eps):
+    # Each returned point has a 50-digit |g| within 1e-8 * scale, the
+    # scale that bounds g's terms at the factual. A row ends ok or with a
+    # certified no_feasible_solution, except where the closed form's
+    # step s = lam * a is bent by D_FF beyond the tolerance: it treats
+    # eigenvalues below EIG_ZERO as zero, and s' D_FF s grows with |s|^2
+    # (near-equal pairs from about |y - m_s| = 2e5 at d = 1).
+    if family == "frozen":
+        d = max(d, 2)  # one frozen feature and at least one free
+    rng = np.random.default_rng(seed)
+    source, target, mask = affine_pair_with_d(rng, family, kind, d)
+    y = far_factual(rng, source, 10.0 ** log_radius)
+    case = pair_case(source, target, y, mask, eps)
+    assert case.affine and case.plan._d is not None
+    tol = 1e-8 * case.plan.terms(case.y, eps)[2]
+    res = solve_case(case)
+    if res.status == cf.STATUS_OK:
+        exact, _ = mpmath_residual(source, target, eps, res.counterfactual)
+        assert abs(exact) <= tol, (exact, tol)
+    elif res.status == cf.STATUS_NO_FEASIBLE_SOLUTION:
+        exact, _ = mpmath_residual(source, target, eps, y)
+        assert abs(exact) > tol and (exact > 0.0) == (res.diagnostics["g_limit"] > 0.0)
+    else:
+        assert res.status == cf.STATUS_NO_ROOT_FOUND, res.status
+        covs = [covariance_matrix(c.covariance, d) for c in (source, target)]
+        step = res.diagnostics["lam"] * half_gradient(
+            source.mean, covs[0], target.mean, covs[1], y, mask.free
+        )
+        bend = step @ free_precision_difference(*covs, mask.free) @ step
+        assert abs(bend) > 0.5 * tol, (bend, tol)
+
+
 # ---------------------------------------------------------------------------
 # A stack of rows solves each row as it solves alone
 
@@ -734,6 +832,34 @@ def test_a_stack_solves_each_row_as_it_solves_alone(seed, kind, d, n, design):
         alone = solve_gaussian_rows(plan, rows[i : i + 1], epsilons[i : i + 1])[0]
         assert got.status == alone.status, i
         assert outcome_bits(got) == outcome_bits(alone), i
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**9), kind=st.sampled_from(KINDS), d=st.integers(1, 16),
+       design=st.sampled_from(["indefinite", "slope", "flat"]))
+def test_scalar_and_lockstep_roots_give_each_row_the_same_bits(seed, kind, d, design):
+    # Every lock-step stack the solver forms on designed rows, row by row
+    # through the scalar loop: the same x and iteration count, bit for bit.
+    rng = np.random.default_rng(seed)
+    source, target, d_mat, h_base = designed_pair(rng, kind, d, design)
+    plan = GaussianPairPlan(source, target, cf.Mask.all_free(d))
+    rows = designed_rows(rng, source, target, d_mat, h_base, 8)
+    epsilons = [float(e) for e in rng.choice([0.0, 1e-5, 0.3, 1.0], size=len(rows))]
+    calls = []
+    lockstep = gaussian_module._lockstep_root
+
+    def recording(*args):
+        out = lockstep(*args)
+        calls.append((args, out))
+        return out
+
+    with mock.patch.object(gaussian_module, "_lockstep_root", recording):
+        solve_gaussian_rows(plan, rows, epsilons)
+    for (side, a2, *columns), (x, iterations) in calls:
+        rows_of_columns = zip(*(column.tolist() for column in columns))
+        for j, (g_y, lo, hi, x0, lo_positive, tol) in enumerate(rows_of_columns):
+            alone = gaussian_module._scalar_root(side, a2[j], g_y, lo, hi, x0, lo_positive, tol)
+            assert (float_bits(alone[0]), alone[1]) == (float_bits(x[j]), int(iterations[j])), j
 
 
 def outcome_bits(outcome):

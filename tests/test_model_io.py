@@ -221,6 +221,28 @@ def test_load_dataset_header_and_label_column(tmp_path):
     assert data.labels[0] == "iris-0"
 
 
+BOM = "\ufeff"
+
+
+def test_load_dataset_drops_a_byte_order_mark_before_the_first_row(tmp_path):
+    # Left on the first cell, the mark would make the first row non-numeric,
+    # and it would be read as a header.
+    path = tmp_path / "bom.csv"
+    path.write_text(BOM + "1.5,2.0\n3.0,4.0\n", encoding="utf-8")
+    data = cf.load_dataset(path)
+    assert data.feature_names is None
+    assert data.rows.tolist() == [[1.5, 2.0], [3.0, 4.0]]
+
+
+def test_load_dataset_finds_the_first_column_after_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom_labelled.csv"
+    path.write_text(BOM + "a,x,y\nfirst,1.0,2.0\nsecond,3.0,4.0\n", encoding="utf-8")
+    data = cf.load_dataset(path, label_column="a")
+    assert data.feature_names == ("x", "y")
+    assert data.labels == ("first", "second")
+    assert data.rows.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
 def test_load_dataset_nan_cell_reports_position(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0\n3.0,NaN\n")
