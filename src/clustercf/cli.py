@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -38,7 +39,15 @@ from .evaluate import (
 )
 from .explain import AllTargetsFailedError, explain, explain_best
 from .fit import FitConfig, FitError, fit
-from .model_io import DataError, load_dataset, load_model, save_model, write_csv, write_json
+from .model_io import (
+    DataError,
+    load_dataset,
+    load_dataset_row,
+    load_model,
+    save_model,
+    write_csv,
+    write_json,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -78,17 +87,21 @@ def _parse_mask(text: str, d: int) -> Mask:
 
 
 def _load_factual(args) -> np.ndarray:
+    """The factual of `--factual`, or the one row of `--factual-row` that is
+    read and checked, without the `--label-col` column."""
     if args.factual is not None:
+        if args.label_col is not None:
+            raise UsageError("--label-col applies only to --factual-row")
         return np.asarray(_parse_floats(args.factual, "--factual"), dtype=np.float64)
     row_text, data_path = args.factual_row
     try:
         row = int(row_text)
     except ValueError:
         raise UsageError(f"--factual-row index {row_text!r} is not an integer") from None
-    data = load_dataset(data_path)
-    if not (0 <= row < data.n):
-        raise UsageError(f"--factual-row {row} out of range for {data.n} rows")
-    return data.rows[row]
+    try:
+        return load_dataset_row(data_path, row, label_column=args.label_col)
+    except IndexError as exc:
+        raise UsageError(f"--factual-row: {exc}") from None
 
 
 def _result_dict(result: CfResult, epsilon: float, mask: "Mask | None") -> dict:
@@ -293,7 +306,9 @@ def cmd_eval(args) -> int:
 # Parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: `parse_args` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="clustercf",
         description="Minimum-distance counterfactual explanations for clustering models.",
@@ -319,6 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_explain.add_mutually_exclusive_group(required=True)
     group.add_argument("--factual-row", nargs=2, metavar=("ROW", "DATA"))
     group.add_argument("--factual", help="comma-separated feature values")
+    p_explain.add_argument("--label-col", default=None, metavar="NAME",
+                           help="a header column of the --factual-row file to drop")
     p_explain.add_argument("--source", type=int, default=None)
     p_explain.add_argument("--target", required=True, help="target cluster id or 'best'")
     p_explain.add_argument("--mask", default=None, help="comma-separated 0/1 bits")
@@ -331,6 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_sweep.add_mutually_exclusive_group(required=True)
     group.add_argument("--factual-row", nargs=2, metavar=("ROW", "DATA"))
     group.add_argument("--factual")
+    p_sweep.add_argument("--label-col", default=None, metavar="NAME",
+                         help="a header column of the --factual-row file to drop")
     p_sweep.add_argument("--source", type=int, default=None)
     p_sweep.add_argument("--target", required=True, type=int)
     p_sweep.add_argument("--epsilons", required=True, help="comma-separated ascending values")

@@ -295,13 +295,18 @@ def _plain_lines(text: str) -> "list[str]":
     return [line for line in text.replace("\r", "\n").split("\n") if non_blank(line)]
 
 
-def _parse_cells(raw, label_idx: "int | None"):
-    """(values, labels) of the csv rows `raw`, one `float()` per cell; the
-    first bad row or cell raises DataError naming it."""
-    width = len(raw[0])
+def _width(row) -> int:
+    """The number of cells in `row`, a quote-free line or a csv row."""
+    return row.count(",") + 1 if isinstance(row, str) else len(row)
+
+
+def _parse_cells(raw, label_idx: "int | None", width: int, first: int):
+    """(values, labels) of the csv rows `raw`, numbered from `first`, one
+    `float()` per cell; the first bad row or cell raises DataError naming
+    it, and so does a row that is not `width` cells wide."""
     labels = [] if label_idx is not None else None
     rows = []
-    for r, cells in enumerate(raw, start=1):
+    for r, cells in enumerate(raw, start=first):
         if len(cells) != width:
             raise DataError(f"ragged row {r}: expected {width} cells, got {len(cells)}")
         values = []
@@ -314,13 +319,12 @@ def _parse_cells(raw, label_idx: "int | None"):
     return rows, labels
 
 
-def _parse_lines(lines, label_idx: "int | None"):
+def _parse_lines(lines, label_idx: "int | None", width: int):
     """What `_parse_cells` returns for the quote-free rows `lines`, with
     every number parsed by one call of numpy's C text reader, or None when
-    the reader refuses a line, a value is not finite or the rows are
-    ragged. The reader converts each token with the routine `float()`
-    uses, so every value it returns has the bits `float()` gives."""
-    width = lines[0].count(",") + 1
+    the reader refuses a line, a value is not finite or a row is not
+    `width` cells wide. The reader converts each token with the routine
+    `float()` uses, so every value it returns has the bits `float()` gives."""
     usecols, cells = None, None
     if label_idx is not None:
         cells = [line.split(",") for line in lines]
@@ -360,38 +364,35 @@ def read_csv_table(path, what: str):
     return [cell.strip() for cell in first], rows[1:]
 
 
-def parse_csv_table(rows, label_idx: "int | None"):
+def parse_csv_table(rows, label_idx: "int | None", width: "int | None" = None, first: int = 1):
     """(values, labels) of the data rows of `read_csv_table`: the numbers
     of every column but `label_idx`, and that column's stripped cells
-    (None without `label_idx`). The first bad row or cell raises
-    DataError naming it, rows numbered from 1.
+    (None without `label_idx`). Every row must be `width` cells wide (by
+    default, as wide as the first). The first bad row or cell raises
+    DataError naming it, rows numbered from `first`.
 
     Quote-free rows (lines) are parsed by numpy's C text reader in one
     call. The per-cell loop stays for what that reader does not take:
     quoted cells, values `float()` accepts and the reader refuses
     (`1_000`, non-ASCII digits), and every bad file, whose first bad row
     or cell only the loop names."""
+    if width is None:
+        width = _width(rows[0])
     if isinstance(rows[0], str):
-        parsed = _parse_lines(rows, label_idx)
+        parsed = _parse_lines(rows, label_idx, width)
         if parsed is not None:
             return parsed
         rows = [line.split(",") for line in rows]
-    return _parse_cells(rows, label_idx)
+    return _parse_cells(rows, label_idx, width, first)
 
 
-def load_dataset(path, label_column: "str | None" = None) -> Dataset:
-    """CSV rows of finite doubles with an optional header line.
-
-    A header is assumed whenever the first non-blank row has any
-    non-numeric cell. `label_column` names a header column to drop from
-    the features and keep as string metadata. Every number is parsed as
-    `float()` parses it. Rows of blank cells are skipped; error messages
-    number the non-blank data rows, header excluded, from 1.
-    """
+def _data_rows(path, label_column: "str | None"):
+    """(header, raw, label_idx) of the dataset CSV at `path`: its header
+    (or None), its non-blank data rows for `parse_csv_table` and the index
+    of `label_column` in the header (None without one)."""
     header, raw = read_csv_table(path, "dataset")
     if not raw:
         raise DataError(f"dataset {path} has a header but no data rows")
-
     label_idx = None
     if label_column is not None:
         if header is None:
@@ -399,8 +400,12 @@ def load_dataset(path, label_column: "str | None" = None) -> Dataset:
         if label_column not in header:
             raise DataError(f"label column {label_column!r} not found in header {header}")
         label_idx = header.index(label_column)
-    rows, labels = parse_csv_table(raw, label_idx)
+    return header, raw, label_idx
 
+
+def _dataset(path, header, label_idx: "int | None", rows, labels) -> Dataset:
+    """The Dataset of parsed `rows` and `labels` under `header`; what
+    Dataset rejects raises DataError naming `path`."""
     feature_names = None
     if header is not None:
         feature_names = tuple(n for i, n in enumerate(header) if i != label_idx)
@@ -412,3 +417,30 @@ def load_dataset(path, label_column: "str | None" = None) -> Dataset:
         )
     except ValidationError as exc:
         raise DataError(f"dataset {path}: {exc}") from exc
+
+
+def load_dataset(path, label_column: "str | None" = None) -> Dataset:
+    """CSV rows of finite doubles with an optional header line.
+
+    A header is assumed whenever the first non-blank row has any
+    non-numeric cell. `label_column` names a header column to drop from
+    the features and keep as string metadata. Every number is parsed as
+    `float()` parses it. Rows of blank cells are skipped; error messages
+    number the non-blank data rows, header excluded, from 1.
+    """
+    header, raw, label_idx = _data_rows(path, label_column)
+    rows, labels = parse_csv_table(raw, label_idx)
+    return _dataset(path, header, label_idx, rows, labels)
+
+
+def load_dataset_row(path, row: int, label_column: "str | None" = None) -> np.ndarray:
+    """`load_dataset(path, label_column).rows[row]`, reading only the header
+    and that data row (counted from 0): the first data row sets the width,
+    and no other row is checked. A bad or ragged row `row` raises the
+    DataError `load_dataset` raises for it; a row out of range raises
+    IndexError naming the number of data rows."""
+    header, raw, label_idx = _data_rows(path, label_column)
+    if not 0 <= row < len(raw):
+        raise IndexError(f"row {row} out of range for {len(raw)} data rows")
+    values, labels = parse_csv_table([raw[row]], label_idx, width=_width(raw[0]), first=row + 1)
+    return _dataset(path, header, label_idx, values, labels).rows[0]

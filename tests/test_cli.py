@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import clustercf as cf
-from clustercf.cli import main
+from clustercf.cli import build_parser, main
 from oracles import make_blobs
 
 
@@ -387,16 +387,15 @@ def test_unknown_subcommand_exits_2(capsys):
 
 def test_readme_cli_sequence_runs_as_written(tmp_path, capsys):
     # The README's fit, explain, sweep and eval examples on a labelled CSV
-    # like iris.csv, and its features-only twin for --factual-row.
+    # like iris.csv.
     rng = np.random.default_rng(229)
     rows, labels = make_blobs(rng, [[0, 0, 0, 0], [5, 4, 3, 2], [-4, 4, -4, 4]], 0.6, 60)
-    data, features = tmp_path / "iris.csv", tmp_path / "iris_features.csv"
-    with open(data, "w", newline="") as fh, open(features, "w", newline="") as fh_features:
-        writer, features_writer = csv.writer(fh), csv.writer(fh_features)
+    data = tmp_path / "iris.csv"
+    with open(data, "w", newline="") as fh:
+        writer = csv.writer(fh)
         writer.writerow(["a", "b", "c", "d", "species"])
         for row, lab in zip(rows, labels):
             writer.writerow([repr(float(v)) for v in row] + [f"s{lab}"])
-            features_writer.writerow([repr(float(v)) for v in row])
     model_path = str(tmp_path / "model.json")
 
     def run(*argv):
@@ -412,8 +411,9 @@ def test_readme_cli_sequence_runs_as_written(tmp_path, capsys):
     factual = ",".join(repr(float(v)) for v in rows[12])
     assert run("explain", "--model", model_path, f"--factual={factual}", "--target", str(target),
                "--mask", "1,0,1,1", "--epsilon", "1e-5", "-o", str(tmp_path / "result.json")) == 0
-    assert run("explain", "--model", model_path, "--factual-row", "12", str(features),
-               "--target", "best", "-o", str(tmp_path / "result.json")) == 0
+    assert run("explain", "--model", model_path, "--factual-row", "12", str(data),
+               "--label-col", "species", "--target", "best", "-o", str(tmp_path / "result.json")) == 0
+    assert json.loads((tmp_path / "result.json").read_text())["factual"] == rows[12].tolist()
     assert run("sweep", "--model", model_path, f"--factual={factual}", "--target", str(target),
                "--epsilons", "0,0.33,0.66,1.0", "-o", str(tmp_path / "sweep")) == 0
     campaign = ["eval", "--model", model_path, "--n", "50", "--seed", "7", "--source",
@@ -514,3 +514,82 @@ def test_eval_baseline_name_taken_exits_2_before_any_solve(tmp_path, three_clust
     assert main(argv + [str(data), "-o", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: external_baselines: baseline name")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["b.csv", "three.csv", "three.json"]
+
+
+def test_the_cached_parser_gives_each_call_only_its_own_arguments(tmp_path, blob_csv, capsys):
+    assert build_parser() is build_parser()
+    model_path = tmp_path / "m.json"
+    assert main(["fit", "--algo", "kmeans", "--k", "2", "--seed", "1", "--no-standardize",
+                 str(blob_csv), "-o", str(model_path)]) == 0
+    campaign = ["eval", "--model", str(model_path), "--n", "5", "--seed", "2", "--source", "0",
+                "--target", "1", str(blob_csv)]
+    assert main(campaign + ["-o", str(tmp_path / "first")]) == 0
+    baseline = tmp_path / "ours.csv"
+    cf.export_baseline_csv(cf.read_report_json(tmp_path / "first.report.json"), baseline)
+    assert main(campaign + ["--baseline", f"a={baseline}", "-o", str(tmp_path / "with")]) == 0
+    assert main(campaign + ["-o", str(tmp_path / "without")]) == 0
+    with_doc = json.loads((tmp_path / "with.report.json").read_text())
+    without_doc = json.loads((tmp_path / "without.report.json").read_text())
+    assert sorted(with_doc["comparison"]["distances"]) == ["a", "ours"]
+    assert without_doc["comparison"] is None
+
+    # A --label-col or --mask left over from the call before would make the
+    # second call fail or solve another problem.
+    labelled = tmp_path / "labelled.csv"
+    labelled.write_text("x,name,y\n0.5,first,0.25\n")
+    assert main(["explain", "--model", str(model_path), "--factual-row", "0", str(labelled),
+                 "--label-col", "name", "--mask", "1,0", "--target", "1",
+                 "-o", str(tmp_path / "row.json")]) == 0
+    assert main(["explain", "--model", str(model_path), "--factual", "0.5,0.25", "--target", "1",
+                 "-o", str(tmp_path / "inline.json")]) == 0
+    row_doc = json.loads((tmp_path / "row.json").read_text())
+    inline_doc = json.loads((tmp_path / "inline.json").read_text())
+    assert row_doc["factual"] == inline_doc["factual"] == [0.5, 0.25]
+    assert row_doc["mask"] == [1, 0] and inline_doc["mask"] is None
+    assert len(capsys.readouterr().out.splitlines()) == 6
+
+
+@pytest.mark.parametrize("command", ["explain", "sweep"])
+def test_factual_row_reads_and_checks_only_its_row(tmp_path, boundary_model, capsys, command):
+    data = tmp_path / "pts.csv"
+    data.write_text("x,name,y\n0.0,a,0.5\n\n1.0,b,NaN\n9.0,c,9.0,7.0\n")
+    base = [command, "--model", str(boundary_model), "--target", "1", "-o", str(tmp_path / "out")]
+    if command == "sweep":
+        base += ["--epsilons", "0,0.5"]
+
+    def run(row, *extra):
+        code = main(base + ["--factual-row", str(row), str(data), *extra])
+        return code, capsys.readouterr().err
+
+    # Rows 1 and 2 are bad, and row 0 is read without them.
+    assert run(0, "--label-col", "name") == (0, "")
+    code, err = run(1, "--label-col", "name")
+    assert code == 3
+    assert err == "data error: non-finite cell 'NaN' at row 2, column 3\n"
+    code, err = run(2, "--label-col", "name")
+    assert code == 3
+    assert err == "data error: ragged row 3: expected 3 cells, got 4\n"
+    code, err = run(3, "--label-col", "name")
+    assert code == 2
+    assert err == "error: --factual-row: row 3 out of range for 3 data rows\n"
+    # Without --label-col the label cell is a bad cell.
+    code, err = run(0)
+    assert code == 3 and "non-numeric cell 'a' at row 1, column 2" in err
+    code, err = run(0, "--label-col", "missing")
+    assert code == 3 and "label column 'missing' not found" in err
+
+
+def test_label_col_without_factual_row_exits_2(tmp_path, boundary_model, capsys):
+    code = main(["explain", "--model", str(boundary_model), "--factual", "0,0.5",
+                 "--label-col", "name", "--target", "1", "-o", str(tmp_path / "x.json")])
+    assert code == 2
+    assert "--label-col applies only to --factual-row" in capsys.readouterr().err
+
+
+def test_factual_row_of_another_width_exits_2(tmp_path, boundary_model, capsys):
+    data = tmp_path / "wide.csv"
+    data.write_text("0.0,0.5,1.0\n")
+    code = main(["explain", "--model", str(boundary_model), "--factual-row", "0", str(data),
+                 "--target", "1", "-o", str(tmp_path / "x.json")])
+    assert code == 2
+    assert not (tmp_path / "x.json").exists()

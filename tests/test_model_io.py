@@ -4,11 +4,11 @@ import warnings
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import clustercf as cf
-from clustercf.model_io import model_from_dict, model_to_dict, write_json
+from clustercf.model_io import load_dataset_row, model_from_dict, model_to_dict, write_json
 from helpers import two_cluster_gaussian_model
 from oracles import make_blobs, random_spd
 
@@ -370,3 +370,87 @@ def test_load_dataset_ragged_row_with_label_column(tmp_path):
     path.write_text("name,x,y\na,1.0,2.0\nb,3.0,4.0,5.0\n")
     with pytest.raises(cf.DataError, match="ragged row 2: expected 3 cells, got 4"):
         cf.load_dataset(path, label_column="name")
+
+
+# ---------------------------------------------------------------------------
+# One dataset row
+
+_BAD_CELLS = {"nan": "nan", "inf": "-inf", "alpha": "x1", "empty": " "}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    values=st.lists(st.lists(_finite, min_size=2, max_size=2), min_size=1, max_size=6),
+    fmt=_formats,
+    header=st.booleans(),
+    label_at=st.none() | st.integers(0, 2),
+    quote=st.booleans(),
+    bom=st.booleans(),
+    eol=st.sampled_from(["\n", "\r\n", "\r"]),
+    blank_after=st.sets(st.integers(-1, 5)),
+    bad=st.none() | st.tuples(st.integers(0, 5), st.integers(0, 1),
+                              st.sampled_from(["short", "long", *_BAD_CELLS])),
+)
+def test_load_dataset_row_matches_load_dataset(tmp_path_factory, values, fmt, header, label_at,
+                                               quote, bom, eol, blank_after, bad):
+    if label_at is not None:
+        header = True
+    if bad is not None:
+        bad_row, bad_col, kind = bad
+        assume(bad_row < len(values))
+        # A ragged first row sets the width of every other; a first row
+        # that is not numeric is a header.
+        assume(bad_row > 0 or kind != "short" and kind != "long")
+        assume(bad_row > 0 or header or kind in ("nan", "inf"))
+    names = ["f0", "f1"]
+    if label_at is not None:
+        names.insert(label_at, "kind")
+    parsed, lines = [], []
+    if header:
+        lines.append(",".join(f'"{n}"' if quote else n for n in names))
+    if -1 in blank_after:
+        lines.append("")
+    for i, row in enumerate(values):
+        cells = [fmt(v) for v in row]
+        parsed.append([float(c) for c in cells])
+        if bad is not None and i == bad_row and kind in _BAD_CELLS:
+            cells[bad_col] = _BAD_CELLS[kind]
+        if quote:
+            cells = [f'"{c}"' if (i + j) % 2 == 0 else c for j, c in enumerate(cells)]
+        if label_at is not None:
+            cells.insert(label_at, f'"label, {i}"' if quote else f"label-{i}")
+        if bad is not None and i == bad_row:
+            if kind == "short":
+                cells = cells[:-1]
+            elif kind == "long":
+                cells = cells + ["1.0"]
+        lines.append(",".join(cells))
+        if i in blank_after:
+            lines.append(" , " if i % 2 else "")
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_bytes(((BOM if bom else "") + eol.join(lines) + eol).encode("utf-8"))
+    label_column = "kind" if label_at is not None else None
+
+    def outcome(read):
+        try:
+            return read()
+        except cf.DataError as exc:
+            return str(exc)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        whole = outcome(lambda: cf.load_dataset(path, label_column=label_column))
+        for i, row in enumerate(parsed):
+            got = outcome(lambda: load_dataset_row(path, i, label_column=label_column))
+            if bad is None:
+                assert got.tobytes() == whole.rows[i].tobytes()
+            elif i == bad_row:
+                # The row's own error, as the whole file reports it.
+                assert isinstance(got, str) and got == whole
+            else:
+                # Rows not read are not checked.
+                assert got.tobytes() == np.asarray(row, dtype=np.float64).tobytes()
+        with pytest.raises(IndexError, match=f"out of range for {len(values)} data rows"):
+            load_dataset_row(path, len(values), label_column=label_column)
+        with pytest.raises(IndexError, match=f"out of range for {len(values)} data rows"):
+            load_dataset_row(path, -1, label_column=label_column)
