@@ -22,11 +22,12 @@ import sys
 import numpy as np
 
 from .core import (
+    DEFAULT_EPSILON,
+    KMEANS,
     CfRequest,
     CfResult,
     ClusterCfError,
     DimensionMismatchError,
-    KMEANS,
     Mask,
     ValidationError,
 )
@@ -40,7 +41,6 @@ from .evaluate import (
 from .explain import AllTargetsFailedError, explain, explain_best
 from .fit import FitConfig, FitError, fit
 from .model_io import (
-    DataError,
     load_dataset,
     load_dataset_row,
     load_model,
@@ -78,12 +78,10 @@ def _usage_errors():
         raise UsageError(str(exc)) from None
 
 
-def _parse_mask(text: str, d: int) -> Mask:
+def _parse_mask(text: "str | None") -> "Mask | None":
+    """The mask of `--mask`; its width is checked with the request."""
     with _usage_errors():
-        mask = Mask.from_string(text)
-    if mask.d != d:
-        raise UsageError(f"mask has {mask.d} bits but the model has {d} features")
-    return mask
+        return None if text is None else Mask.from_string(text)
 
 
 def _load_factual(args) -> np.ndarray:
@@ -102,6 +100,11 @@ def _load_factual(args) -> np.ndarray:
         return load_dataset_row(data_path, row, label_column=args.label_col)
     except IndexError as exc:
         raise UsageError(f"--factual-row: {exc}") from None
+
+
+def _load_query(args):
+    """The model, factual and mask of an `explain` or `sweep` call."""
+    return load_model(args.model), _load_factual(args), _parse_mask(args.mask)
 
 
 def _result_dict(result: CfResult, epsilon: float, mask: "Mask | None") -> dict:
@@ -181,21 +184,18 @@ def cmd_fit(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    model = load_model(args.model)
-    y = _load_factual(args)
-    mask = _parse_mask(args.mask, model.d) if args.mask is not None else None
-
+    model, y, mask = _load_query(args)
     if args.target == "best":
         try:
             with _usage_errors():
                 result = explain_best(model, y, mask=mask, epsilon=args.epsilon, source=args.source)
         except AllTargetsFailedError as exc:
-            out = {"status": "all_targets_failed", "statuses": exc.statuses}
-            write_json(out, args.output)
-            print(json.dumps(out))
-            return EXIT_SOLVE
-        out = _result_dict(result, args.epsilon, mask)
-        out["chosen_target"] = result.target
+            result = None
+            out = {"status": "all_targets_failed", "statuses": exc.statuses, "target": None,
+                   "epsilon": args.epsilon, "distance_sq": None, "counterfactual": None}
+        else:
+            out = _result_dict(result, args.epsilon, mask)
+            out["chosen_target"] = result.target
     else:
         try:
             target = int(args.target)
@@ -214,19 +214,17 @@ def cmd_explain(args) -> int:
             {
                 "command": "explain",
                 "status": out["status"],
-                "target": out.get("chosen_target", out["target"]),
+                "target": out["target"],
                 "distance_sq": out["distance_sq"],
                 "output": str(args.output),
             }
         )
     )
-    return EXIT_OK if result.solved else EXIT_SOLVE
+    return EXIT_OK if result is not None and result.solved else EXIT_SOLVE
 
 
 def cmd_sweep(args) -> int:
-    model = load_model(args.model)
-    y = _load_factual(args)
-    mask = _parse_mask(args.mask, model.d) if args.mask is not None else None
+    model, y, mask = _load_query(args)
     epsilons = _parse_floats(args.epsilons, "--epsilons")
     with _usage_errors():
         points = sweep_epsilon(model, y, args.target, mask, epsilons, source=args.source)
@@ -263,7 +261,7 @@ def cmd_sweep(args) -> int:
 def cmd_eval(args) -> int:
     model = load_model(args.model)
     data = load_dataset(args.data, label_column=args.label_col)
-    mask = _parse_mask(args.mask, model.d) if args.mask is not None else None
+    mask = _parse_mask(args.mask)
     baselines = []
     for spec_text in args.baseline or []:
         name, sep, path = spec_text.partition("=")
@@ -306,6 +304,21 @@ def cmd_eval(args) -> int:
 # Parser
 
 
+def _query_parser(sub, name: str, summary: str) -> argparse.ArgumentParser:
+    """The `explain` or `sweep` parser with the options they share: the
+    model, the factual (`_load_query` reads them) and the source."""
+    parser = sub.add_parser(name, help=summary)
+    parser.add_argument("--model", required=True)
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--factual-row", nargs=2, metavar=("ROW", "DATA"))
+    group.add_argument("--factual", help="comma-separated feature values")
+    parser.add_argument("--label-col", default=None, metavar="NAME",
+                        help="a header column of the --factual-row file to drop")
+    parser.add_argument("--source", type=int, default=None)
+    parser.add_argument("--mask", default=None, help="comma-separated 0/1 bits")
+    return parser
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process: `parse_args` leaves it unchanged."""
@@ -317,54 +330,38 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit a clustering model and write a model file")
     p_fit.add_argument("--algo", required=True, choices=("kmeans", "gmm"))
-    p_fit.add_argument("--cov", default="full", choices=("full", "diag", "spherical"))
+    p_fit.add_argument("--cov", default=FitConfig.covariance, choices=("full", "diag", "spherical"))
     p_fit.add_argument("--k", required=True, type=int, help="number of clusters")
-    p_fit.add_argument("--seed", type=int, default=0)
-    p_fit.add_argument("--restarts", type=int, default=4)
-    p_fit.add_argument("--max-iter", type=int, default=200)
-    p_fit.add_argument("--rel-tol", type=float, default=1e-8)
+    p_fit.add_argument("--seed", type=int, default=FitConfig.seed)
+    p_fit.add_argument("--restarts", type=int, default=FitConfig.restarts)
+    p_fit.add_argument("--max-iter", type=int, default=FitConfig.max_iter)
+    p_fit.add_argument("--rel-tol", type=float, default=FitConfig.rel_tol)
     p_fit.add_argument("--no-standardize", action="store_true")
     p_fit.add_argument("--label-col", default=None)
     p_fit.add_argument("data", metavar="DATA")
     p_fit.add_argument("-o", "--output", required=True, metavar="MODEL")
     p_fit.set_defaults(handler=cmd_fit)
 
-    p_explain = sub.add_parser("explain", help="compute one counterfactual")
-    p_explain.add_argument("--model", required=True)
-    group = p_explain.add_mutually_exclusive_group(required=True)
-    group.add_argument("--factual-row", nargs=2, metavar=("ROW", "DATA"))
-    group.add_argument("--factual", help="comma-separated feature values")
-    p_explain.add_argument("--label-col", default=None, metavar="NAME",
-                           help="a header column of the --factual-row file to drop")
-    p_explain.add_argument("--source", type=int, default=None)
+    p_explain = _query_parser(sub, "explain", "compute one counterfactual")
     p_explain.add_argument("--target", required=True, help="target cluster id or 'best'")
-    p_explain.add_argument("--mask", default=None, help="comma-separated 0/1 bits")
-    p_explain.add_argument("--epsilon", type=float, default=1e-5)
+    p_explain.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p_explain.add_argument("-o", "--output", required=True, metavar="OUT.json")
     p_explain.set_defaults(handler=cmd_explain)
 
-    p_sweep = sub.add_parser("sweep", help="counterfactuals over a plausibility grid")
-    p_sweep.add_argument("--model", required=True)
-    group = p_sweep.add_mutually_exclusive_group(required=True)
-    group.add_argument("--factual-row", nargs=2, metavar=("ROW", "DATA"))
-    group.add_argument("--factual")
-    p_sweep.add_argument("--label-col", default=None, metavar="NAME",
-                         help="a header column of the --factual-row file to drop")
-    p_sweep.add_argument("--source", type=int, default=None)
+    p_sweep = _query_parser(sub, "sweep", "counterfactuals over a plausibility grid")
     p_sweep.add_argument("--target", required=True, type=int)
     p_sweep.add_argument("--epsilons", required=True, help="comma-separated ascending values")
-    p_sweep.add_argument("--mask", default=None)
     p_sweep.add_argument("-o", "--output", required=True, metavar="PREFIX")
     p_sweep.set_defaults(handler=cmd_sweep)
 
     p_eval = sub.add_parser("eval", help="sample factuals and report distances/success/timing")
     p_eval.add_argument("--model", required=True)
-    p_eval.add_argument("--n", type=int, default=50)
-    p_eval.add_argument("--seed", type=int, default=0)
+    p_eval.add_argument("--n", type=int, default=EvalConfig.n_factuals)
+    p_eval.add_argument("--seed", type=int, default=EvalConfig.seed)
     p_eval.add_argument("--source", required=True, type=int)
     p_eval.add_argument("--target", required=True, type=int)
-    p_eval.add_argument("--epsilon", type=float, default=1e-5)
-    p_eval.add_argument("--mask", default=None)
+    p_eval.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    p_eval.add_argument("--mask", default=None, help="comma-separated 0/1 bits")
     p_eval.add_argument("--label-col", default=None)
     p_eval.add_argument("--baseline", action="append", metavar="NAME=PATH")
     p_eval.add_argument("data", metavar="DATA")
@@ -408,11 +405,8 @@ def main(argv=None) -> int:
     except FitError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_FIT
-    except (DataError, ValidationError, DimensionMismatchError, OSError) as exc:
+    except (ClusterCfError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ClusterCfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

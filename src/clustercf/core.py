@@ -51,6 +51,8 @@ SCORE_BLOCK_ROWS = 256
 
 # Two cluster centers closer than this (squared) are considered identical.
 MIN_CENTER_SEPARATION_SQ = 1e-20
+# The plausibility factor of a request, campaign or CLI call that gives none.
+DEFAULT_EPSILON = 1e-5
 PRIOR_SUM_TOL = 1e-9
 
 
@@ -478,7 +480,7 @@ class CfRequest:
     target: int
     source: "int | None" = None
     mask: "Mask | None" = None
-    epsilon: float = 1e-5
+    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
         object.__setattr__(self, "factual", as_vector(self.factual, name="factual"))

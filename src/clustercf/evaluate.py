@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    DEFAULT_EPSILON,
     CfRequest,
     CfResult,
     ClusterCfError,
@@ -54,7 +55,7 @@ class EvalConfig:
     target: int
     n_factuals: int = 50
     seed: int = 0
-    epsilon: float = 1e-5
+    epsilon: float = DEFAULT_EPSILON
     mask: "Mask | None" = None
     external_baselines: "tuple" = ()  # (name, csv_path) pairs
 
@@ -179,22 +180,22 @@ def run_eval(model: ClusterModel, data: Dataset, config: EvalConfig) -> EvalRepo
     # is never sampled.
     with np.errstate(over="ignore", invalid="ignore"):
         scores = score_matrix(model, np.asarray(model.to_internal(rows), dtype=np.float64))
-        finite = np.isfinite(scores)
-        labels = np.argmax(np.where(finite, scores, -np.inf), axis=1)
-        source_rows = np.flatnonzero((labels == config.source) & finite.any(axis=1))
-        if source_rows.size == 0:
-            raise ClusterCfError(f"source cluster {config.source} is empty in this dataset")
-        n = min(config.n_factuals, int(source_rows.size))
-        if n < config.n_factuals:
-            warnings.warn(
-                f"source cluster has only {source_rows.size} rows; using all of them",
-                stacklevel=2,
-            )
-        rng = np.random.default_rng(config.seed)
-        chosen = np.sort(rng.choice(source_rows, size=n, replace=False))
-        factuals = rows[chosen]
-        results = _explain_rows(model, factuals, range(n), [config.source] * n,
-                                [config.target] * n, [mask] * n, [config.epsilon] * n)
+    finite = np.isfinite(scores)
+    labels = np.argmax(np.where(finite, scores, -np.inf), axis=1)
+    source_rows = np.flatnonzero((labels == config.source) & finite.any(axis=1))
+    if source_rows.size == 0:
+        raise ClusterCfError(f"source cluster {config.source} is empty in this dataset")
+    n = min(config.n_factuals, int(source_rows.size))
+    if n < config.n_factuals:
+        warnings.warn(
+            f"source cluster has only {source_rows.size} rows; using all of them",
+            stacklevel=2,
+        )
+    rng = np.random.default_rng(config.seed)
+    chosen = np.sort(rng.choice(source_rows, size=n, replace=False))
+    factuals = rows[chosen]
+    results = _explain_rows(model, factuals, [config.source] * n, [config.target] * n,
+                            [mask] * n, [config.epsilon] * n)
     records = [
         FactualRecord(
             factual_id=row_id,
@@ -365,9 +366,8 @@ def sweep_epsilon(
         raise ValidationError("epsilons", "values must be sorted ascending")
     mask = first.validate_against(model)
     n = len(eps_list)
-    with np.errstate(over="ignore", invalid="ignore"):
-        results = _explain_rows(model, first.factual[None, :], [0] * n, [first.source] * n,
-                                [first.target] * n, [mask] * n, eps_list)
+    results = _explain_rows(model, first.factual[None, :], [first.source] * n,
+                            [first.target] * n, [mask] * n, eps_list)
     points = []
     for eps, result in zip(eps_list, results):
         deltas = None

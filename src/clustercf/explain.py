@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 
 from .core import (
+    DEFAULT_EPSILON,
     KMEANS,
     LOG_2PI,
     STATUS_OK,
@@ -26,7 +27,6 @@ from .core import (
 )
 from .gaussian_cf import GaussianPairPlan, solve_gaussian_rows
 
-DEFAULT_EPSILON = 1e-5
 # Assignment-score gap under which a point counts as a boundary tie. At
 # eps = 0 the counterfactual sits exactly on the pair boundary, so strict
 # argmax membership is decided by float noise; the tolerant verdict is the
@@ -66,9 +66,8 @@ def explain(model: ClusterModel, request: CfRequest) -> CfResult:
     """Counterfactual for one (source, target) pair: the batch solve of
     `explain_many` on one row."""
     mask = request.validate_against(model)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _explain_rows(model, request.factual[None, :], [0], [request.source],
-                             [request.target], [mask], [request.epsilon])[0]
+    return _explain_rows(model, request.factual[None, :], [request.source], [request.target],
+                         [mask], [request.epsilon])[0]
 
 
 def _pair_plan(model: ClusterModel, source: int, target: int, mask: Mask) -> GaussianPairPlan:
@@ -86,111 +85,104 @@ def explain_many(model: ClusterModel, requests) -> "list[CfResult]":
     internal space and each result carries both representations. Frozen
     features keep the factual's bits in both spaces. Every request is
     validated (`CfRequest.validate_against`) before the first solve, and
-    the requests' distinct factuals and their columns go to the one solver
-    core that `explain`, `run_eval`, `sweep_epsilon` and `explain_best`
-    share: each distinct factual is mapped and its source detected once,
-    and the requests that share a (source, target, mask) share one
-    `GaussianPairPlan` (a k-means pair is its identity-precision case)
-    and one `solve_gaussian_rows` call. `elapsed` is the group's build
-    and solve time divided by its size, without I/O or verdicts. The
-    verdicts and the map back to original units run once over all results.
+    the requests' factuals and columns go to the one solver core that
+    `explain`, `run_eval`, `sweep_epsilon` and `explain_best` share: each
+    request's factual is mapped and its source detected, and the requests
+    that share a (source, target, mask) share one `GaussianPairPlan` (a
+    k-means pair is its identity-precision case) and one
+    `solve_gaussian_rows` call. `elapsed` is the group's build and solve
+    time divided by its size, without I/O or verdicts. The verdicts and
+    the map back to original units run once over all results.
     """
     requests = list(requests)
     masks = [request.validate_against(model) for request in requests]
     if not requests:
         return []
-    # A factual shared by several requests is mapped and scored once.
-    index, distinct, row_of = {}, [], []
-    for request in requests:
-        row_of.append(index.setdefault(request.factual.tobytes(), len(distinct)))
-        if row_of[-1] == len(distinct):
-            distinct.append(request.factual)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _explain_rows(
-            model, np.array(distinct), row_of, [request.source for request in requests],
-            [request.target for request in requests], masks,
-            [request.epsilon for request in requests],
-        )
+    return _explain_rows(
+        model, np.array([request.factual for request in requests]),
+        [request.source for request in requests], [request.target for request in requests],
+        masks, [request.epsilon for request in requests],
+    )
 
 
-def _explain_rows(model: ClusterModel, factuals: np.ndarray, row_of, sources, targets, masks,
+def _explain_rows(model: ClusterModel, factuals: np.ndarray, sources, targets, masks,
                   epsilons) -> "list[CfResult]":
     """The solver core behind every public call, on checked columns.
 
-    `factuals` (K x d, original units) are the distinct factuals in order
-    of first use, and row i asks for factuals[row_of[i]] (the identity
-    when there are as many factuals as rows), toward targets[i] from
-    sources[i] (None: the detected cluster) under masks[i] at
-    epsilons[i]. Everything but a detected
-    source equal to its target was checked by the caller; that raises
-    ValidationError before any solve. The caller enters the error state:
-    a factual or eps far enough out overflows the map, the scores or the
-    solve, and that row ends as `no_root_found`, without warnings.
+    Row i asks for a counterfactual of its factual toward targets[i] from
+    sources[i] (None: the detected cluster) under masks[i] at epsilons[i].
+    `factuals` (original units) is 1 x d, one factual that every row
+    shares and that is mapped and scored once, or n x d, one per row.
+    Everything but a detected source equal to its target was checked by
+    the caller; that raises ValidationError before any solve. A factual
+    or eps far enough out overflows the map, the scores or the solve, and
+    that row ends as `no_root_found`, without warnings.
     """
-    y = np.asarray(model.to_internal(factuals), dtype=np.float64)
-    detected = score_matrix(model, y, per_row=True).argmax(axis=1).tolist()
-    if len(y) < len(row_of):
-        y, detected = y[row_of], [detected[j] for j in row_of]
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = len(targets)
+        y = np.asarray(model.to_internal(factuals), dtype=np.float64)
+        detected = score_matrix(model, y, per_row=True).argmax(axis=1).tolist()
+        if len(y) < n:
+            y, detected = y[[0] * n], detected * n
 
-    groups, resolved = {}, []
-    for i, (source, target, mask, found) in enumerate(zip(sources, targets, masks, detected)):
-        if source is None:
-            source = found
-        if source == target:
-            raise ValidationError("target", "source and target clusters must differ")
-        if source != found:
-            warnings.warn(
-                f"factual is assigned to cluster {found}, not claimed source {source}",
-                SourceMismatchWarning,
-                stacklevel=3,
-            )
-        resolved.append(source)
-        groups.setdefault((source, target, mask.bits.tobytes()), []).append(i)
+        groups, resolved = {}, []
+        for i, (source, target, mask, found) in enumerate(zip(sources, targets, masks, detected)):
+            if source is None:
+                source = found
+            if source == target:
+                raise ValidationError("target", "source and target clusters must differ")
+            if source != found:
+                warnings.warn(
+                    f"factual is assigned to cluster {found}, not claimed source {source}",
+                    SourceMismatchWarning,
+                    stacklevel=3,
+                )
+            resolved.append(source)
+            groups.setdefault((source, target, mask.bits.tobytes()), []).append(i)
 
-    n = len(row_of)
-    outcomes, shares = [None] * n, [0.0] * n
-    for (source, target, _), idx in groups.items():
-        t0 = time.perf_counter_ns()
-        plan = _pair_plan(model, source, target, masks[idx[0]])
-        if len(idx) == n:
-            group = solve_gaussian_rows(plan, y, epsilons)
-        else:
-            group = solve_gaussian_rows(plan, y[idx], [epsilons[i] for i in idx])
-        share = (time.perf_counter_ns() - t0) * 1e-9 / len(idx)
-        for i, outcome in zip(idx, group):
-            outcomes[i], shares[i] = outcome, share
+        outcomes, shares = [None] * n, [0.0] * n
+        for (source, target, _), idx in groups.items():
+            t0 = time.perf_counter_ns()
+            plan = _pair_plan(model, source, target, masks[idx[0]])
+            if len(idx) == n:
+                group = solve_gaussian_rows(plan, y, epsilons)
+            else:
+                group = solve_gaussian_rows(plan, y[idx], [epsilons[i] for i in idx])
+            share = (time.perf_counter_ns() - t0) * 1e-9 / len(idx)
+            for i, outcome in zip(idx, group):
+                outcomes[i], shares[i] = outcome, share
 
-    # Verdicts and the map back to original units, once over the stacked
-    # points; each result's internal point is its row of that stack, and
-    # its frozen features take the factual's bits in original units.
-    placed = [i for i, outcome in enumerate(outcomes) if outcome.counterfactual is not None]
-    points = {}
-    if placed:
-        z = np.array([outcomes[i].counterfactual for i in placed])
-        strict, tolerant = membership_verdict(model, z, [targets[i] for i in placed])
-        z_orig = np.asarray(model.to_original(z), dtype=np.float64)
-        if any(masks[i].fixed.size for i in placed):
-            free = np.array([masks[i].bits for i in placed])
-            z_orig = np.where(free, z_orig, factuals[[row_of[i] for i in placed]])
-        points = dict(zip(placed, zip(z, strict, tolerant, z_orig)))
+        # Verdicts and the map back to original units, once over the stacked
+        # points; each result's internal point is its row of that stack, and
+        # its frozen features take the factual's bits in original units.
+        placed = [i for i, outcome in enumerate(outcomes) if outcome.counterfactual is not None]
+        points = {}
+        if placed:
+            z = np.array([outcomes[i].counterfactual for i in placed])
+            strict, tolerant = membership_verdict(model, z, [targets[i] for i in placed])
+            z_orig = np.asarray(model.to_original(z), dtype=np.float64)
+            if any(masks[i].fixed.size for i in placed):
+                free = np.array([masks[i].bits for i in placed])
+                z_orig = np.where(free, z_orig, factuals if len(factuals) < n else factuals[placed])
+            points = dict(zip(placed, zip(z, strict, tolerant, z_orig)))
 
-    # A result carries no NaN or infinity: an overflowed residual is None,
-    # and an overflowed multiplier or g limit is left out of diagnostics.
-    out = []
-    for i, outcome in enumerate(outcomes):
-        z_i, strict_i, tolerant_i, z_orig_i = points.get(i, (None, None, None, None))
-        residual = outcome.residual if math.isfinite(outcome.residual) else None
-        diagnostics = outcome.diagnostics
-        if "lam" in diagnostics or "g_limit" in diagnostics:
-            diagnostics = {key: value for key, value in diagnostics.items()
-                           if key not in ("lam", "g_limit") or math.isfinite(value)}
-        out.append(CfResult(
-            status=outcome.status, counterfactual=z_i, distance_sq=outcome.distance_sq,
-            lam=outcome.lam, residual=residual, elapsed=shares[i], source=resolved[i],
-            target=targets[i], strict_member=strict_i, tolerant_member=tolerant_i,
-            counterfactual_original=z_orig_i, diagnostics=diagnostics,
-        ))
-    return out
+        # A result carries no NaN or infinity: an overflowed residual is None,
+        # and an overflowed multiplier or g limit is left out of diagnostics.
+        out = []
+        for i, outcome in enumerate(outcomes):
+            z_i, strict_i, tolerant_i, z_orig_i = points.get(i, (None, None, None, None))
+            residual = outcome.residual if math.isfinite(outcome.residual) else None
+            diagnostics = outcome.diagnostics
+            if "lam" in diagnostics or "g_limit" in diagnostics:
+                diagnostics = {key: value for key, value in diagnostics.items()
+                               if key not in ("lam", "g_limit") or math.isfinite(value)}
+            out.append(CfResult(
+                status=outcome.status, counterfactual=z_i, distance_sq=outcome.distance_sq,
+                lam=outcome.lam, residual=residual, elapsed=shares[i], source=resolved[i],
+                target=targets[i], strict_member=strict_i, tolerant_member=tolerant_i,
+                counterfactual_original=z_orig_i, diagnostics=diagnostics,
+            ))
+        return out
 
 
 def explain_best(
@@ -214,26 +206,26 @@ def explain_best(
     # The factual is checked as its requests will be, before it is mapped.
     y_arr = as_vector(y, name="factual")
     model.check_point(y_arr, "factual")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if source is None:
+    if source is None:
+        with np.errstate(over="ignore", invalid="ignore"):
             source = assign_cluster(model, model.to_internal(y_arr))
-        if candidate_targets is None:
-            candidate_targets = [t for t in range(model.n_clusters) if t != source]
-        else:
-            candidate_targets = [as_int(t, name="candidate_targets") for t in candidate_targets]
-            if source in candidate_targets:
-                raise ValidationError("candidate_targets", "must exclude the source cluster")
-        if not candidate_targets:
-            raise ValidationError("candidate_targets", "no candidate target clusters")
-        targets = sorted(candidate_targets)
-        first = CfRequest(factual=y_arr, target=targets[0], source=source, mask=mask,
-                          epsilon=epsilon)
-        mask = first.validate_against(model)
-        for target in targets[1:]:
-            model.check_cluster(target, "target")
-        n = len(targets)
-        results = _explain_rows(model, first.factual[None, :], [0] * n, [first.source] * n,
-                                targets, [mask] * n, [first.epsilon] * n)
+    if candidate_targets is None:
+        candidate_targets = [t for t in range(model.n_clusters) if t != source]
+    else:
+        candidate_targets = [as_int(t, name="candidate_targets") for t in candidate_targets]
+        if source in candidate_targets:
+            raise ValidationError("candidate_targets", "must exclude the source cluster")
+    if not candidate_targets:
+        raise ValidationError("candidate_targets", "no candidate target clusters")
+    targets = sorted(candidate_targets)
+    first = CfRequest(factual=y_arr, target=targets[0], source=source, mask=mask,
+                      epsilon=epsilon)
+    mask = first.validate_against(model)
+    for target in targets[1:]:
+        model.check_cluster(target, "target")
+    n = len(targets)
+    results = _explain_rows(model, first.factual[None, :], [first.source] * n, targets,
+                            [mask] * n, [first.epsilon] * n)
     best = None
     statuses = {}
     for target, result in zip(targets, results):

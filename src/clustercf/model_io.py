@@ -35,6 +35,7 @@ from .core import (
 from .fit import Dataset
 
 SCHEMA_VERSION = 1
+_JSON_NUMBER_TYPES = frozenset((int, float))
 
 
 class DataError(ClusterCfError):
@@ -118,17 +119,36 @@ def _no_extras(obj: dict, allowed, path: str):
         raise ValidationError(path or "$", f"unknown fields {extras}")
 
 
-def _float_list(values, path: str, length: "int | None" = None) -> list:
-    if not isinstance(values, list) or not values:
-        raise ValidationError(path, "expected a non-empty array of numbers")
-    out = []
-    for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise ValidationError(f"{path}[{i}]", f"expected a finite number, got {v!r}")
-        out.append(float(v))
-    if length is not None and len(out) != length:
-        raise ValidationError(path, f"expected length {length}, got {len(out)}")
-    return out
+def _finite_floats(numbers) -> "list | None":
+    """The floats of `numbers` when each is a JSON int or float, not a
+    bool, that converts to a finite float; None otherwise."""
+    if not {*map(type, numbers)} <= _JSON_NUMBER_TYPES:
+        return None
+    try:
+        floats = list(map(float, numbers))
+    except OverflowError:  # an int beyond float range
+        return None
+    return floats if all(map(math.isfinite, floats)) else None
+
+
+def _numbers(value, path: str, shape: tuple):
+    """The floats of a model file's number (`shape` ()), array of n
+    numbers ((n,)) or array of m such arrays ((m, n)), each checked by
+    `_finite_floats`. The first number that fails, or an array of another
+    length, raises ValidationError at its path."""
+    if shape:
+        n, inner = shape[0], shape[1:]
+        if not isinstance(value, list) or len(value) != n:
+            raise ValidationError(path, f"expected an array of {n} {'arrays' if inner else 'numbers'}")
+        if inner:
+            return [_numbers(row, f"{path}[{i}]", inner) for i, row in enumerate(value)]
+    numbers = value if shape else [value]
+    floats = _finite_floats(numbers)
+    if floats is None:
+        i = next(i for i, v in enumerate(numbers) if _finite_floats([v]) is None)
+        raise ValidationError(f"{path}[{i}]" if shape else path,
+                              f"expected a finite number, got {numbers[i]!r}")
+    return floats if shape else floats[0]
 
 
 def _parse_covariance(obj, d: int, path: str) -> CovarianceSpec:
@@ -139,19 +159,13 @@ def _parse_covariance(obj, d: int, path: str) -> CovarianceSpec:
         raise ValidationError(f"{path}.kind", f"unknown covariance kind {kind!r}")
     if kind == FULL:
         _no_extras(obj, ("kind", "matrix"), path)
-        rows = _require(obj, "matrix", path)
-        if not isinstance(rows, list) or len(rows) != d:
-            raise ValidationError(f"{path}.matrix", f"expected {d} rows")
-        matrix = [_float_list(r, f"{path}.matrix[{i}]", d) for i, r in enumerate(rows)]
-        return CovarianceSpec.full(matrix)
+        return CovarianceSpec.full(_numbers(_require(obj, "matrix", path), f"{path}.matrix", (d, d)))
     if kind == DIAGONAL:
         _no_extras(obj, ("kind", "variances"), path)
-        return CovarianceSpec.diagonal(_float_list(_require(obj, "variances", path), f"{path}.variances", d))
+        return CovarianceSpec.diagonal(
+            _numbers(_require(obj, "variances", path), f"{path}.variances", (d,)))
     _no_extras(obj, ("kind", "variance"), path)
-    v = _require(obj, "variance", path)
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise ValidationError(f"{path}.variance", "expected a finite number")
-    return CovarianceSpec.spherical(float(v))
+    return CovarianceSpec.spherical(_numbers(_require(obj, "variance", path), f"{path}.variance", ()))
 
 
 def model_from_dict(obj: Any) -> "tuple[ClusterModel, dict]":
@@ -184,8 +198,8 @@ def model_from_dict(obj: Any) -> "tuple[ClusterModel, dict]":
             raise ValidationError("standardization", "expected an object or null")
         _no_extras(std_obj, ("mean", "std"), "standardization")
         standardization = Standardization(
-            mean=_float_list(_require(std_obj, "mean", "standardization"), "standardization.mean", d),
-            std=_float_list(_require(std_obj, "std", "standardization"), "standardization.std", d),
+            mean=_numbers(_require(std_obj, "mean", "standardization"), "standardization.mean", (d,)),
+            std=_numbers(_require(std_obj, "std", "standardization"), "standardization.std", (d,)),
         )
 
     provenance = obj.get("provenance", {})
@@ -193,10 +207,7 @@ def model_from_dict(obj: Any) -> "tuple[ClusterModel, dict]":
         raise ValidationError("provenance", "expected an object")
 
     if kind == KMEANS:
-        rows = _require(obj, "centers", "")
-        if not isinstance(rows, list) or len(rows) != m:
-            raise ValidationError("centers", f"expected {m} rows")
-        centers = [_float_list(r, f"centers[{i}]", d) for i, r in enumerate(rows)]
+        centers = _numbers(_require(obj, "centers", ""), "centers", (m, d))
         model = ClusterModel(kind=KMEANS, centers=centers, standardization=standardization)
     else:
         comp_objs = _require(obj, "components", "")
@@ -208,13 +219,11 @@ def model_from_dict(obj: Any) -> "tuple[ClusterModel, dict]":
             if not isinstance(co, dict):
                 raise ValidationError(path, "expected an object")
             _no_extras(co, ("mean", "covariance", "prior"), path)
-            mean = _float_list(_require(co, "mean", path), f"{path}.mean", d)
+            mean = _numbers(_require(co, "mean", path), f"{path}.mean", (d,))
             cov = _parse_covariance(_require(co, "covariance", path), d, f"{path}.covariance")
-            prior = _require(co, "prior", path)
-            if isinstance(prior, bool) or not isinstance(prior, (int, float)):
-                raise ValidationError(f"{path}.prior", "expected a number")
+            prior = _numbers(_require(co, "prior", path), f"{path}.prior", ())
             try:
-                comps.append(GaussianComponent(mean=mean, covariance=cov, prior=float(prior)))
+                comps.append(GaussianComponent(mean=mean, covariance=cov, prior=prior))
             except ValidationError as exc:
                 raise ValidationError(f"{path}.{exc.path}", exc.message) from exc
         model = ClusterModel(kind=GAUSSIAN, components=tuple(comps), standardization=standardization)
@@ -242,7 +251,7 @@ def read_json(path, what: str):
             return json.loads(fh.read(), parse_constant=_reject_constant)
     except OSError as exc:
         raise DataError(f"cannot read {what} file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or UTF-8, or an int of too many digits
         raise DataError(f"{what} file {path} is not valid JSON: {exc}") from exc
 
 

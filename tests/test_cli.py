@@ -9,6 +9,7 @@ import pytest
 
 import clustercf as cf
 from clustercf.cli import build_parser, main
+from clustercf.core import DEFAULT_EPSILON
 from oracles import make_blobs
 
 
@@ -173,6 +174,33 @@ def test_explain_mask_length_mismatch_exits_2(tmp_path, boundary_model, capsys):
         "--target", "1", "--mask", "1,0,1", "-o", str(out),
     ])
     assert code == 2
+    assert capsys.readouterr().err == "error: mask: length 3 does not match dimension 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        (["explain", "--factual", "0,0", "--target", "7"], "target"),
+        (["explain", "--factual", "0,0", "--target", "best", "--source", "7"], "source"),
+        (["explain", "--factual", "0,0,0", "--target", "1"], "factual"),
+        (["sweep", "--factual", "0,0", "--target", "7", "--epsilons", "0"], "target"),
+        (["eval", "--source", "0", "--target", "7", "DATA"], "target"),
+        (["explain", "--factual", "0,0", "--target", "1", "--mask", "1,x"], "mask"),
+    ],
+    ids=["explain-target", "best-source", "explain-factual", "sweep-target", "eval-target",
+         "unparsable"],
+)
+def test_a_wrong_width_mask_is_reported_after_the_query(tmp_path, boundary_model, blob_csv, capsys,
+                                                        argv, first):
+    # The library checks the factual, target and source before the mask's
+    # width; an unparsable mask is reported before anything is read.
+    argv = [str(blob_csv) if a == "DATA" else a for a in argv]
+    if "--mask" not in argv:
+        argv += ["--mask", "1,0,1"]
+    code = main(argv[:1] + ["--model", str(boundary_model)] + argv[1:]
+                + ["-o", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {first}")
 
 
 def test_explain_factual_row_source(tmp_path, boundary_model, capsys):
@@ -593,3 +621,103 @@ def test_factual_row_of_another_width_exits_2(tmp_path, boundary_model, capsys):
                  "--target", "1", "-o", str(tmp_path / "x.json")])
     assert code == 2
     assert not (tmp_path / "x.json").exists()
+
+
+def test_explain_best_with_every_target_failed_exits_5_with_its_one_line(tmp_path, capsys):
+    # With every feature frozen no target can be reached.
+    model = tmp_path / "three.json"
+    cf.save_model(cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]),
+                  model)
+    out = tmp_path / "best.json"
+    code = main(["explain", "--model", str(model), "--factual", "0.1,0.2", "--target", "best",
+                 "--mask", "0,0", "-o", str(out)])
+    assert code == 5
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    line = json.loads(lines[0])
+    assert line == {"command": "explain", "status": "all_targets_failed", "target": None,
+                    "distance_sq": None, "output": str(out)}
+    doc = json.loads(out.read_text())
+    jsonschema.validate(doc, load_schema("explain_result.schema.json"))
+    assert doc["statuses"] == {"1": "no_feasible_solution", "2": "no_feasible_solution"}
+    assert doc["factual"] == [0.1, 0.2] and doc["counterfactual"] is None
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["explain", "--factual-row", "1.5", "DATA", "--target", "1"],
+         "--factual-row index '1.5' is not an integer"),
+        (["explain", "--factual", "0,abc", "--target", "1"],
+         "could not parse --factual '0,abc' as comma-separated numbers"),
+        (["sweep", "--factual", "0,0.5", "--target", "1", "--epsilons", "0,x"],
+         "could not parse --epsilons '0,x' as comma-separated numbers"),
+    ],
+    ids=["factual-row", "factual", "epsilons"],
+)
+def test_unparsable_numbers_exit_2(tmp_path, boundary_model, blob_csv, capsys, argv, message):
+    argv = [str(blob_csv) if a == "DATA" else a for a in argv]
+    code = main(argv[:1] + ["--model", str(boundary_model)] + argv[1:]
+                + ["-o", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs.csv", "pair.json"]
+
+
+def test_eval_on_an_empty_source_cluster_is_a_data_error(tmp_path, boundary_model, capsys):
+    data = tmp_path / "far.csv"
+    data.write_text("2.0,0.1\n2.2,-0.1\n1.9,0.0\n")
+    code = main(["eval", "--model", str(boundary_model), "--source", "0", "--target", "1",
+                 str(data), "-o", str(tmp_path / "campaign")])
+    assert code == 3
+    assert capsys.readouterr().err == \
+        "data error: source cluster 0 is empty in this dataset\n"
+
+
+def test_parser_defaults_are_the_library_defaults(tmp_path):
+    parser = build_parser()
+    fit_args = parser.parse_args(["fit", "--algo", "kmeans", "--k", "2", "DATA", "-o", "M"])
+    config = cf.FitConfig()
+    assert fit_args.cov == config.covariance
+    assert (fit_args.seed, fit_args.restarts, fit_args.max_iter, fit_args.rel_tol) == \
+        (config.seed, config.restarts, config.max_iter, config.rel_tol)
+    assert fit_args.no_standardize is not config.standardize
+    eval_args = parser.parse_args(["eval", "--model", "M", "--source", "0", "--target", "1",
+                                   "DATA", "-o", "P"])
+    eval_config = cf.EvalConfig(source=0, target=1)
+    assert (eval_args.n, eval_args.seed, eval_args.epsilon) == \
+        (eval_config.n_factuals, eval_config.seed, eval_config.epsilon)
+    explain_args = parser.parse_args(["explain", "--model", "M", "--factual", "0", "--target", "1",
+                                      "-o", "O"])
+    assert explain_args.epsilon == DEFAULT_EPSILON == eval_config.epsilon
+    assert cf.CfRequest(factual=[0.0], target=1).epsilon == DEFAULT_EPSILON
+
+
+def _kmeans_file_with(tmp_path, text_of_center):
+    """A two-center k-means model file whose first coordinate is written
+    as the JSON text `text_of_center`."""
+    path = tmp_path / "model.json"
+    cf.save_model(cf.ClusterModel(kind=cf.KMEANS, centers=[[0.125, 0.0], [2.0, 0.0]]), path)
+    path.write_text(path.read_text().replace("0.125", text_of_center, 1))
+    return path
+
+
+@pytest.mark.parametrize("text", ["1" + "0" * 400, "1" + "0" * 5000, "1e999", "true"],
+                         ids=["int-beyond-float", "int-beyond-str-digits", "1e999", "bool"])
+def test_a_bad_model_number_is_a_data_error(tmp_path, capsys, text):
+    model = _kmeans_file_with(tmp_path, text)
+    code = main(["explain", "--model", str(model), "--factual", "0,0.5", "--target", "1",
+                 "-o", str(tmp_path / "x.json")])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ")
+    assert "centers[0][0]" in err[0] or "not valid JSON" in err[0]
+
+
+def test_a_model_file_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_bytes(b"\xff\xfe{}")
+    code = main(["explain", "--model", str(model), "--factual", "0,0.5", "--target", "1",
+                 "-o", str(tmp_path / "x.json")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(f"data error: model file {model} is not valid JSON")

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import warnings
 
@@ -92,6 +93,16 @@ def test_warns_when_source_cluster_small(blob_setup):
     with pytest.warns(UserWarning, match="only"):
         report = cf.run_eval(model, data, config)
     assert report.n_evaluated == 120
+
+
+def test_run_eval_on_an_empty_source_cluster_raises_before_any_solve(monkeypatch):
+    explain_module = importlib.import_module("clustercf.explain")
+    monkeypatch.setattr(explain_module, "solve_gaussian_rows",
+                        lambda *args: pytest.fail("a factual was solved"))
+    model = cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0], [2.0, 0.0]])
+    data = cf.Dataset(rows=np.array([[2.0, 0.1], [2.2, -0.1], [1.9, 0.0]]))
+    with pytest.raises(cf.ClusterCfError, match="source cluster 0 is empty in this dataset"):
+        cf.run_eval(model, data, cf.EvalConfig(source=0, target=1))
 
 
 def test_a_row_without_a_finite_score_is_never_sampled():

@@ -373,6 +373,27 @@ def test_factual_on_boundary_returns_itself():
     assert np.allclose(res.counterfactual, boundary, atol=1e-6)
 
 
+@pytest.mark.parametrize("family", ["kmeans", "shared-covariance"])
+def test_an_affine_factual_within_tolerance_is_its_own_counterfactual(family):
+    # On the pair boundary g(y) = 0 exactly, and the plan could still
+    # move: the closed form returns the factual itself, lam 0.
+    m_s, m_t = np.array([0.0, 0.0]), np.array([2.0, 0.0])
+    mask = cf.Mask.all_free(2)
+    if family == "kmeans":
+        plan = GaussianPairPlan.for_centers(m_s, m_t, mask)
+    else:
+        cov = cf.CovarianceSpec.full([[1.0, 0.0], [0.0, 2.0]])
+        plan = GaussianPairPlan(cf.GaussianComponent(mean=m_s, covariance=cov, prior=0.5),
+                                cf.GaussianComponent(mean=m_t, covariance=cov, prior=0.5), mask)
+    assert plan.affine
+    y = np.array([1.0, 0.75])
+    (outcome,) = solve_gaussian_rows(plan, y[None, :], [0.0])
+    assert outcome.status == cf.STATUS_OK
+    assert outcome.counterfactual.tobytes() == y.tobytes()
+    assert (outcome.distance_sq, outcome.lam, outcome.residual) == (0.0, 0.0, 0.0)
+    assert outcome.diagnostics == {"path": "factual", "interval": [None, None], "iterations": 0}
+
+
 def test_mixed_covariance_kinds_promote_to_matrix_path():
     rng = np.random.default_rng(79)
     var = rng.uniform(0.5, 2.0, size=3)

@@ -194,6 +194,78 @@ def test_fuzzed_mutations_rejected_or_valid(tmp_path):
     assert abs(total - 1.0) <= 1e-9
 
 
+# Every number of a model file: (index into sample_models(), the keys of
+# the field in its document, the field's path in error messages).
+NUMBER_ARRAYS = [
+    (1, ("standardization", "mean"), "standardization.mean"),
+    (1, ("standardization", "std"), "standardization.std"),
+    (0, ("centers", 1), "centers[1]"),
+    (1, ("components", 1, "mean"), "components[1].mean"),
+    (1, ("components", 0, "covariance", "matrix", 2), "components[0].covariance.matrix[2]"),
+    (2, ("components", 1, "covariance", "variances"), "components[1].covariance.variances"),
+]
+NUMBER_SCALARS = [
+    (3, ("components", 1, "covariance", "variance"), "components[1].covariance.variance"),
+    (1, ("components", 0, "prior"), "components[0].prior"),
+]
+BAD_NUMBERS = [True, "0.5", None, json.loads("1e999"), 10**400]
+BAD_NUMBER_IDS = ["bool", "string", "null", "1e999", "int-beyond-float"]
+
+
+def _document_with(idx, keys, value):
+    """The document of sample model `idx` with the field at `keys` set to
+    `value`, or, for a callable `value`, to what it makes of the field."""
+    doc = json.loads(json.dumps(model_to_dict(sample_models()[idx])))
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value(parent[keys[-1]]) if callable(value) else value
+    return doc
+
+
+def _rejected_at(doc):
+    with pytest.raises(cf.ValidationError) as err:
+        model_from_dict(doc)
+    return err.value.path
+
+
+@pytest.mark.parametrize("bad", BAD_NUMBERS, ids=BAD_NUMBER_IDS)
+@pytest.mark.parametrize("idx, keys, path", NUMBER_ARRAYS + NUMBER_SCALARS,
+                         ids=[path for _, _, path in NUMBER_ARRAYS + NUMBER_SCALARS])
+def test_a_bad_model_number_is_rejected_at_its_path(idx, keys, path, bad):
+    if (idx, keys, path) in NUMBER_SCALARS:
+        assert _rejected_at(_document_with(idx, keys, bad)) == path
+    else:
+        doc = _document_with(idx, keys, lambda row: row[:1] + [bad] + row[2:])
+        assert _rejected_at(doc) == f"{path}[1]"
+
+
+@pytest.mark.parametrize("idx, keys, path", NUMBER_ARRAYS,
+                         ids=[path for _, _, path in NUMBER_ARRAYS])
+def test_a_model_array_of_another_length_or_no_array_is_rejected_at_its_path(idx, keys, path):
+    assert _rejected_at(_document_with(idx, keys, lambda row: row + [0.5])) == path
+    assert _rejected_at(_document_with(idx, keys, lambda row: row[:-1])) == path
+    assert _rejected_at(_document_with(idx, keys, 0.5)) == path
+    assert _rejected_at(_document_with(idx, keys, {"0": 0.5})) == path
+    # A matrix of centers or covariance entries counts its rows as well.
+    if isinstance(keys[-1], int):
+        assert _rejected_at(_document_with(idx, keys[:-1], lambda rows: rows[:-1])) == \
+            path.rpartition("[")[0]
+
+
+@pytest.mark.parametrize("idx, keys, path", NUMBER_SCALARS,
+                         ids=[path for _, _, path in NUMBER_SCALARS])
+def test_a_model_scalar_given_as_an_array_is_rejected_at_its_path(idx, keys, path):
+    assert _rejected_at(_document_with(idx, keys, lambda value: [value])) == path
+
+
+def test_json_ints_load_as_their_floats():
+    doc = {"schema_version": 1, "kind": "kmeans", "d": 2, "n_clusters": 2,
+           "centers": [[0, 2**53 + 1], [3, -1]], "standardization": None, "provenance": {}}
+    model, _ = model_from_dict(doc)
+    assert model.centers.tolist() == [[0.0, float(2**53 + 1)], [3.0, -1.0]]
+
+
 # ---------------------------------------------------------------------------
 # Dataset CSV loading
 
