@@ -2,9 +2,10 @@
 plausibility factor and run evaluation campaigns.
 
 Exit codes: 0 success, 2 usage errors, 3 data errors, 4 fit failures,
-5 solver failures. Every command prints a single JSON summary line to
-standard output and writes its full results to files, so shell pipelines
-can branch on the code and parse the line.
+5 solver failures. Every command writes its full results to files and
+returns its exit code and summary; `main` prints that summary as the
+single JSON line on standard output, so shell pipelines can branch on the
+code and parse the line.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def _file_sha256(path) -> str:
 # Commands
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> "tuple[int, dict]":
     if args.k < 2:
         raise UsageError("--k must be at least 2 (counterfactuals need a cluster pair)")
     with _usage_errors():
@@ -169,21 +170,15 @@ def cmd_fit(args) -> int:
     }
     save_model(model, args.output, provenance=provenance)
     objective_key = "inertia" if config.algorithm == KMEANS else "log_likelihood"
-    print(
-        json.dumps(
-            {
-                "command": "fit",
-                "algorithm": config.algorithm,
-                objective_key: info.objective,
-                "iterations": info.iterations,
-                "model": str(args.output),
-            }
-        )
-    )
-    return EXIT_OK
+    return EXIT_OK, {
+        "algorithm": config.algorithm,
+        objective_key: info.objective,
+        "iterations": info.iterations,
+        "model": str(args.output),
+    }
 
 
-def cmd_explain(args) -> int:
+def cmd_explain(args) -> "tuple[int, dict]":
     model, y, mask = _load_query(args)
     if args.target == "best":
         try:
@@ -191,8 +186,9 @@ def cmd_explain(args) -> int:
                 result = explain_best(model, y, mask=mask, epsilon=args.epsilon, source=args.source)
         except AllTargetsFailedError as exc:
             result = None
-            out = {"status": "all_targets_failed", "statuses": exc.statuses, "target": None,
-                   "epsilon": args.epsilon, "distance_sq": None, "counterfactual": None}
+            out = {"status": "all_targets_failed", "source": exc.source, "statuses": exc.statuses,
+                   "target": None, "epsilon": args.epsilon, "distance_sq": None,
+                   "counterfactual": None}
         else:
             out = _result_dict(result, args.epsilon, mask)
             out["chosen_target"] = result.target
@@ -209,21 +205,16 @@ def cmd_explain(args) -> int:
         out = _result_dict(result, args.epsilon, mask)
     out["factual"] = y.tolist()
     write_json(out, args.output)
-    print(
-        json.dumps(
-            {
-                "command": "explain",
-                "status": out["status"],
-                "target": out["target"],
-                "distance_sq": out["distance_sq"],
-                "output": str(args.output),
-            }
-        )
-    )
-    return EXIT_OK if result is not None and result.solved else EXIT_SOLVE
+    code = EXIT_OK if result is not None and result.solved else EXIT_SOLVE
+    return code, {
+        "status": out["status"],
+        "target": out["target"],
+        "distance_sq": out["distance_sq"],
+        "output": str(args.output),
+    }
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> "tuple[int, dict]":
     model, y, mask = _load_query(args)
     epsilons = _parse_floats(args.epsilons, "--epsilons")
     with _usage_errors():
@@ -244,23 +235,17 @@ def cmd_sweep(args) -> int:
          for p in points),
     )
     n_solved = sum(1 for p in points if p.result.solved)
-    print(
-        json.dumps(
-            {
-                "command": "sweep",
-                "points": len(points),
-                "solved": n_solved,
-                "results": results_path,
-                "deltas": deltas_path,
-            }
-        )
-    )
-    return EXIT_OK if n_solved else EXIT_SOLVE
+    code = EXIT_OK if n_solved else EXIT_SOLVE
+    return code, {
+        "points": len(points),
+        "solved": n_solved,
+        "results": results_path,
+        "deltas": deltas_path,
+    }
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> "tuple[int, dict]":
     model = load_model(args.model)
-    data = load_dataset(args.data, label_column=args.label_col)
     mask = _parse_mask(args.mask)
     baselines = []
     for spec_text in args.baseline or []:
@@ -279,25 +264,20 @@ def cmd_eval(args) -> int:
             external_baselines=tuple(baselines),
         )
         config.validate_against(model)
+    data = load_dataset(args.data, label_column=args.label_col)
     report = run_eval(model, data, config)
 
     report_path = f"{args.output}.report.json"
     records_path = f"{args.output}.records.csv"
     write_report_json(report, report_path)
     write_records_csv(report, records_path)
-    print(
-        json.dumps(
-            {
-                "command": "eval",
-                "n": report.n_evaluated,
-                "success_strict": report.aggregates["success_strict"],
-                "success_tolerant": report.aggregates["success_tolerant"],
-                "report": report_path,
-                "records": records_path,
-            }
-        )
-    )
-    return EXIT_OK
+    return EXIT_OK, {
+        "n": report.n_evaluated,
+        "success_strict": report.aggregates["success_strict"],
+        "success_tolerant": report.aggregates["success_tolerant"],
+        "report": report_path,
+        "records": records_path,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +378,7 @@ def main(argv=None) -> int:
             return EXIT_OK
         return code if isinstance(code, int) else EXIT_USAGE
     try:
-        return args.handler(args)
+        code, summary = args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -408,6 +388,8 @@ def main(argv=None) -> int:
     except (ClusterCfError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    print(json.dumps({"command": args.command, **summary}))
+    return code
 
 
 def entry() -> None:

@@ -22,7 +22,6 @@ from .core import (
     ValidationError,
     as_int,
     as_vector,
-    assign_cluster,
     score_matrix,
 )
 from .gaussian_cf import GaussianPairPlan, solve_gaussian_rows
@@ -39,11 +38,14 @@ class SourceMismatchWarning(UserWarning):
 
 
 class AllTargetsFailedError(ClusterCfError):
-    """No candidate target produced a solved counterfactual."""
+    """No candidate target produced a solved counterfactual: `statuses`
+    maps each candidate target to its status, and `source` is the cluster
+    the candidates were solved from."""
 
-    def __init__(self, statuses: dict):
+    def __init__(self, statuses: dict, source: int):
         super().__init__(f"no target yielded a counterfactual: {statuses}")
         self.statuses = dict(statuses)
+        self.source = source
 
 
 def membership_verdict(model: ClusterModel, rows: np.ndarray, targets):
@@ -201,14 +203,17 @@ def explain_best(
     candidate's request, and every other candidate target once, all
     before the first solve; the candidates then go to the solver core of
     `explain_many` as one factual row each. Raises AllTargetsFailedError
-    with the per-target statuses when nothing solves.
+    with the per-target statuses and the source when nothing solves.
     """
     # The factual is checked as its requests will be, before it is mapped.
     y_arr = as_vector(y, name="factual")
     model.check_point(y_arr, "factual")
     if source is None:
+        # Detected as the solver core detects it, so a factual whose scores
+        # overflow gets the core's source and ends as its no_root_found rows.
         with np.errstate(over="ignore", invalid="ignore"):
-            source = assign_cluster(model, model.to_internal(y_arr))
+            scores = score_matrix(model, model.to_internal(y_arr), per_row=True)
+        source = int(scores.argmax(axis=1)[0])
     if candidate_targets is None:
         candidate_targets = [t for t in range(model.n_clusters) if t != source]
     else:
@@ -233,7 +238,7 @@ def explain_best(
         if result.status == STATUS_OK and (best is None or result.distance_sq < best.distance_sq):
             best = result
     if best is None:
-        raise AllTargetsFailedError(statuses)
+        raise AllTargetsFailedError(statuses, first.source)
     return best
 
 

@@ -322,8 +322,8 @@ def fit(data: Dataset, config: FitConfig):
 
 def priors_policy(model: ClusterModel, policy: str, data: "Dataset | None" = None) -> ClusterModel:
     """Replace component priors: `uniform` sets 1/M, `frequency` uses hard
-    assignment counts over the given dataset. Centroid models have no
-    priors and are returned unchanged."""
+    assignment counts over the given dataset's rows that have a finite
+    score. Centroid models have no priors and are returned unchanged."""
     if policy not in ("uniform", "frequency"):
         raise ValidationError("policy", f"unknown priors policy {policy!r}")
     if model.kind == KMEANS:
@@ -335,8 +335,12 @@ def priors_policy(model: ClusterModel, policy: str, data: "Dataset | None" = Non
         if data is None:
             raise ValidationError("data", "frequency policy requires a dataset")
         model.check_rows(data.rows)
-        rows = model.to_internal(data.rows)
-        labels = np.argmax(score_matrix(model, rows), axis=1)
+        # As in `run_eval`: a row whose map or scores overflow is in no
+        # cluster and is not counted.
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = score_matrix(model, model.to_internal(data.rows))
+        finite = np.isfinite(scores)
+        labels = np.argmax(np.where(finite, scores, -np.inf), axis=1)[finite.any(axis=1)]
         counts = np.bincount(labels, minlength=m).astype(np.float64)
         if np.any(counts == 0.0):
             raise FitError("frequency policy found an empty cluster")

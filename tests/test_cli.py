@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import clustercf as cf
+from clustercf import cli
 from clustercf.cli import build_parser, main
 from clustercf.core import DEFAULT_EPSILON
 from oracles import make_blobs
@@ -362,6 +363,29 @@ def test_eval_bad_baseline_spec_exits_2(tmp_path, blob_csv, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--source", "0", "--target", "1", "--mask", "1,0,1"],
+     "error: mask: length 3 does not match dimension 2\n"),
+    (["--source", "0", "--target", "7"], "error: target: cluster id 7 out of range [0, 2)\n"),
+], ids=["mask", "target"])
+def test_eval_checks_its_request_before_it_reads_the_dataset(tmp_path, blob_csv, monkeypatch,
+                                                              capsys, argv, message):
+    # With a bad row appended, reading the dataset first exited 3 with
+    # "non-numeric cell 'x' ...".
+    model_path = tmp_path / "m.json"
+    cf.save_model(cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0], [6.0, 5.0]]), model_path)
+    with open(blob_csv, "a") as fh:
+        fh.write("x,1\n")
+    reads = []
+    monkeypatch.setattr(cli, "load_dataset", lambda *a, **k: reads.append(a))
+    code = main(["eval", "--model", str(model_path)] + argv + [str(blob_csv),
+                                                               "-o", str(tmp_path / "c")])
+    assert code == 2
+    assert reads == []
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
+
+
 @pytest.fixture
 def three_cluster_files(tmp_path):
     rng = np.random.default_rng(227)
@@ -411,6 +435,15 @@ def test_bad_request_exits_2_before_any_solve(tmp_path, three_cluster_files, mon
 
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_help_exits_0_without_a_summary_line(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: clustercf")
+    for line in out.splitlines():
+        with pytest.raises(ValueError):
+            json.loads(line)
 
 
 def test_readme_cli_sequence_runs_as_written(tmp_path, capsys):
@@ -640,7 +673,35 @@ def test_explain_best_with_every_target_failed_exits_5_with_its_one_line(tmp_pat
     doc = json.loads(out.read_text())
     jsonschema.validate(doc, load_schema("explain_result.schema.json"))
     assert doc["statuses"] == {"1": "no_feasible_solution", "2": "no_feasible_solution"}
+    assert doc["source"] == 0
     assert doc["factual"] == [0.1, 0.2] and doc["counterfactual"] is None
+
+
+@pytest.mark.parametrize("target", ["best", "1"])
+def test_a_factual_whose_scores_overflow_exits_5_for_any_target(tmp_path, capsys, target):
+    # Mapped, the factual's first coordinate is 1e310: no target solves,
+    # and `--target best` exited 2 with "error: x: contains NaN ...".
+    model = tmp_path / "three.json"
+    cf.save_model(cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]],
+                                  standardization=cf.Standardization(mean=[0.0, 0.0],
+                                                                     std=[1e-10, 1.0])),
+                  model)
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["explain", "--model", str(model), "--factual", "1e300,0", "--target", target,
+                     "-o", str(out)])
+    assert code == 5
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert len(captured.out.splitlines()) == 1
+    doc = json.loads(out.read_text())
+    jsonschema.validate(doc, load_schema("explain_result.schema.json"))
+    assert doc["source"] == 0
+    if target == "best":
+        assert doc["statuses"] == {"1": "no_root_found", "2": "no_root_found"}
+    else:
+        assert doc["status"] == "no_root_found"
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import clustercf as cf
-from clustercf.core import SCORE_BLOCK_ROWS
+from clustercf.core import SCORE_BLOCK_ROWS, as_vector, check_same_dim
 from clustercf.gaussian_cf import GaussianPairPlan
 from oracles import (
     covariance_matrix,
@@ -468,3 +468,49 @@ def test_retired_names_are_not_public(name):
 )
 def test_retired_members_are_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+def _component(mean, covariance=None, prior=0.5):
+    covariance = covariance or cf.CovarianceSpec.spherical(1.0)
+    return cf.GaussianComponent(mean=mean, covariance=covariance, prior=prior)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: as_vector([[1.0, 2.0]], name="x"), cf.ValidationError,
+     "x: must be a non-empty 1-D array of reals"),
+    (lambda: as_vector([], name="x"), cf.ValidationError,
+     "x: must be a non-empty 1-D array of reals"),
+    (lambda: check_same_dim(np.zeros(2), np.zeros(3), "pair"), cf.DimensionMismatchError,
+     "pair have mismatched dimensions 2 and 3"),
+    (lambda: cf.CovarianceSpec("banded", [1.0]), cf.ValidationError,
+     "covariance.kind: unknown kind 'banded'"),
+    (lambda: _component([0.0, 0.0], cf.CovarianceSpec.diagonal([1.0, np.inf])),
+     cf.ValidationError, "covariance: contains NaN or infinite entries"),
+    (lambda: _component([0.0, 0.0], cf.CovarianceSpec.full(np.eye(3))), cf.ValidationError,
+     "covariance: expected a 2x2 matrix, got shape (3, 3)"),
+    (lambda: _component([0.0, 0.0], cf.CovarianceSpec.diagonal([1.0, 1.0, 1.0])),
+     cf.ValidationError, "covariance: expected 2 variances, got shape (3,)"),
+    (lambda: _component([0.0, 0.0], cf.CovarianceSpec(cf.SPHERICAL, [1.0, 1.0])),
+     cf.ValidationError, "covariance: spherical variance must be a scalar"),
+    (lambda: cf.ClusterModel(kind="dbscan"), cf.ValidationError,
+     "kind: unknown model kind 'dbscan'"),
+    (lambda: cf.ClusterModel(kind=cf.KMEANS), cf.ValidationError,
+     "centers: kmeans model requires centers"),
+    (lambda: cf.ClusterModel(kind=cf.KMEANS, centers=[0.0, 1.0]), cf.ValidationError,
+     "centers: expected an M x d matrix with M >= 1"),
+    (lambda: cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, np.nan], [1.0, 0.0]]),
+     cf.ValidationError, "centers: contains NaN or infinite entries"),
+    (lambda: cf.ClusterModel(kind=cf.GAUSSIAN), cf.ValidationError,
+     "components: gaussian model requires components"),
+    (lambda: cf.ClusterModel(kind=cf.GAUSSIAN,
+                             components=(_component([0.0, 0.0]), _component([0.0, 0.0, 0.0]))),
+     cf.ValidationError, "components[1].mean: dimension mismatch"),
+    (lambda: cf.Mask([[True, False]]), cf.ValidationError,
+     "mask: must be a non-empty 1-D boolean array"),
+], ids=["vector-2d", "vector-empty", "same-dim", "covariance-kind", "covariance-non-finite",
+        "full-shape", "diagonal-shape", "spherical-shape", "model-kind", "no-centers",
+        "centers-shape", "centers-non-finite", "no-components", "component-width", "mask-2d"])
+def test_malformed_core_inputs_are_rejected(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message

@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clustercf as cf
-from clustercf.evaluate import FactualRecord, compute_aggregates, report_from_dict, report_to_dict
+from clustercf.evaluate import (
+    REPORT_SCHEMA_VERSION,
+    FactualRecord,
+    compute_aggregates,
+    report_from_dict,
+    report_to_dict,
+)
 from helpers import two_cluster_gaussian_model
 from oracles import make_blobs
 
@@ -556,3 +562,18 @@ def test_baseline_names_cannot_overwrite_a_column(tmp_path, blob_setup, names, b
     with pytest.raises(cf.ValidationError, match=f"external_baselines: baseline name {bad}"):
         cf.attach_baselines(report, model, pairs)
     assert report.comparison is None
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: cf.EvalConfig(source=0, target=1, n_factuals=0), cf.ValidationError,
+     "n_factuals: must be >= 1"),
+    (lambda: report_from_dict([]), cf.DataError, "report: expected an object"),
+    (lambda: report_from_dict({"schema_version": 99}), cf.DataError,
+     "unsupported report schema_version 99"),
+    (lambda: report_from_dict({"schema_version": REPORT_SCHEMA_VERSION, "baselines": []}),
+     cf.DataError, "baselines: expected an object"),
+], ids=["n-factuals", "report-not-object", "report-version", "baselines-not-object"])
+def test_malformed_evaluate_inputs_are_rejected(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message

@@ -102,6 +102,7 @@ def test_explain_best_all_targets_failed():
         cf.explain_best(model, [0.2, 0.5], mask=frozen, epsilon=0.5)
     assert set(err.value.statuses) == {1, 2}
     assert all(s == cf.STATUS_NO_FEASIBLE_SOLUTION for s in err.value.statuses.values())
+    assert err.value.source == 0
 
 
 def test_source_mismatch_warns_but_proceeds():

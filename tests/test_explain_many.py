@@ -351,6 +351,48 @@ def test_explain_best_equals_explain_of_each_candidate_alone(family):
             assert float_bits(best.counterfactual) == float_bits(want.counterfactual)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_explain_best_detects_a_finite_factual_in_its_assigned_cluster(family):
+    # Without a source, explain_best gives the bits it gives from the
+    # cluster `assign_cluster` puts the factual in.
+    rng = np.random.default_rng(29)
+    model = random_model(rng, family, 3, 4)
+    for _ in range(8):
+        internal = model.means()[int(rng.integers(4))] + rng.normal(scale=0.7, size=3)
+        y = np.asarray(model.to_original(internal), dtype=np.float64)
+        mask = cf.Mask(rng.random(3) < 0.75)
+        eps = float(rng.choice(EPSILONS))
+        source = cf.assign_cluster(model, model.to_internal(y))
+        try:
+            want = cf.explain_best(model, y, mask=mask, epsilon=eps, source=source)
+        except cf.AllTargetsFailedError as failed:
+            with pytest.raises(cf.AllTargetsFailedError) as info:
+                cf.explain_best(model, y, mask=mask, epsilon=eps)
+            assert (info.value.statuses, info.value.source) == (failed.statuses, source)
+            continue
+        got = cf.explain_best(model, y, mask=mask, epsilon=eps)
+        assert (got.status, got.source, got.target) == (want.status, source, want.target)
+        assert got.diagnostics == want.diagnostics
+        for field in ("lam", "distance_sq", "counterfactual", "counterfactual_original"):
+            assert float_bits(getattr(got, field)) == float_bits(getattr(want, field)), field
+
+
+def test_explain_best_on_a_factual_whose_scores_overflow_fails_as_explain_does():
+    # The mapped factual's first coordinate is 1e310: its scores overflow,
+    # and the core detects it in cluster 0, as explain_best now does.
+    model = cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]],
+                            standardization=cf.Standardization(mean=[0.0, 0.0], std=[1e-10, 1.0]))
+    y = [1e300, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = [cf.explain(model, cf.CfRequest(factual=y, target=t)) for t in (1, 2)]
+        with pytest.raises(cf.AllTargetsFailedError) as info:
+            cf.explain_best(model, y)
+    assert [(r.status, r.source) for r in alone] == [(cf.STATUS_NO_ROOT_FOUND, 0)] * 2
+    assert info.value.statuses == {1: cf.STATUS_NO_ROOT_FOUND, 2: cf.STATUS_NO_ROOT_FOUND}
+    assert info.value.source == 0
+
+
 # ---------------------------------------------------------------------------
 # The campaign calls check their inputs before any solve, in a fixed order
 

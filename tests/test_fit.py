@@ -1,4 +1,5 @@
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -218,3 +219,43 @@ def test_priors_policy_checks_the_data_width(standardize):
     wide = cf.Dataset(rows=np.hstack([data.rows, data.rows[:, :1]]))
     with pytest.raises(cf.DimensionMismatchError, match="rows have dimension 3, model expects 2"):
         cf.priors_policy(model, "frequency", wide)
+
+
+def test_priors_policy_frequency_counts_only_rows_with_a_finite_score():
+    # The row at (1e200, 0) overflows every score; it was counted in cluster 0.
+    model = _two_sphericals()
+    data = cf.Dataset(rows=[[0.1, 0.0], [-0.1, 0.1], [3.1, 0.0], [2.9, 0.1], [3.0, -0.1],
+                            [1e200, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        freq = cf.priors_policy(model, "frequency", data)
+    assert [c.prior for c in freq.components] == [0.4, 0.6]
+
+
+def _two_sphericals():
+    return cf.ClusterModel(kind=cf.GAUSSIAN, components=tuple(
+        cf.GaussianComponent(mean=mean, covariance=cf.CovarianceSpec.spherical(1.0), prior=0.5)
+        for mean in ([0.0, 0.0], [3.0, 0.0])))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: cf.Dataset(rows=[1.0, 2.0]), cf.ValidationError,
+     "rows: expected a non-empty N x d matrix"),
+    (lambda: cf.Dataset(rows=[[1.0, 2.0]], feature_names=("a",)), cf.ValidationError,
+     "feature_names: length does not match row width"),
+    (lambda: cf.Dataset(rows=[[1.0, 2.0]], labels=("a", "b")), cf.ValidationError,
+     "labels: length does not match row count"),
+    (lambda: cf.FitConfig(algorithm="gmm", covariance="banded"), cf.ValidationError,
+     "covariance: unknown covariance kind 'banded'"),
+    (lambda: cf.FitConfig(n_clusters=0), cf.ValidationError, "n_clusters: must be >= 1"),
+    (lambda: cf.priors_policy(_two_sphericals(), "median"), cf.ValidationError,
+     "policy: unknown priors policy 'median'"),
+    (lambda: cf.priors_policy(_two_sphericals(), "frequency",
+                              cf.Dataset(rows=[[0.1, 0.0], [-0.1, 0.1]])),
+     cf.FitError, "frequency policy found an empty cluster"),
+], ids=["rows-shape", "feature-names", "labels", "covariance-kind", "n-clusters",
+        "unknown-policy", "empty-cluster"])
+def test_malformed_fit_inputs_are_rejected(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message

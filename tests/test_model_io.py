@@ -526,3 +526,23 @@ def test_load_dataset_row_matches_load_dataset(tmp_path_factory, values, fmt, he
             load_dataset_row(path, len(values), label_column=label_column)
         with pytest.raises(IndexError, match=f"out of range for {len(values)} data rows"):
             load_dataset_row(path, -1, label_column=label_column)
+
+
+@pytest.mark.parametrize("document, path, message", [
+    (lambda: [], "$", "model document must be a JSON object"),
+    (lambda: _document_with(1, ("components", 0, "covariance"), []), "components[0].covariance",
+     "expected an object"),
+    (lambda: _document_with(1, ("components", 0, "covariance", "kind"), "banded"),
+     "components[0].covariance.kind", "unknown covariance kind 'banded'"),
+    (lambda: _document_with(1, ("d",), 0), "d", "must be a positive integer"),
+    (lambda: _document_with(1, ("n_clusters",), True), "n_clusters", "must be a positive integer"),
+    (lambda: _document_with(1, ("standardization",), []), "standardization",
+     "expected an object or null"),
+    (lambda: _document_with(1, ("provenance",), []), "provenance", "expected an object"),
+    (lambda: _document_with(1, ("components", 1), 3), "components[1]", "expected an object"),
+], ids=["document-not-object", "covariance-not-object", "covariance-kind", "d", "n-clusters",
+        "standardization", "provenance", "component-not-object"])
+def test_malformed_model_documents_are_rejected_at_their_path(document, path, message):
+    with pytest.raises(cf.ValidationError) as info:
+        model_from_dict(document())
+    assert (info.value.path, info.value.message) == (path, message)
