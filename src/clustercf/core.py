@@ -6,8 +6,8 @@ standardization parameters, the raw feature space otherwise. Densities are
 evaluated in log space throughout so that high-dimensional models (64
 features and beyond) do not underflow.
 
-`score_matrix` is the one scorer: the assignment rule, membership
-verdicts, EM's E-step and the plausibility filter all read its rows. For
+`score_matrix` is the one scorer: the one assignment rule `assign_rows`,
+EM's E-step and the plausibility filter all read its rows. For
 a Gaussian model it goes through a whitening factor W with W S W' = I,
 computed once per component: the inverse Cholesky factor L^-1 of a full
 covariance S = L L', or the vector 1/sqrt(var) of a diagonal or
@@ -417,10 +417,28 @@ def score_matrix(model: ClusterModel, rows: np.ndarray, *, per_row: bool = False
     return out
 
 
-def assign_cluster(model: ClusterModel, x: np.ndarray) -> int:
-    """Cluster of x under the assignment rule; exact ties go to the lowest id."""
-    x = as_vector(x, name="x")
-    return int(np.argmax(score_matrix(model, x[None, :])[0]))
+def assign_rows(model: ClusterModel, rows: np.ndarray, *, per_row: bool = True):
+    """(labels, scores) of the N x d internal `rows`, scored by
+    `score_matrix`. A row's label is the argmax of its finite scores,
+    exact ties to the lowest id; a row with no finite score is in no
+    cluster, label -1. Runs under the caller's error state."""
+    scores = score_matrix(model, rows, per_row=per_row)
+    labels = scores.argmax(axis=1)
+    # Every score is finite when their sum of squares is: one dot product,
+    # the cheapest test on the few scores of one request.
+    flat = scores.ravel()
+    if not math.isfinite(flat.dot(flat)):
+        finite = np.isfinite(scores)
+        labels = np.where(finite, scores, -np.inf).argmax(axis=1)
+        labels[~finite.any(axis=1)] = -1
+    return labels, scores
+
+
+def assign_cluster(model: ClusterModel, x: np.ndarray) -> "int | None":
+    """Cluster of x under `assign_rows`; None when x has no finite score."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        label = int(assign_rows(model, as_vector(x, name="x")[None, :])[0][0])
+    return None if label < 0 else label
 
 
 # ---------------------------------------------------------------------------

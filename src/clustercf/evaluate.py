@@ -26,9 +26,9 @@ from .core import (
     Mask,
     ValidationError,
     as_int,
+    assign_rows,
     check_epsilon,
     check_query,
-    score_matrix,
 )
 from .explain import _explain_rows, membership_verdict
 from .fit import Dataset
@@ -95,7 +95,7 @@ class FactualRecord:
 class BaselineRecord:
     factual_id: int
     counterfactual: "list[float]"
-    distance_sq: float
+    distance_sq: "float | None"
     member_strict: bool
     member_tolerant: bool
 
@@ -171,18 +171,17 @@ def run_eval(model: ClusterModel, data: Dataset, config: EvalConfig) -> EvalRepo
     The config's cluster ids and mask width, then the width of `data`,
     are checked against the model before any row is mapped or solved;
     the dataset's rows and the config's fields were checked when they
-    were built, so the factuals go to the solver as one block of rows."""
+    were built, so the factuals go to the solver as one block of rows,
+    with the internal rows and labels that sampled them."""
     mask = config.validate_against(model)
     rows = data.rows
     model.check_rows(rows)
     # A row far enough out overflows its map or scores, as in
-    # `explain_many`; a row without a finite score is in no cluster and
-    # is never sampled.
+    # `explain_many`; a row in no cluster is never sampled.
     with np.errstate(over="ignore", invalid="ignore"):
-        scores = score_matrix(model, np.asarray(model.to_internal(rows), dtype=np.float64))
-    finite = np.isfinite(scores)
-    labels = np.argmax(np.where(finite, scores, -np.inf), axis=1)
-    source_rows = np.flatnonzero((labels == config.source) & finite.any(axis=1))
+        y = model.to_internal(rows)
+        labels, _ = assign_rows(model, y, per_row=False)
+    source_rows = np.flatnonzero(labels == config.source)
     if source_rows.size == 0:
         raise ClusterCfError(f"source cluster {config.source} is empty in this dataset")
     n = min(config.n_factuals, int(source_rows.size))
@@ -195,7 +194,7 @@ def run_eval(model: ClusterModel, data: Dataset, config: EvalConfig) -> EvalRepo
     chosen = np.sort(rng.choice(source_rows, size=n, replace=False))
     factuals = rows[chosen]
     results = _explain_rows(model, factuals, [config.source] * n, [config.target] * n,
-                            [mask] * n, [config.epsilon] * n)
+                            [mask] * n, [config.epsilon] * n, y[chosen], labels[chosen].tolist())
     records = [
         FactualRecord(
             factual_id=row_id,
@@ -245,7 +244,8 @@ def ingest_baseline(path, name: str, model: ClusterModel, factuals: dict, target
     rules (`read_csv_table`); a header-only file gives no records. Each id
     is an integer key of `factuals` and appears once. Membership and
     distance are judged with this package's assignment rule and metric so
-    that all methods are compared on identical footing.
+    that all methods are compared on identical footing; a distance that
+    overflows is None.
     """
     target = as_int(target, name="target")
     model.check_cluster(target, "target")
@@ -278,14 +278,12 @@ def ingest_baseline(path, name: str, model: ClusterModel, factuals: dict, target
             raise DataError(f"baseline {path}: duplicate factual_id {factual_id} at row {r}")
         seen.add(factual_id)
         ids.append(factual_id)
-    z_internal = np.asarray(model.to_internal(vectors), dtype=np.float64)
-    y_internal = np.asarray(
-        model.to_internal(np.stack([np.asarray(factuals[i], dtype=np.float64) for i in ids])),
-        dtype=np.float64,
-    )
-    strict, tolerant = membership_verdict(model, z_internal, [target] * len(ids))
-    dz = z_internal - y_internal
-    distances = np.vecdot(dz, dz).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        z_internal = model.to_internal(vectors)
+        y_internal = model.to_internal(np.array([factuals[i] for i in ids], dtype=np.float64))
+        strict, tolerant = membership_verdict(model, z_internal, [target] * len(ids))
+        dz = z_internal - y_internal
+        distances = [dist if math.isfinite(dist) else None for dist in np.vecdot(dz, dz).tolist()]
     records = [
         BaselineRecord(
             factual_id=factual_id,

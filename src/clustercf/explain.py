@@ -22,6 +22,7 @@ from .core import (
     ValidationError,
     as_int,
     as_vector,
+    assign_rows,
     score_matrix,
 )
 from .gaussian_cf import GaussianPairPlan, solve_gaussian_rows
@@ -51,16 +52,17 @@ class AllTargetsFailedError(ClusterCfError):
 def membership_verdict(model: ClusterModel, rows: np.ndarray, targets):
     """(strict, tolerant): lists of target-membership verdicts for the rows
     of `rows` (N x d, internal space), row i judged against `targets[i]`,
-    from one `score_matrix` call that scores each row on its own, so a
-    row's verdicts do not depend on the batch. Strict membership is the
-    argmax (ties to the lowest id); tolerant membership also admits a
-    target within MEMBERSHIP_TIE_TOL of the best score."""
+    from one `assign_rows` call that scores each row on its own, so a
+    row's verdicts do not depend on the batch. Strict membership is being
+    assigned to the target; tolerant membership also admits a target
+    within MEMBERSHIP_TIE_TOL of the assigned cluster's score. A row in no
+    cluster is a member of no target. Runs under the caller's error state."""
+    labels, scores = assign_rows(model, rows)
     strict, tolerant = [], []
-    for scores, target in zip(score_matrix(model, rows, per_row=True).tolist(), targets):
-        best = max(scores)
-        member = scores.index(best) == target
+    for label, row, target in zip(labels.tolist(), scores.tolist(), targets):
+        member = label == target
         strict.append(member)
-        tolerant.append(member or best - scores[target] <= MEMBERSHIP_TIE_TOL)
+        tolerant.append(member or (label >= 0 and row[label] - row[target] <= MEMBERSHIP_TIE_TOL))
     return strict, tolerant
 
 
@@ -108,32 +110,36 @@ def explain_many(model: ClusterModel, requests) -> "list[CfResult]":
 
 
 def _explain_rows(model: ClusterModel, factuals: np.ndarray, sources, targets, masks,
-                  epsilons) -> "list[CfResult]":
+                  epsilons, y=None, detected=None) -> "list[CfResult]":
     """The solver core behind every public call, on checked columns.
 
     Row i asks for a counterfactual of its factual toward targets[i] from
     sources[i] (None: the detected cluster) under masks[i] at epsilons[i].
     `factuals` (original units) is 1 x d, one factual that every row
-    shares and that is mapped and scored once, or n x d, one per row.
-    Everything but a detected source equal to its target was checked by
-    the caller; that raises ValidationError before any solve. A factual
-    or eps far enough out overflows the map, the scores or the solve, and
-    that row ends as `no_root_found`, without warnings.
+    shares and that is mapped and scored once, or n x d, one per row; a
+    caller that has mapped and assigned them passes the rows as `y` and
+    the `assign_rows` labels as the list `detected`. Everything but a
+    detected source equal to its target was checked by the caller; that
+    raises ValidationError before any solve. A factual or eps far enough
+    out overflows the map, the scores or the solve, and that row ends as
+    `no_root_found`, without warnings. A factual in no cluster is solved
+    from cluster 0 when no source is claimed.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         n = len(targets)
-        y = np.asarray(model.to_internal(factuals), dtype=np.float64)
-        detected = score_matrix(model, y, per_row=True).argmax(axis=1).tolist()
+        if y is None:
+            y = model.to_internal(factuals)
+            detected = assign_rows(model, y)[0].tolist()
         if len(y) < n:
             y, detected = y[[0] * n], detected * n
 
         groups, resolved = {}, []
         for i, (source, target, mask, found) in enumerate(zip(sources, targets, masks, detected)):
             if source is None:
-                source = found
+                source = max(found, 0)
             if source == target:
                 raise ValidationError("target", "source and target clusters must differ")
-            if source != found:
+            if source != found and found >= 0:
                 warnings.warn(
                     f"factual is assigned to cluster {found}, not claimed source {source}",
                     SourceMismatchWarning,
@@ -202,18 +208,19 @@ def explain_best(
     factual, source, mask and epsilon are checked once, as the first
     candidate's request, and every other candidate target once, all
     before the first solve; the candidates then go to the solver core of
-    `explain_many` as one factual row each. Raises AllTargetsFailedError
-    with the per-target statuses and the source when nothing solves.
+    `explain_many` as one factual row each, mapped and assigned once here;
+    a factual in no cluster is solved from cluster 0. Raises
+    AllTargetsFailedError with the per-target statuses and the source
+    when nothing solves.
     """
     # The factual is checked as its requests will be, before it is mapped.
     y_arr = as_vector(y, name="factual")
     model.check_point(y_arr, "factual")
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_int = model.to_internal(y_arr[None, :])
+        detected = assign_rows(model, y_int)[0].tolist()
     if source is None:
-        # Detected as the solver core detects it, so a factual whose scores
-        # overflow gets the core's source and ends as its no_root_found rows.
-        with np.errstate(over="ignore", invalid="ignore"):
-            scores = score_matrix(model, model.to_internal(y_arr), per_row=True)
-        source = int(scores.argmax(axis=1)[0])
+        source = max(detected[0], 0)
     if candidate_targets is None:
         candidate_targets = [t for t in range(model.n_clusters) if t != source]
     else:
@@ -230,7 +237,7 @@ def explain_best(
         model.check_cluster(target, "target")
     n = len(targets)
     results = _explain_rows(model, first.factual[None, :], [first.source] * n, targets,
-                            [mask] * n, [first.epsilon] * n)
+                            [mask] * n, [first.epsilon] * n, y_int, detected)
     best = None
     statuses = {}
     for target, result in zip(targets, results):
@@ -260,7 +267,8 @@ def plausibility_check(model: ClusterModel, z, target: int, delta: float) -> boo
     model.check_cluster(target, "target")
     z = as_vector(z, name="z")
     model.check_point(z, "z")
-    score = float(score_matrix(model, z)[0, target])
+    with np.errstate(over="ignore", invalid="ignore"):
+        score = float(score_matrix(model, z)[0, target])
     if model.kind == KMEANS:
         log_p = 0.5 * (score - model.d * LOG_2PI)
     else:

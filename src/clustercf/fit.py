@@ -26,6 +26,7 @@ from .core import (
     Standardization,
     ValidationError,
     as_int,
+    assign_rows,
     score_matrix,
     sq_distances,
 )
@@ -322,8 +323,9 @@ def fit(data: Dataset, config: FitConfig):
 
 def priors_policy(model: ClusterModel, policy: str, data: "Dataset | None" = None) -> ClusterModel:
     """Replace component priors: `uniform` sets 1/M, `frequency` uses hard
-    assignment counts over the given dataset's rows that have a finite
-    score. Centroid models have no priors and are returned unchanged."""
+    assignment counts (`assign_rows`) over the given dataset's rows, a row
+    in no cluster counting for none. Centroid models have no priors and
+    are returned unchanged."""
     if policy not in ("uniform", "frequency"):
         raise ValidationError("policy", f"unknown priors policy {policy!r}")
     if model.kind == KMEANS:
@@ -335,13 +337,11 @@ def priors_policy(model: ClusterModel, policy: str, data: "Dataset | None" = Non
         if data is None:
             raise ValidationError("data", "frequency policy requires a dataset")
         model.check_rows(data.rows)
-        # As in `run_eval`: a row whose map or scores overflow is in no
-        # cluster and is not counted.
+        # A row whose map or scores overflow is in no cluster (label -1)
+        # and is not counted.
         with np.errstate(over="ignore", invalid="ignore"):
-            scores = score_matrix(model, model.to_internal(data.rows))
-        finite = np.isfinite(scores)
-        labels = np.argmax(np.where(finite, scores, -np.inf), axis=1)[finite.any(axis=1)]
-        counts = np.bincount(labels, minlength=m).astype(np.float64)
+            labels, _ = assign_rows(model, model.to_internal(data.rows), per_row=False)
+        counts = np.bincount(labels[labels >= 0], minlength=m).astype(np.float64)
         if np.any(counts == 0.0):
             raise FitError("frequency policy found an empty cluster")
         priors = counts / counts.sum()

@@ -557,6 +557,31 @@ def test_overflowed_eval_exits_0_with_null_residuals(tmp_path, far_pair, capsys)
     jsonschema.validate(doc, load_schema("eval_report.schema.json"))
 
 
+@pytest.mark.parametrize("source, target", [(0, 1), (1, 0)])
+def test_eval_with_a_far_baseline_row_exits_0_with_a_null_distance(tmp_path, far_pair, capsys,
+                                                                   source, target):
+    # The row (1e200, 0) overflows its distance, which the report holds as
+    # null, and it is in no cluster, so it is no success for target 0 either.
+    data = tmp_path / "near.csv"
+    data.write_text("1,0\n2,0\n3,0\n" if source == 0 else "99,0\n98,0\n97,0\n")
+    baseline = tmp_path / "far.csv"
+    inside = "99,0" if target == 1 else "1,0"
+    baseline.write_text(f"factual_id,f0,f1\n0,1e200,0\n1,{inside}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["eval", "--model", str(far_pair), "--n", "3", "--source", str(source),
+                     "--target", str(target), "--baseline", f"far={baseline}", str(data),
+                     "-o", str(tmp_path / "e")])
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
+    doc = json.loads((tmp_path / "e.report.json").read_text())
+    jsonschema.validate(doc, load_schema("eval_report.schema.json"))
+    far, near = doc["baselines"]["far"]
+    assert (far["distance_sq"], far["member_strict"], far["member_tolerant"]) == (None, False, False)
+    assert near["member_strict"] and near["distance_sq"] > 0.0
+    assert doc["comparison"]["factual_ids"] == [1]
+
+
 @pytest.mark.parametrize("specs", [["ours=B"], ["x=B", "x=B"]], ids=["ours", "repeated"])
 def test_eval_baseline_name_taken_exits_2_before_any_solve(tmp_path, three_cluster_files,
                                                           monkeypatch, capsys, specs):

@@ -106,6 +106,43 @@ def test_assign_ties_break_to_lowest_id():
     assert cf.assign_cluster(model, [1.0, 5.0]) == 0
 
 
+def _far_models():
+    """A k-means and a full-covariance model, each with a point far enough
+    out that none of its scores is finite: every squared distance
+    overflows to -inf."""
+    kmeans = cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
+    full = cf.ClusterModel(kind=cf.GAUSSIAN, components=tuple(
+        cf.GaussianComponent(mean=m, covariance=cf.CovarianceSpec.full([[2.0, 0.5], [0.5, 1.0]]),
+                             prior=p)
+        for m, p in (([0.0, 0.0], 0.5), ([3.0, 0.0], 0.25), ([0.0, 3.0], 0.25))))
+    return {"kmeans": kmeans, "full": full}
+
+
+@pytest.mark.parametrize("kind", ["kmeans", "full"])
+def test_a_point_without_a_finite_score_is_in_no_cluster(kind):
+    model = _far_models()[kind]
+    with np.errstate(all="raise"):
+        assert cf.assign_cluster(model, [1e200, 0.0]) is None
+        assert cf.assign_cluster(model, [-1e200, 1e200]) is None
+        assert cf.assign_cluster(model, [2.9, 0.1]) == 1
+
+
+def test_assign_rows_reads_only_finite_scores(monkeypatch):
+    model = _far_models()["full"]
+    rows = np.array([[0.1, 0.0], [np.inf, np.inf], [1e200, 0.0], [0.0, 2.9]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        labels, scores = cf.core.assign_rows(model, rows)
+    assert labels.tolist() == [0, -1, -1, 2]
+    # The inf row's scores are NaN, which a bare argmax would pick.
+    assert np.isnan(scores[1]).all() and np.isneginf(scores[2]).all()
+    # A -inf or NaN score loses to any finite one, wherever it sits, and
+    # exact ties go to the lowest id.
+    fake = np.array([[np.nan, -1.0], [-np.inf, -5.0], [-2.0, np.nan], [-3.0, -3.0]])
+    monkeypatch.setattr(cf.core, "score_matrix", lambda *args, **kwargs: fake)
+    labels, _ = cf.core.assign_rows(model, np.zeros((4, 2)))
+    assert labels.tolist() == [1, 1, 0, 0]
+
+
 def test_assign_full_gmm_matches_direct_density_argmax():
     rng = np.random.default_rng(42)
     rows, _ = make_blobs(rng, [[0.0, 0.0], [4.0, 3.0]], sigma=0.9, n_per=120)

@@ -344,15 +344,12 @@ def test_sweep_validates_epsilons():
 
 
 def test_ingest_baseline_judges_all_rows_with_one_score_call(tmp_path, blob_setup, monkeypatch):
-    import importlib
-
     model, data, source, target = blob_setup
     report = cf.run_eval(model, data, cf.EvalConfig(source=source, target=target, n_factuals=12))
     path = tmp_path / "ours.csv"
     cf.export_baseline_csv(report, path)
-    explain_module = importlib.import_module("clustercf.explain")
     counts = {"score": 0, "to_internal": 0}
-    score_matrix, to_internal = explain_module.score_matrix, cf.ClusterModel.to_internal
+    score_matrix, to_internal = cf.core.score_matrix, cf.ClusterModel.to_internal
 
     def counting_score(*args, **kwargs):
         counts["score"] += 1
@@ -362,7 +359,8 @@ def test_ingest_baseline_judges_all_rows_with_one_score_call(tmp_path, blob_setu
         counts["to_internal"] += 1
         return to_internal(self, x)
 
-    monkeypatch.setattr(explain_module, "score_matrix", counting_score)
+    # The verdicts score through `assign_rows`, which looks the scorer up in core.
+    monkeypatch.setattr(cf.core, "score_matrix", counting_score)
     monkeypatch.setattr(cf.ClusterModel, "to_internal", counting_to_internal)
     factuals = {r.factual_id: np.asarray(r.factual) for r in report.records}
     table = cf.ingest_baseline(path, "ours", model, factuals, target)

@@ -1,10 +1,12 @@
 import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import clustercf as cf
+from clustercf.explain import membership_verdict
 from helpers import random_covariance, two_cluster_gaussian_model
 from oracles import (
     covariance_matrix,
@@ -110,6 +112,48 @@ def test_source_mismatch_warns_but_proceeds():
     with pytest.warns(cf.SourceMismatchWarning):
         res = cf.explain(model, cf.CfRequest(factual=[0.0, 0.0], target=0, source=1))
     assert res.status == cf.STATUS_OK
+
+
+def _far_factual_model(kind):
+    """Three clusters under a standardization whose std of 1e-10 maps the
+    factual (1e300, 0) to (1e310, 0): none of its scores is finite."""
+    std = cf.Standardization(mean=[0.0, 0.0], std=[1e-10, 1.0])
+    means = [[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]
+    if kind == cf.KMEANS:
+        return cf.ClusterModel(kind=cf.KMEANS, centers=means, standardization=std)
+    spec = cf.CovarianceSpec.full([[2.0, 0.5], [0.5, 1.0]])
+    return cf.ClusterModel(kind=cf.GAUSSIAN, standardization=std, components=tuple(
+        cf.GaussianComponent(mean=m, covariance=spec, prior=1 / 3) for m in means))
+
+
+@pytest.mark.parametrize("kind", [cf.KMEANS, cf.GAUSSIAN])
+def test_a_factual_in_no_cluster_raises_no_source_mismatch(kind):
+    model = _far_factual_model(kind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        claimed = cf.explain(model, cf.CfRequest(factual=[1e300, 0.0], target=2, source=1))
+        detected = cf.explain(model, cf.CfRequest(factual=[1e300, 0.0], target=2))
+    assert (claimed.status, claimed.source) == (cf.STATUS_NO_ROOT_FOUND, 1)
+    # With no source claimed it is solved from cluster 0.
+    assert (detected.status, detected.source) == (cf.STATUS_NO_ROOT_FOUND, 0)
+
+
+@pytest.mark.parametrize("kind", [cf.KMEANS, cf.GAUSSIAN])
+def test_a_row_in_no_cluster_is_a_member_of_no_target(kind):
+    # Cluster 0 included: a bare argmax puts an all -inf row there.
+    model = _far_factual_model(kind)
+    rows = np.array([[1e200, 0.0]] * 3 + [[3.0, 0.1]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        strict, tolerant = membership_verdict(model, rows, [0, 1, 2, 1])
+    assert strict == tolerant == [False, False, False, True]
+
+
+@pytest.mark.parametrize("kind", [cf.KMEANS, cf.GAUSSIAN])
+def test_plausibility_check_on_a_far_point_raises_no_numpy_warning(kind):
+    model = _far_factual_model(kind)
+    with np.errstate(all="raise"):
+        assert cf.plausibility_check(model, [1e200, 0.0], 0, 0.0) is True
+        assert cf.plausibility_check(model, [1e200, 0.0], 0, 1e-300) is False
 
 
 def test_source_equals_target_rejected():

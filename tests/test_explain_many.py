@@ -141,24 +141,36 @@ def test_each_distinct_factual_is_mapped_and_scored_once(monkeypatch, family):
         scored.append(np.array(rows, dtype=np.float64, ndmin=2))
         return score_matrix(model, rows, **kwargs)
 
-    # `assign_cluster` looks the scorer up in core, `explain_many` in explain.
+    # Every assignment goes through `assign_rows`, which looks the scorer up in core.
     monkeypatch.setattr(cf.core, "score_matrix", counting)
-    monkeypatch.setattr(explain_module, "score_matrix", counting)
     rng = np.random.default_rng(13)
     model = random_model(rng, family, 3, 8)
     y = np.asarray(model.to_original(model.means()[2] + 0.3), dtype=np.float64)
     internal = np.asarray(model.to_internal(y), dtype=np.float64)
 
-    def factual_rows():
-        return sum(int(np.all(rows == internal, axis=1).sum()) for rows in scored)
+    def factual_rows(factual=internal):
+        return sum(int(np.all(rows == factual, axis=1).sum()) for rows in scored)
 
-    # The source is resolved once, then the seven candidates' one factual
-    # is detected once.
+    # The source is resolved once, and the core solves the seven
+    # candidates from that one detection.
     cf.explain_best(model, y, epsilon=0.3)
-    assert factual_rows() == 1 + 1
+    assert factual_rows() == 1
     scored.clear()
     cf.sweep_epsilon(model, y, 0, None, [0.0, 0.25, 0.5, 1.0, 2.0])
     assert factual_rows() == 1
+    # run_eval labels each dataset row once, and the core solves the
+    # chosen rows from those labels without scoring them again.
+    scored.clear()
+    rows = np.asarray(model.to_original(
+        np.repeat(model.means(), 4, axis=0) + rng.normal(scale=0.3, size=(32, 3))))
+    report = cf.run_eval(model, cf.Dataset(rows=rows),
+                         cf.EvalConfig(source=2, target=0, n_factuals=3, epsilon=0.3))
+    internal_rows = np.asarray(model.to_internal(rows), dtype=np.float64)
+    for row in internal_rows:
+        assert factual_rows(row) == 1
+    # The counterfactuals' verdicts are the only other rows scored.
+    placed = sum(record.counterfactual is not None for record in report.records)
+    assert sum(len(block) for block in scored) == len(rows) + placed
 
 
 @pytest.mark.parametrize("family", ["kmeans", cf.FULL])
@@ -378,8 +390,9 @@ def test_explain_best_detects_a_finite_factual_in_its_assigned_cluster(family):
 
 
 def test_explain_best_on_a_factual_whose_scores_overflow_fails_as_explain_does():
-    # The mapped factual's first coordinate is 1e310: its scores overflow,
-    # and the core detects it in cluster 0, as explain_best now does.
+    # The mapped factual's first coordinate is 1e310: it has no finite
+    # score, so it is in no cluster, and explain_best solves it from
+    # cluster 0 as the core does.
     model = cf.ClusterModel(kind=cf.KMEANS, centers=[[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]],
                             standardization=cf.Standardization(mean=[0.0, 0.0], std=[1e-10, 1.0]))
     y = [1e300, 0.0]
